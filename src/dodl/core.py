@@ -41,6 +41,12 @@ class Atom:
             raise DefinitionError(f"unknown atom kind {self.kind!r}")
         if not self.text:
             raise ReservedCharacter("atom text must be nonempty")
+        if not self.text.isascii():
+            # isdigit() accepts digits of other scripts, which int() rejects
+            # ("²") or folds into another atom's text ("١٢" -> "12").
+            raise ReservedCharacter(
+                f"atom {self.text!r} contains a non-ASCII character"
+            )
         for ch in self.text:
             if ch in RESERVED_CHARS or ch.isspace():
                 raise ReservedCharacter(

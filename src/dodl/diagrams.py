@@ -300,12 +300,13 @@ def eval_predicate(pred: Predicate, env: Environment, workspace) -> bool:
                 f"pattern of arity {len(pred.pattern)} against relation "
                 f"{relation.name!r} of arity {relation.arity}"
             )
-        wanted = [_term_value(t, env) if not isinstance(t, Wildcard) else None
-                  for t in pred.pattern]
-        for row in relation.tuples:
-            if all(w is None or w == cell for w, cell in zip(wanted, row)):
-                return True
-        return False
+        positions = []
+        key = []
+        for position, term in enumerate(pred.pattern):
+            if not isinstance(term, Wildcard):
+                positions.append(position)
+                key.append(_term_value(term, env))
+        return tuple(key) in relation.probe_index(tuple(positions))
     raise EvalTypeError(f"unknown predicate node {pred!r}")
 
 

@@ -10,7 +10,7 @@ class DefinitionError(DodlError):
 
 
 class ReservedCharacter(DodlError):
-    """Atom text is empty or contains a reserved or whitespace character."""
+    """Atom text is empty, non-ASCII, or contains a reserved or whitespace character."""
 
 
 class SortMismatch(DodlError):

@@ -7,7 +7,7 @@ named relation, so the two routes can be compared against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .core import Atom, Sort, symbol
@@ -44,6 +44,10 @@ class Relation:
     name: str
     attributes: tuple[tuple[str, Sort], ...]
     tuples: frozenset[Row]
+    # positions -> keys; filled by probe_index, invisible to eq, hash and repr.
+    _probes: dict[tuple[int, ...], frozenset[Row]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
@@ -84,6 +88,22 @@ class Relation:
         raise UnknownAttribute(
             f"relation {self.name!r} has no attribute {attr!r}"
         )
+
+    def probe_index(self, positions: tuple[int, ...]) -> frozenset[Row]:
+        """The tuples projected onto ``positions``, built on first use.
+
+        A pattern binding exactly those positions matches some tuple iff
+        its bound values, in position order, are in the returned set. Only
+        the indexing route reads it: ``select`` and ``oracle_index`` scan
+        ``tuples``, so the oracle shares no index with what it checks.
+        """
+        keys = self._probes.get(positions)
+        if keys is None:
+            keys = frozenset(
+                tuple(row[i] for i in positions) for row in self.tuples
+            )
+            self._probes[positions] = keys
+        return keys
 
     def sorted_tuples(self) -> list[Row]:
         return sorted(self.tuples, key=lambda row: tuple(a.order_key() for a in row))
@@ -170,12 +190,16 @@ def join(r: Relation, s: Relation) -> Relation:
     s_pos = [s.index_of(a) for a in shared]
     s_rest = [i for i, (a, _) in enumerate(s.attributes) if a not in shared]
     schema = r.attributes + tuple(s.attributes[i] for i in s_rest)
+    # Build: bucket s's non-shared remainders by their shared-attribute key.
+    buckets: dict[Row, list[Row]] = {}
+    for right in s.tuples:
+        key = tuple(right[i] for i in s_pos)
+        buckets.setdefault(key, []).append(tuple(right[i] for i in s_rest))
+    # Probe: each tuple of r meets only the bucket of its own key.
     rows = set()
     for left in r.tuples:
-        key = tuple(left[i] for i in r_pos)
-        for right in s.tuples:
-            if key == tuple(right[i] for i in s_pos):
-                rows.add(left + tuple(right[i] for i in s_rest))
+        for rest in buckets.get(tuple(left[i] for i in r_pos), ()):
+            rows.add(left + rest)
     return Relation(f"join_{r.name}_{s.name}", schema, frozenset(rows))
 
 

@@ -3,6 +3,7 @@ import sys
 
 from dodl.cli import main
 from dodl.lang import dump
+from dodl.relational import Relation
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -36,6 +37,16 @@ class TestIndex:
                                "index", "Tch", "Algebra")
         assert code == 1
         assert "Algebra" in err
+
+    def test_non_ascii_index_is_an_error_not_a_traceback(self, capsys,
+                                                         teaching_dir):
+        for atom in ("²2", "١٢", "Café"):
+            code, out, err = run_cli(capsys, "--workspace", str(teaching_dir),
+                                     "index", "Tch", atom)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and "non-ASCII" in err
+            assert "Traceback" not in err
 
 
 class TestFunctor:
@@ -119,6 +130,19 @@ class TestOracleDiff:
                                "oracle-diff", "Strange")
         assert code == 1
         assert "relational twin" in err
+
+    def test_oracle_does_not_share_the_probe_index(self, capsys, teaching_dir,
+                                                   monkeypatch):
+        # A probe that never matches breaks only the indexing route; the
+        # oracle, a plain scan, must still see the rows and flag every index.
+        monkeypatch.setattr(Relation, "probe_index",
+                            lambda self, positions: frozenset())
+        code, out, _ = run_cli(capsys, "--workspace", str(teaching_dir),
+                               "oracle-diff", "Tch")
+        assert code == 1
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 2
+        assert all(row.endswith("DIFFER") for row in rows)
 
 
 class TestQuery:
@@ -226,6 +250,16 @@ class TestLoad:
         code, _, err = run_cli(capsys, "load", str(bad))
         assert code == 1
         assert "bad.dodl:1:" in err
+
+    def test_non_ascii_atoms_are_diagnostics(self, capsys, tmp_path):
+        bad = tmp_path / "bad.dodl"
+        bad.write_text("sort H : numeric;\ndomain D : H = { 1, ²2 };\n"
+                       "sort N : symbolic;\ndomain E : N = { Café };\n",
+                       encoding="utf-8")
+        code, _, err = run_cli(capsys, "load", str(bad))
+        assert code == 1
+        assert "bad.dodl:2:" in err and "bad.dodl:4:" in err
+        assert "Traceback" not in err
 
     def test_load_prints_command_outputs(self, capsys, teaching_dir):
         extra = teaching_dir / "zrun.dodl"

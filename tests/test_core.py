@@ -58,6 +58,17 @@ class TestAtom:
         with pytest.raises(ReservedCharacter):
             Atom("twenty", NUMERIC)
 
+    @pytest.mark.parametrize("text, kind", [
+        ("\u00b22", NUMERIC),            # superscript two: isdigit, not int()
+        ("\u0661\u0662", NUMERIC),       # Arabic-Indic digits, not 12
+        ("Caf\u00e9", SYMBOLIC),
+    ])
+    def test_non_ascii_rejected(self, text, kind):
+        with pytest.raises(ReservedCharacter):
+            Atom(text, kind)
+        with pytest.raises(ReservedCharacter):
+            Atom.parse(text)
+
     def test_order_numeric_by_value_symbolic_bytewise(self):
         assert number(2).order_key() < number(10).order_key()
         assert symbol("Doe").order_key() < symbol("Smith").order_key()

@@ -46,6 +46,7 @@ from dodl.errors import (
     UnknownRelation,
 )
 from dodl.evolver import Workspace
+from dodl.relational import Relation
 from wsgen import gen_indexed_case
 
 EMPTY = Environment.empty()
@@ -172,6 +173,20 @@ class TestEvalPredicate:
         pred = Member("Relationship1", (Var("idx"), Wildcard(), Wildcard()))
         with pytest.raises(UnboundVariable):
             eval_predicate(pred, EMPTY, teaching_ws)
+
+    def test_errors_are_raised_before_the_probe(self, teaching_ws, monkeypatch):
+        def probe(self, positions):
+            raise AssertionError("probed before checking the pattern")
+
+        monkeypatch.setattr(Relation, "probe_index", probe)
+        for pred, error in [
+            (Member("Nowhere", (Wildcard(),)), UnknownRelation),
+            (Member("Relationship1", (Wildcard(), Wildcard())), ArityMismatch),
+            (Member("Relationship1", (Wildcard(), Wildcard(), Var("x"))),
+             UnboundVariable),
+        ]:
+            with pytest.raises(error):
+                eval_predicate(pred, EMPTY, teaching_ws)
 
 
 class TestRunFilter:

@@ -2,10 +2,23 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import teaches
-from dodl.core import symbol
-from dodl.diagrams import FalsePred, Filter
+from dodl.core import Domain, Environment, PotentialObject, number, symbol
+from dodl.diagrams import (
+    And,
+    Const,
+    FalsePred,
+    Filter,
+    Member,
+    Not,
+    Or,
+    Var,
+    Wildcard,
+    eval_predicate,
+)
 from dodl.errors import (
     IndexNotInDomain,
     ScriptError,
@@ -23,12 +36,13 @@ from dodl.evolver import (
     Query,
     Trigger,
     apply_evolvent,
+    derive_actual,
     materialize_functor,
     run_script,
     trigger,
 )
-from dodl.relational import OracleExpr, RelName, oracle_index
-from wsgen import gen_indexed_case
+from dodl.relational import OracleExpr, RelName, Relation, oracle_index
+from wsgen import WORDS, gen_indexed_case, gen_workspace
 
 
 class TestTrigger:
@@ -211,6 +225,80 @@ class TestOracleEquivalence:
                 }
                 assert {a.text for a in ao.elements} == brute
                 assert {a.text for a in via_oracle} == brute
+
+
+def scan_predicate(pred, env, workspace) -> bool:
+    """eval_predicate with every membership test answered by a plain scan."""
+    if isinstance(pred, Member):
+        wanted = [None if isinstance(t, Wildcard)
+                  else t.atom if isinstance(t, Const) else env.lookup(t.name)
+                  for t in pred.pattern]
+        return any(all(w is None or w == cell for w, cell in zip(wanted, row))
+                   for row in workspace.relations[pred.relation].tuples)
+    if isinstance(pred, Not):
+        return not scan_predicate(pred.operand, env, workspace)
+    if isinstance(pred, And):
+        return (scan_predicate(pred.left, env, workspace)
+                and scan_predicate(pred.right, env, workspace))
+    if isinstance(pred, Or):
+        return (scan_predicate(pred.left, env, workspace)
+                or scan_predicate(pred.right, env, workspace))
+    return eval_predicate(pred, env, workspace)
+
+
+def probe_cases(seed: int):
+    """A generated workspace and potential objects to derive over it.
+
+    Besides the generated potentials, every relation gets an empty twin, and
+    each relation and twin gets filters the generator never draws: an
+    all-wildcard pattern, and a pattern mixing variables, wildcards and
+    numeric and symbolic constants regardless of the attribute's sort. A
+    variable of the mixed pattern ranges over its column's values, so that
+    candidates match some tuples and miss others.
+    """
+    rng = random.Random(seed)
+    ws = gen_workspace(rng)
+    relations = dict(ws.relations)
+    for name, relation in ws.relations.items():
+        relations[name + "e"] = Relation(name + "e", relation.attributes,
+                                          frozenset())
+    ws = dataclasses.replace(ws, relations=relations)
+
+    def domain(relation, pattern, var, fallback):
+        for position, term in enumerate(pattern):
+            if term == Var(var) and relation.tuples:
+                cells = {row[position] for row in relation.tuples}
+                return Domain("D" + var, relation.attributes[position][1], cells)
+        return fallback
+
+    potentials = list(ws.potentials.values())
+    for name, relation in sorted(relations.items()):
+        terms = [Var("i"), Var("x"), Wildcard(),
+                 Const(number(rng.randrange(31))),
+                 Const(symbol(rng.choice(WORDS)))]
+        mixed = tuple(rng.choice(terms) for _ in range(relation.arity))
+        for pattern in ((Wildcard(),) * relation.arity, mixed):
+            f = Filter("Fp", "i", "x", Member(name, pattern))
+            potentials.append(PotentialObject(
+                "Q", domain(relation, pattern, "x", ws.domains["D0"]),
+                domain(relation, pattern, "i", ws.domains["D1"]), f))
+    return ws, potentials
+
+
+class TestProbeMatchesScan:
+    @settings(max_examples=150, deadline=500)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_derive_actual_equals_a_plain_scan(self, seed):
+        ws, potentials = probe_cases(seed)
+        for po in potentials:
+            f = po.filter
+            for index in po.index_domain.elements:
+                env = Environment.empty().bind(f.index_var, index)
+                expected = frozenset(
+                    c for c in po.carrier.elements
+                    if scan_predicate(f.body, env.bind(f.candidate_var, c), ws)
+                )
+                assert derive_actual(ws, po, index).elements == expected
 
 
 class TestExchange:

@@ -64,6 +64,20 @@ class TestRelation:
         with pytest.raises(SortMismatch):
             Relation("R", (("A", HOURS),), frozenset([(symbol("x"),)]))
 
+    def test_probe_index_is_invisible_to_equality_hash_and_repr(self):
+        r, fresh = assignments(), assignments()
+        keys = r.probe_index((0, 2))
+        assert keys == {(symbol("Logic"), number(20)),
+                        (symbol("Informatics"), number(30))}
+        assert r.probe_index((0, 2)) is keys
+        assert r == fresh and hash(r) == hash(fresh) and repr(r) == repr(fresh)
+
+    def test_oracle_and_select_leave_the_probe_index_unbuilt(self):
+        r = assignments()
+        oracle_index(r, "Course", symbol("Logic"), "Name")
+        select(r, Eq(Var("Hours"), Const(number(20))))
+        assert r._probes == {}
+
     def test_sorted_tuples_are_deterministic(self):
         r = assignments()
         ordered = [tuple(a.text for a in row) for row in r.sorted_tuples()]
@@ -276,6 +290,43 @@ class TestAlgebraLaws:
                 )
                 brute = frozenset(row[1] for row in r.tuples if row[0] == key)
                 assert via_oracle == expansion == brute
+
+    def test_join_equals_a_nested_loop(self):
+        def nested_loop(r, s):
+            shared = [a for a in r.attribute_names if a in s.attribute_names]
+            rest = [a for a in s.attribute_names if a not in shared]
+            schema = r.attributes + tuple(
+                (a, sort) for a, sort in s.attributes if a in rest)
+            rows = {
+                left + tuple(right[s.index_of(a)] for a in rest)
+                for left in r.tuples for right in s.tuples
+                if all(left[r.index_of(a)] == right[s.index_of(a)]
+                       for a in shared)
+            }
+            return schema, frozenset(rows)
+
+        def rows(rng, schema):
+            # Few distinct values and up to 12 rows: keys repeat on both
+            # sides, and a side is empty about one time in four.
+            def cell(sort):
+                if sort.kind == NUMERIC:
+                    return number(rng.randrange(3))
+                return symbol(rng.choice(WORDS[:3]))
+            return frozenset(tuple(cell(sort) for _, sort in schema)
+                             for _ in range(rng.choice([0, 1, 5, 12])))
+
+        rng = random.Random(13)
+        for _ in range(200):
+            shared = rng.sample([("K", NAME), ("L", HOURS)], rng.randint(1, 2))
+            r_schema = [("A", NAME), ("B", HOURS)][:rng.randint(0, 2)] + shared
+            s_schema = [("C", HOURS), ("D", NAME)][:rng.randint(0, 2)] + shared
+            rng.shuffle(r_schema)
+            rng.shuffle(s_schema)
+            r = Relation("R", tuple(r_schema), rows(rng, r_schema))
+            s = Relation("S", tuple(s_schema), rows(rng, s_schema))
+            joined = join(r, s)
+            assert joined.name == "join_R_S"
+            assert (joined.attributes, joined.tuples) == nested_loop(r, s)
 
     def test_operations_never_return_duplicates(self):
         rng = random.Random(12)
