@@ -27,6 +27,11 @@ KINDS = (SYMBOLIC, NUMERIC)
 # Characters with syntactic meaning in the definition language; they can
 # never occur inside an atom.
 RESERVED_CHARS = set("{}(),;")
+# What an ASCII atom may not contain: the reserved characters plus every
+# ASCII character for which str.isspace() holds.
+_FORBIDDEN_IN_ATOM = frozenset(
+    RESERVED_CHARS | {ch for ch in map(chr, range(128)) if ch.isspace()}
+)
 
 
 @dataclass(frozen=True)
@@ -47,11 +52,11 @@ class Atom:
             raise ReservedCharacter(
                 f"atom {self.text!r} contains a non-ASCII character"
             )
-        for ch in self.text:
-            if ch in RESERVED_CHARS or ch.isspace():
-                raise ReservedCharacter(
-                    f"atom {self.text!r} contains reserved character {ch!r}"
-                )
+        if not _FORBIDDEN_IN_ATOM.isdisjoint(self.text):
+            ch = next(ch for ch in self.text if ch in _FORBIDDEN_IN_ATOM)
+            raise ReservedCharacter(
+                f"atom {self.text!r} contains reserved character {ch!r}"
+            )
         if self.kind == NUMERIC:
             if not self.text.isdigit():
                 raise ReservedCharacter(

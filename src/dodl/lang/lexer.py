@@ -1,12 +1,15 @@
 """Tokenizer for the definition language.
 
 Keywords are contextual: the lexer only distinguishes identifiers, integers
-and punctuation, so declaration names are free to reuse most words.
+and punctuation, so declaration names are free to reuse most words.  Names
+and integers are ASCII; any other letter or digit is an unexpected
+character, reported at its own line and column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .syntax import Diagnostic
 
@@ -15,11 +18,26 @@ INT = "int"
 PUNCT = "punct"
 EOF = "eof"
 
-PUNCTUATION = set("{}()[],;:=_")
+# One alternative per lexeme, tried in order; each match first absorbs the
+# horizontal whitespace before it.  ``\s`` is exactly ``str.isspace``, and
+# only ``\n`` starts a new line.  The group names of real tokens are their
+# kinds.  ``other`` is ``\S`` so that trailing whitespace never matches.
+_LEXEME = re.compile(r"""
+    [^\S\n]*
+    (?:
+        (?P<newline>\n)
+      | (?P<comment>\#[^\n]*)
+      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<int>[0-9]+)
+      | (?P<underscore_name>_[A-Za-z0-9_]+)
+      | (?P<punct>->|[{}()\[\],;:=_])
+      | (?P<other>\S)
+    )
+""", re.VERBOSE)
+_TOKEN_KINDS = frozenset((IDENT, INT, PUNCT))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -36,72 +54,35 @@ class Token:
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     errors: list[Diagnostic] = []
-    pos = 0
+    append = tokens.append
+    new = tuple.__new__
     line = 1
-    col = 1
-    n = len(text)
-
-    def emit(kind: str, start: int, start_line: int, start_col: int, end: int):
-        tokens.append(Token(kind, text[start:end], start_line, start_col, start, end))
-
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
+    line_start = 0  # offset of the first character of the current line
+    match = None
+    for match in _LEXEME.finditer(text):
+        kind = match.lastgroup
+        if kind in _TOKEN_KINDS:
+            start, end = match.span(kind)
+            append(new(Token, (kind, text[start:end], line,
+                               start - line_start + 1, start, end)))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            pos += 1
-            col += 1
-            continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        start, start_line, start_col = pos, line, col
-        if ch.isalpha():
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            col += pos - start
-            emit(IDENT, start, start_line, start_col, pos)
-            continue
-        if ch.isdigit():
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            col += pos - start
-            emit(INT, start, start_line, start_col, pos)
-            continue
-        if ch == "-" and pos + 1 < n and text[pos + 1] == ">":
-            pos += 2
-            col += 2
-            emit(PUNCT, start, start_line, start_col, pos)
-            continue
-        if ch == "_":
-            pos += 1
-            col += 1
-            if pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                    pos += 1
-                col += pos - start - 1
-                errors.append(Diagnostic(
-                    "names may not begin with '_'",
-                    start_line, start_col, start, pos,
-                ))
-                continue
-            emit(PUNCT, start, start_line, start_col, pos)
-            continue
-        if ch in PUNCTUATION:
-            pos += 1
-            col += 1
-            emit(PUNCT, start, start_line, start_col, pos)
-            continue
-        pos += 1
-        col += 1
-        errors.append(Diagnostic(
-            f"unexpected character {ch!r}",
-            start_line, start_col, start, pos,
-        ))
+            line_start = match.end()
+        elif kind != "comment":
+            start, end = match.span(kind)
+            if kind == "other":
+                message = f"unexpected character {text[start]!r}"
+            else:
+                message = "names may not begin with '_'"
+            errors.append(Diagnostic(
+                message, line, start - line_start + 1, start, end,
+            ))
 
-    tokens.append(Token(EOF, "", line, col, n, n))
+    n = len(text)
+    if match is not None and match.lastgroup == "comment":
+        # A final comment with no newline leaves the end at the '#' column.
+        col = match.start("comment") - line_start + 1
+    else:
+        col = n - line_start + 1
+    append(new(Token, (EOF, "", line, col, n, n)))
     return tokens, errors

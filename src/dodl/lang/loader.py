@@ -39,7 +39,7 @@ from ..evolver import (
 from ..meta import Concept, ConceptRegistry
 from ..relational import Relation
 from .parser import parse
-from .printer import dump, format_query_result
+from .printer import dump, format_atom_set, format_query_result
 from .syntax import (
     CheckCmd,
     ConceptDecl,
@@ -132,7 +132,7 @@ class _Builder:
         kind_word = dict(_NAMESPACES)
         for unit in self.units:
             for stmt in unit.statements:
-                for anchor in _iter_anchors(stmt):
+                for anchor in _anchors(stmt):
                     self.unit_of[id(anchor)] = unit
                 cls = type(stmt)
                 if cls not in self.decls:
@@ -478,8 +478,7 @@ class _Builder:
                     else:
                         ao = response.value
                         outputs.append(
-                            f"{ao.name} = "
-                            + _atom_set_text(ao.sorted_elements())
+                            f"{ao.name} = {format_atom_set(ao.elements)}"
                         )
                 elif isinstance(stmt, QueryCmd):
                     response = exchange.dispatch(Query(stmt.expr))
@@ -539,23 +538,22 @@ class _Builder:
                             )
 
 
-def _iter_anchors(stmt):
-    """The statement itself plus every span-carrying node inside it."""
-    yield stmt
-    seen = {id(stmt)}
+def _anchors(stmt) -> list:
+    """The statement itself plus every span-carrying node inside it.
 
-    def walk(obj):
-        if isinstance(obj, (Ref, ShapePart)):
-            if id(obj) not in seen:
-                seen.add(id(obj))
-                yield obj
-            return
-        if isinstance(obj, tuple):
-            for item in obj:
-                yield from walk(item)
+    Only tuples are searched: atoms, predicates and expressions carry no span.
+    """
+    anchors = [stmt]
 
-    for f in dataclasses.fields(stmt):
-        yield from walk(getattr(stmt, f.name))
+    def walk(items):
+        for obj in items:
+            if isinstance(obj, (Ref, ShapePart)):
+                anchors.append(obj)
+            elif isinstance(obj, tuple):
+                walk(obj)
+
+    walk([getattr(stmt, f.name) for f in dataclasses.fields(stmt)])
+    return anchors
 
 
 def _collect_members(pred: Predicate) -> list[Member]:
@@ -567,12 +565,6 @@ def _collect_members(pred: Predicate) -> list[Member]:
     if isinstance(pred, Not):
         return _collect_members(pred.operand)
     return []
-
-
-def _atom_set_text(atoms) -> str:
-    if not atoms:
-        return "{ }"
-    return "{ " + ", ".join(a.text for a in atoms) + " }"
 
 
 def build(units: list[SourceUnit], base: Workspace | None = None) -> LoadResult:
@@ -593,7 +585,6 @@ def build(units: list[SourceUnit], base: Workspace | None = None) -> LoadResult:
         return LoadResult(None, builder.diagnostics, builder.notes)
 
     builder.validate_commands({
-        "domains": workspace.domains,
         "potentials": workspace.potentials,
         "diagrams": workspace.diagrams,
         "relations": workspace.relations,
@@ -620,7 +611,6 @@ def validate(unit: SourceUnit, workspace: Workspace | None = None) -> list[Diagn
     built = builder.build_workspace()
     if built is not None:
         builder.validate_commands({
-            "domains": built.domains,
             "potentials": built.potentials,
             "diagrams": built.diagrams,
             "relations": built.relations,

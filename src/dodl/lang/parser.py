@@ -22,6 +22,8 @@ diagnostics.  Grammar summary (keywords are contextual):
 
 from __future__ import annotations
 
+import functools
+
 from ..core import NUMERIC, SYMBOLIC, Atom
 from ..diagrams import (
     And,
@@ -81,6 +83,9 @@ from .syntax import (
 )
 
 MAX_ERRORS = 20
+# Bound on nested predicates, query expressions and diagram combinators, so
+# that deep input is a diagnostic rather than a RecursionError.
+MAX_DEPTH = 100
 
 STATEMENT_KEYWORDS = (
     "sort", "domain", "relation", "filter", "potential", "concept",
@@ -92,31 +97,48 @@ class _SyncError(Exception):
     """Internal: unwinds to the statement loop after a recorded diagnostic."""
 
 
+def _nested(production):
+    """Count one level of nesting for each call of a recursive production."""
+
+    @functools.wraps(production)
+    def descend(self, *args):
+        if self.depth >= MAX_DEPTH:
+            raise self.error(f"nesting deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        try:
+            return production(self, *args)
+        finally:
+            self.depth -= 1
+
+    return descend
+
+
 class Parser:
     def __init__(self, text: str, path: str | None = None):
         self.text = text
         self.path = path
         self.tokens, lex_errors = tokenize(text)
         self.pos = 0
+        self.current: Token = self.tokens[0]
+        self.depth = 0
         self.errors: list[Diagnostic] = list(lex_errors)
 
     # -- token plumbing ----------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         token = self.current
         if token.kind != EOF:
             self.pos += 1
+            self.current = self.tokens[self.pos]
         return token
 
     def at_word(self, word: str) -> bool:
-        return self.current.kind == IDENT and self.current.text == word
+        token = self.current
+        return token.kind == IDENT and token.text == word
 
     def at_punct(self, text: str) -> bool:
-        return self.current.kind == PUNCT and self.current.text == text
+        token = self.current
+        return token.kind == PUNCT and token.text == text
 
     def error(self, message: str, token: Token | None = None,
               expected: tuple[str, ...] = ()) -> _SyncError:
@@ -379,6 +401,7 @@ class Parser:
         self.expect_punct("]")
         return tuple(steps)
 
+    @_nested
     def parse_diagram_expr(self, filter_refs, shift_refs) -> DiagramExpr:
         token = self.current
         if token.kind != IDENT:
@@ -531,6 +554,7 @@ class Parser:
             left = And(left, self._parse_unary(params, member_refs))
         return left
 
+    @_nested
     def _parse_unary(self, params, member_refs) -> Predicate:
         if self.at_word("not"):
             self.advance()
@@ -588,6 +612,7 @@ class Parser:
 
     # -- query expressions -----------------------------------------------------
 
+    @_nested
     def parse_relexpr(self, refs: list[Ref]) -> RelExpr:
         if self.at_word("select"):
             self.advance()

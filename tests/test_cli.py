@@ -1,6 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import dodl
 from dodl.cli import main
 from dodl.lang import dump
 from dodl.relational import Relation
@@ -10,6 +15,17 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m dodl`` in a child that imports the package under test."""
+    src = str(Path(dodl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "dodl", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestIndex:
@@ -178,6 +194,18 @@ class TestQuery:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("query", [
+        "(" * 3000 + "Teaching" + ")" * 3000,
+        "project " * 3000 + "Teaching",
+    ], ids=["parentheses", "project"])
+    def test_deep_nesting_is_an_error(self, capsys, teaching_dir, query):
+        code, out, err = run_cli(capsys, "--workspace", str(teaching_dir),
+                                 "query", query)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "nesting deeper than" in err
+
     def test_unknown_relation(self, capsys, teaching_dir):
         code, _, err = run_cli(capsys, "--workspace", str(teaching_dir),
                                "query", "Nowhere")
@@ -261,6 +289,17 @@ class TestLoad:
         assert "bad.dodl:2:" in err and "bad.dodl:4:" in err
         assert "Traceback" not in err
 
+    def test_deep_nesting_is_a_diagnostic_not_a_traceback(self, tmp_path):
+        deep = tmp_path / "deep.dodl"
+        deep.write_text("sort S : symbolic;\ndomain D : S = { a };\n"
+                        "filter F (i, x) = " + "not " * 3000 + "x = a;\n",
+                        encoding="utf-8")
+        proc = run_module("load", str(deep))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "deep.dodl:3:" in proc.stderr
+        assert "nesting deeper than" in proc.stderr
+
     def test_load_prints_command_outputs(self, capsys, teaching_dir):
         extra = teaching_dir / "zrun.dodl"
         extra.write_text("trigger Tch Logic;\ncheck Fig4;\n", encoding="utf-8")
@@ -299,10 +338,7 @@ class TestDeterminism:
 
 class TestEntryPoint:
     def test_module_invocation(self, teaching_dir):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dodl", "--workspace", str(teaching_dir),
-             "index", "Tch", "Logic"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("--workspace", str(teaching_dir),
+                          "index", "Tch", "Logic")
         assert proc.returncode == 0
         assert proc.stdout == "Tch_Logic = { Johnes, Smith }\n"

@@ -50,6 +50,20 @@ class TestAtom:
         with pytest.raises(ReservedCharacter):
             Atom(bad, SYMBOLIC)
 
+    @pytest.mark.parametrize("ch", list("{}(),;\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "))
+    def test_each_reserved_or_space_character_is_named(self, ch):
+        text = f"a{ch}b"
+        with pytest.raises(ReservedCharacter) as info:
+            Atom(text, SYMBOLIC)
+        assert str(info.value) == (
+            f"atom {text!r} contains reserved character {ch!r}"
+        )
+
+    def test_first_offending_character_is_named(self):
+        with pytest.raises(ReservedCharacter) as info:
+            Atom("a;b c", SYMBOLIC)
+        assert str(info.value) == "atom 'a;b c' contains reserved character ';'"
+
     def test_symbolic_may_not_start_with_digit(self):
         with pytest.raises(ReservedCharacter):
             Atom("2nd", SYMBOLIC)

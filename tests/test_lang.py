@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dodl.core import number
 from dodl.errors import DodlError
 from dodl.lang import build, load_texts, parse, parse_query, validate
-from dodl.lang.syntax import DomainDecl, QueryCmd, TriggerCmd
+from dodl.lang.lexer import EOF, IDENT, INT, PUNCT, tokenize
+from dodl.lang.parser import MAX_DEPTH
+from dodl.lang.syntax import Diagnostic, DomainDecl, QueryCmd, TriggerCmd
 from dodl.relational import OracleExpr, Project, Select
 
 
@@ -282,3 +286,177 @@ class TestLoad:
         result = load_texts([(None, "sort A :;")])
         assert result.exchange is None
         assert result.diagnostics
+
+
+def reference_tokenize(text: str):
+    """The character-at-a-time lexer the pattern lexer replaced, as field
+    tuples.  Kept as the reference for ASCII input."""
+    tokens = []
+    errors = []
+    pos = 0
+    line = 1
+    col = 1
+    n = len(text)
+
+    def emit(kind, start, start_line, start_col, end):
+        tokens.append((kind, text[start:end], start_line, start_col, start, end))
+
+    while pos < n:
+        ch = text[pos]
+        if ch == "\n":
+            pos += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            pos += 1
+            col += 1
+            continue
+        if ch == "#":
+            while pos < n and text[pos] != "\n":
+                pos += 1
+            continue
+        start, start_line, start_col = pos, line, col
+        if ch.isalpha():
+            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            col += pos - start
+            emit(IDENT, start, start_line, start_col, pos)
+            continue
+        if ch.isdigit():
+            while pos < n and text[pos].isdigit():
+                pos += 1
+            col += pos - start
+            emit(INT, start, start_line, start_col, pos)
+            continue
+        if ch == "-" and pos + 1 < n and text[pos + 1] == ">":
+            pos += 2
+            col += 2
+            emit(PUNCT, start, start_line, start_col, pos)
+            continue
+        if ch == "_":
+            pos += 1
+            col += 1
+            if pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                    pos += 1
+                col += pos - start - 1
+                errors.append(Diagnostic(
+                    "names may not begin with '_'",
+                    start_line, start_col, start, pos,
+                ))
+                continue
+            emit(PUNCT, start, start_line, start_col, pos)
+            continue
+        if ch in "{}()[],;:=_":
+            pos += 1
+            col += 1
+            emit(PUNCT, start, start_line, start_col, pos)
+            continue
+        pos += 1
+        col += 1
+        errors.append(Diagnostic(
+            f"unexpected character {ch!r}",
+            start_line, start_col, start, pos,
+        ))
+
+    tokens.append((EOF, "", line, col, n, n))
+    return tokens, errors
+
+
+def lexed(text: str):
+    tokens, errors = tokenize(text)
+    return [tuple(token) for token in tokens], errors
+
+
+# Mostly the characters tokens, comments and line breaks are made of, plus
+# any other ASCII character.
+ascii_source = st.lists(
+    st.one_of(
+        st.sampled_from(list("aZz_9007 \t\r\n#->{}()[],;:=")),
+        st.sampled_from(["not", "sort", "->", "_x", "# c\n"]),
+        st.characters(max_codepoint=127),
+    ),
+    max_size=60,
+).map("".join)
+
+
+class TestLexer:
+    @settings(max_examples=400, deadline=200)
+    @given(ascii_source)
+    def test_matches_the_reference_on_ascii_text(self, text):
+        assert lexed(text) == reference_tokenize(text)
+
+    def test_matches_the_reference_on_the_teaching_corpus(self, teaching_text):
+        assert lexed(teaching_text) == reference_tokenize(teaching_text)
+
+    def test_non_ascii_letter_is_reported_at_its_own_column(self):
+        source = "sort N : symbolic;\ndomain D : N = { Caf\u00e9 };"
+        (diagnostic,) = parse(source).errors
+        assert diagnostic.message == "unexpected character '\u00e9'"
+        assert (diagnostic.line, diagnostic.col) == (2, source.index("\u00e9") - 18)
+        assert source[diagnostic.start:diagnostic.end] == "\u00e9"
+
+    def test_non_ascii_name_is_rejected(self):
+        source = "sort N : symbolic;\ndomain Caf\u00e9 : N = { a };"
+        result = load_texts([(None, source)])
+        assert not result.ok
+        assert [d.message for d in result.diagnostics] == [
+            "unexpected character '\u00e9'"
+        ]
+
+    def test_non_ascii_digit_is_reported_at_its_own_column(self):
+        source = "domain D : H = { \u00b22 };"
+        (diagnostic,) = parse(source).errors
+        assert diagnostic.message == "unexpected character '\u00b2'"
+        assert diagnostic.col == source.index("\u00b2") + 1
+
+    def test_unicode_whitespace_separates_tokens(self):
+        tokens, errors = lexed("sort\u00a0A\u2003:\u3000symbolic;")
+        assert errors == []
+        assert [t[1] for t in tokens] == ["sort", "A", ":", "symbolic", ";", ""]
+        assert [t[3] for t in tokens] == [1, 6, 8, 10, 18, 19]
+
+    @pytest.mark.parametrize("source, line, col", [
+        ("sort A;  # note", 1, 10),
+        ("sort A;  # note\n", 2, 1),
+        ("sort A;  ", 1, 10),
+        ("#", 1, 1),
+    ])
+    def test_end_of_input_position(self, source, line, col):
+        eof = tokenize(source)[0][-1]
+        assert (eof.kind, eof.line, eof.col) == (EOF, line, col)
+
+
+class TestNestingDepth:
+    @pytest.mark.parametrize("make", [
+        lambda n: "filter F (i, x) = " + "not " * n + "x = a;",
+        lambda n: "filter F (i, x) = " + "(" * n + "x = a" + ")" * n + ";",
+        lambda n: "query " + "project " * n + "R" + " [A]" * n + ";",
+        lambda n: "query " + "(" * n + "R" + ")" * n + ";",
+        lambda n: ("diagram G entry D path_a [" + "id(" * n + "input"
+                   + ")" * n + "] path_b [input] exit D;"),
+    ], ids=["not", "parentheses", "project", "query-parentheses", "diagram"])
+    def test_limit_is_a_diagnostic_and_parsing_resumes(self, make):
+        assert not parse(make(MAX_DEPTH - 1)).errors
+        unit = parse(make(3000) + "\nsort S : symbolic;")
+        (diagnostic,) = unit.errors
+        assert diagnostic.message == f"nesting deeper than {MAX_DEPTH} levels"
+        assert [type(s).__name__ for s in unit.statements] == ["SortDecl"]
+
+    def test_load_texts_reports_the_offending_token(self):
+        source = ("sort S : symbolic;\ndomain D : S = { a };\n"
+                  "filter F (i, x) = " + "not " * 3000 + "x = a;\n")
+        result = load_texts([("deep.dodl", source)])
+        assert result.exchange is None
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.path == "deep.dodl"
+        assert diagnostic.message == f"nesting deeper than {MAX_DEPTH} levels"
+        # The first 'not' past the limit.
+        offset = source.index("not") + 4 * MAX_DEPTH
+        assert (diagnostic.start, diagnostic.end) == (offset, offset + 3)
+        assert (diagnostic.line, diagnostic.col) == (3, 19 + 4 * MAX_DEPTH)
+
+    def test_parse_query_raises_a_dodl_error(self):
+        with pytest.raises(DodlError, match="nesting deeper than"):
+            parse_query("(" * 3000 + "R" + ")" * 3000)
