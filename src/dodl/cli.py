@@ -2,8 +2,8 @@
 
 Every invocation loads fresh from the ``*.dodl`` files of the workspace
 directory (lexicographic file order); nothing persists between runs except
-the source files themselves.  Exit codes: 0 success, 1 diagnostics or a
-failed check, 2 usage error.
+the source files themselves.  Exit codes: 0 success, 1 diagnostics, a
+failed check or an internal fault, 2 usage error.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except DodlError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # A fault in dodl itself: name it on stderr rather than end in a
+        # traceback, and still fail the call.
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
 
 

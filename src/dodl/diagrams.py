@@ -8,8 +8,9 @@ evaluates both paths over a finite input set and reports every comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import operator
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 from .core import Atom, Domain, Environment, PotentialObject
 from .errors import (
@@ -117,6 +118,10 @@ class Filter:
     index_var: str
     candidate_var: str
     body: Predicate
+    # The body compiled by run_filter; invisible to eq, hash and repr.
+    _test: Callable | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.index_var == self.candidate_var:
@@ -273,59 +278,99 @@ def value_order_key(value: Value):
 # Evaluation
 
 
-def eval_predicate(pred: Predicate, env: Environment, workspace) -> bool:
-    """Boolean semantics over a workspace; strict in both operands."""
+def compile_predicate(pred: Predicate, slot: Callable[[str], Callable]) -> Callable:
+    """Compile a predicate once into a closure ``test(args, workspace) -> bool``.
+
+    ``slot(name)`` returns the getter that reads variable ``name`` out of
+    ``args``.  The closure keeps the boolean semantics of a tree walk: it is
+    strict in both operands of ``and`` and ``or``, and every error (unknown
+    relation, arity mismatch, unbound variable, a wildcard outside a
+    pattern) is raised when its node runs, left to right, never here.
+    """
     if isinstance(pred, TruePred):
-        return True
+        return lambda args, workspace: True
     if isinstance(pred, FalsePred):
-        return False
+        return lambda args, workspace: False
     if isinstance(pred, Not):
-        return not eval_predicate(pred.operand, env, workspace)
-    if isinstance(pred, And):
-        left = eval_predicate(pred.left, env, workspace)
-        right = eval_predicate(pred.right, env, workspace)
-        return left and right
-    if isinstance(pred, Or):
-        left = eval_predicate(pred.left, env, workspace)
-        right = eval_predicate(pred.right, env, workspace)
-        return left or right
+        operand = compile_predicate(pred.operand, slot)
+        return lambda args, workspace: not operand(args, workspace)
+    if isinstance(pred, (And, Or)):
+        left = compile_predicate(pred.left, slot)
+        right = compile_predicate(pred.right, slot)
+        # Both operands are evaluated before they are combined.
+        combine = operator.and_ if isinstance(pred, And) else operator.or_
+        return lambda args, workspace: combine(left(args, workspace),
+                                               right(args, workspace))
     if isinstance(pred, Eq):
-        return _term_value(pred.left, env) == _term_value(pred.right, env)
+        left_value = _compile_term(pred.left, slot)
+        right_value = _compile_term(pred.right, slot)
+        return lambda args, workspace: left_value(args) == right_value(args)
     if isinstance(pred, Member):
-        relation = workspace.relations.get(pred.relation)
+        return _compile_member(pred, slot)
+
+    def unknown(args, workspace):
+        raise EvalTypeError(f"unknown predicate node {pred!r}")
+    return unknown
+
+
+def _compile_term(term: Term, slot) -> Callable:
+    if isinstance(term, Const):
+        atom = term.atom
+        return lambda args: atom
+    if isinstance(term, Var):
+        return slot(term.name)
+
+    def wildcard(args):
+        raise EvalTypeError("a wildcard has no value outside a membership pattern")
+    return wildcard
+
+
+def _compile_member(pred: Member, slot) -> Callable:
+    name = pred.relation
+    arity = len(pred.pattern)
+    bound = [(position, _compile_term(term, slot))
+             for position, term in enumerate(pred.pattern)
+             if not isinstance(term, Wildcard)]
+    positions = tuple(position for position, _ in bound)
+    getters = tuple(getter for _, getter in bound)
+
+    def member(args, workspace):
+        relation = workspace.relations.get(name)
         if relation is None:
-            raise UnknownRelation(f"relation {pred.relation!r} is not defined")
-        if len(pred.pattern) != relation.arity:
+            raise UnknownRelation(f"relation {name!r} is not defined")
+        if arity != relation.arity:
             raise ArityMismatch(
-                f"pattern of arity {len(pred.pattern)} against relation "
+                f"pattern of arity {arity} against relation "
                 f"{relation.name!r} of arity {relation.arity}"
             )
-        positions = []
-        key = []
-        for position, term in enumerate(pred.pattern):
-            if not isinstance(term, Wildcard):
-                positions.append(position)
-                key.append(_term_value(term, env))
-        return tuple(key) in relation.probe_index(tuple(positions))
-    raise EvalTypeError(f"unknown predicate node {pred!r}")
+        key = tuple([value(args) for value in getters])
+        return key in relation.probe_index(positions)
+    return member
 
 
-def _term_value(term: Term, env: Environment) -> Atom:
-    if isinstance(term, Const):
-        return term.atom
-    if isinstance(term, Var):
-        return env.lookup(term.name)
-    raise EvalTypeError("a wildcard has no value outside a membership pattern")
+def eval_predicate(pred: Predicate, env: Environment, workspace) -> bool:
+    """Boolean semantics over a workspace; strict in both operands."""
+
+    def slot(name):
+        return lambda env: env.lookup(name)
+
+    return compile_predicate(pred, slot)(env, workspace)
 
 
 def run_filter(f: Filter, index: Atom, candidate: Atom, workspace) -> bool:
     """Test one candidate at one index.
 
-    Binds the index variable first (stage 1) and the candidate second
-    (stage 2), then evaluates the body.
+    Runs the filter's body, compiled on first use into a closure over the
+    pair ``(index, candidate)``: the index variable reads the first slot and
+    the candidate variable the second.
     """
-    env = Environment.empty().bind(f.index_var, index).bind(f.candidate_var, candidate)
-    return eval_predicate(f.body, env, workspace)
+    test = f._test
+    if test is None:
+        slots = {f.index_var: operator.itemgetter(0),
+                 f.candidate_var: operator.itemgetter(1)}
+        test = compile_predicate(f.body, slots.__getitem__)
+        object.__setattr__(f, "_test", test)
+    return test((index, candidate), workspace)
 
 
 def eval_expr(

@@ -541,36 +541,58 @@ class Parser:
         otherwise.  Without them (queries), identifiers stay unresolved
         until the relation schema is known.
         """
-        left = self._parse_and(params, member_refs)
-        while self.at_word("or"):
-            self.advance()
-            left = Or(left, self._parse_and(params, member_refs))
-        return left
+        return self._parse_or(params, member_refs, self.depth)[0]
 
-    def _parse_and(self, params, member_refs) -> Predicate:
-        left = self._parse_unary(params, member_refs)
-        while self.at_word("and"):
+    # Each predicate production returns the tree it built with its height.
+    # A chain ``a and b and c`` builds the left-deep And(And(a, b), c), which
+    # prints as ``((a and b) and c)``: one level of nesting per operand.  So
+    # every node built counts its height against MAX_DEPTH from ``base``,
+    # the depth its production started at, and any predicate accepted here
+    # prints to a text that is accepted too.
+
+    def _parse_or(self, params, member_refs, base: int) -> tuple[Predicate, int]:
+        return self._parse_chain(
+            "or", Or, base, lambda: self._parse_and(params, member_refs, base)
+        )
+
+    def _parse_and(self, params, member_refs, base: int) -> tuple[Predicate, int]:
+        return self._parse_chain(
+            "and", And, base, lambda: self._parse_unary(params, member_refs)
+        )
+
+    def _parse_chain(self, word: str, node, base: int,
+                     operand) -> tuple[Predicate, int]:
+        left, height = operand()
+        while self.at_word(word):
             self.advance()
-            left = And(left, self._parse_unary(params, member_refs))
-        return left
+            first = self.current
+            right, right_height = operand()
+            height = 1 + max(height, right_height)
+            if base + height > MAX_DEPTH:
+                raise self.error(f"nesting deeper than {MAX_DEPTH} levels", first)
+            left = node(left, right)
+        return left, height
 
     @_nested
-    def _parse_unary(self, params, member_refs) -> Predicate:
+    def _parse_unary(self, params, member_refs) -> tuple[Predicate, int]:
         if self.at_word("not"):
             self.advance()
-            return Not(self._parse_unary(params, member_refs))
+            operand, height = self._parse_unary(params, member_refs)
+            return Not(operand), height + 1
         return self._parse_predicate_atom(params, member_refs)
 
-    def _parse_predicate_atom(self, params, member_refs) -> Predicate:
+    def _parse_predicate_atom(self, params, member_refs) -> tuple[Predicate, int]:
         if self.at_word("true"):
             self.advance()
-            return TruePred()
+            return TruePred(), 1
         if self.at_word("false"):
             self.advance()
-            return FalsePred()
+            return FalsePred(), 1
         if self.at_punct("("):
             self.advance()
-            inner = self.parse_predicate(params, member_refs)
+            # The parentheses already took a level; the tree inside does
+            # not need another.
+            inner = self._parse_or(params, member_refs, self.depth - 1)
             self.expect_punct(")")
             return inner
         if self.at_word("member"):
@@ -583,11 +605,11 @@ class Parser:
                 self.advance()
                 pattern.append(self._parse_term(params, allow_wildcard=True))
             self.expect_punct(")")
-            return Member(ref.name, tuple(pattern))
+            return Member(ref.name, tuple(pattern)), 1
         left = self._parse_term(params, allow_wildcard=False)
         self.expect_punct("=")
         right = self._parse_term(params, allow_wildcard=False)
-        return Eq(left, right)
+        return Eq(left, right), 1
 
     def _parse_term(self, params, allow_wildcard: bool):
         token = self.current

@@ -64,6 +64,18 @@ class TestIndex:
             assert err.startswith("error: ") and "non-ASCII" in err
             assert "Traceback" not in err
 
+    def test_an_internal_fault_is_reported_not_raised(self, capsys,
+                                                      teaching_dir, monkeypatch):
+        def fault(*args):
+            raise RuntimeError("filter exploded")
+
+        monkeypatch.setattr("dodl.evolver.run_filter", fault)
+        code, out, err = run_cli(capsys, "--workspace", str(teaching_dir),
+                                 "index", "Tch", "Logic")
+        assert code == 1
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: filter exploded\n"
+
 
 class TestFunctor:
     def test_full_mapping(self, capsys, teaching_dir):
@@ -197,7 +209,8 @@ class TestQuery:
     @pytest.mark.parametrize("query", [
         "(" * 3000 + "Teaching" + ")" * 3000,
         "project " * 3000 + "Teaching",
-    ], ids=["parentheses", "project"])
+        "select Teaching where " + " and ".join(["Name = Doe"] * 3000),
+    ], ids=["parentheses", "project", "and-chain"])
     def test_deep_nesting_is_an_error(self, capsys, teaching_dir, query):
         code, out, err = run_cli(capsys, "--workspace", str(teaching_dir),
                                  "query", query)
@@ -298,6 +311,19 @@ class TestLoad:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "deep.dodl:3:" in proc.stderr
+        assert "nesting deeper than" in proc.stderr
+
+    @pytest.mark.parametrize("word", ["and", "or"])
+    def test_long_chain_is_a_diagnostic_not_a_traceback(self, tmp_path, word):
+        chain = tmp_path / "chain.dodl"
+        chain.write_text("sort S : symbolic;\ndomain D : S = { a };\n"
+                         "filter F (i, x) = "
+                         + f" {word} ".join(["x = a"] * 3000) + ";\n",
+                         encoding="utf-8")
+        proc = run_module("load", str(chain))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "chain.dodl:3:" in proc.stderr
         assert "nesting deeper than" in proc.stderr
 
     def test_load_prints_command_outputs(self, capsys, teaching_dir):

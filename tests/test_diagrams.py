@@ -1,7 +1,8 @@
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COURSES, TEACHERS, teaches
@@ -32,6 +33,7 @@ from dodl.diagrams import (
     Var,
     Wildcard,
     check_commutes,
+    compile_predicate,
     enumerate_entry,
     eval_expr,
     eval_predicate,
@@ -40,6 +42,7 @@ from dodl.diagrams import (
 from dodl.errors import (
     ArityMismatch,
     DefinitionError,
+    DodlError,
     EvalTypeError,
     IndexNotInDomain,
     UnboundVariable,
@@ -47,9 +50,64 @@ from dodl.errors import (
 )
 from dodl.evolver import Workspace
 from dodl.relational import Relation
-from wsgen import gen_indexed_case
+from wsgen import gen_indexed_case, gen_workspace
 
 EMPTY = Environment.empty()
+
+
+def reference_predicate(pred, env, workspace) -> bool:
+    """The filter semantics as a plain tree walk over an environment.
+
+    Strict in both operands of ``and`` and ``or``; a membership test checks
+    the relation and arity, reads its terms left to right, then scans the
+    tuples.  The compiled evaluator must agree with it value for value and
+    error for error.
+    """
+    if isinstance(pred, TruePred):
+        return True
+    if isinstance(pred, FalsePred):
+        return False
+    if isinstance(pred, Not):
+        return not reference_predicate(pred.operand, env, workspace)
+    if isinstance(pred, (And, Or)):
+        left = reference_predicate(pred.left, env, workspace)
+        right = reference_predicate(pred.right, env, workspace)
+        return (left and right) if isinstance(pred, And) else (left or right)
+    if isinstance(pred, Eq):
+        return reference_term(pred.left, env) == reference_term(pred.right, env)
+    relation = workspace.relations.get(pred.relation)
+    if relation is None:
+        raise UnknownRelation(f"relation {pred.relation!r} is not defined")
+    if len(pred.pattern) != relation.arity:
+        raise ArityMismatch(
+            f"pattern of arity {len(pred.pattern)} against relation "
+            f"{relation.name!r} of arity {relation.arity}"
+        )
+    wanted = [None if isinstance(t, Wildcard) else reference_term(t, env)
+              for t in pred.pattern]
+    return any(all(w is None or w == cell for w, cell in zip(wanted, row))
+               for row in relation.tuples)
+
+
+def reference_term(term, env):
+    if isinstance(term, Const):
+        return term.atom
+    if isinstance(term, Var):
+        return env.lookup(term.name)
+    raise EvalTypeError("a wildcard has no value outside a membership pattern")
+
+
+def outcome(evaluate):
+    """The value of a call, or the type and message of the error it raised."""
+    try:
+        return evaluate()
+    except DodlError as exc:
+        return type(exc), str(exc)
+
+
+def reference_filter(f, index, candidate, workspace) -> bool:
+    env = bind(bind(EMPTY, f.index_var, index), f.candidate_var, candidate)
+    return reference_predicate(f.body, env, workspace)
 
 symbolic_atoms = st.text(
     alphabet=st.sampled_from("abcdefghXYZ"), min_size=1, max_size=6
@@ -209,11 +267,7 @@ class TestRunFilter:
             for teacher in TEACHERS:
                 i, c = symbol(course), symbol(teacher)
                 direct = run_filter(f, i, c, teaching_ws)
-                expanded = eval_predicate(
-                    f.body,
-                    bind(bind(EMPTY, f.index_var, i), f.candidate_var, c),
-                    teaching_ws,
-                )
+                expanded = reference_filter(f, i, c, teaching_ws)
                 assert direct == expanded == teaches(course, teacher)
 
     def test_equals_two_bind_expansion_on_random_corpora(self):
@@ -225,14 +279,90 @@ class TestRunFilter:
             for i in po.index_domain.sorted_elements():
                 for c in po.carrier.sorted_elements():
                     direct = run_filter(f, i, c, ws)
-                    env = bind(bind(EMPTY, f.index_var, i), f.candidate_var, c)
-                    assert direct == eval_predicate(f.body, env, ws)
+                    assert direct == reference_filter(f, i, c, ws)
 
     def test_filter_declares_exactly_two_distinct_variables(self):
         with pytest.raises(DefinitionError):
             Filter("Bad", "x", "x", TruePred())
         with pytest.raises(DefinitionError):
             Filter("Loose", "i", "x", Eq(Var("other"), Const(symbol("a"))))
+
+
+def error_variants(ws, rng):
+    """The workspace, then copies where one relation is missing or wider,
+    so that filters reading it raise."""
+    yield ws
+    name = rng.choice(sorted(ws.relations))
+    relation = ws.relations[name]
+    yield dataclasses.replace(
+        ws, relations={k: r for k, r in ws.relations.items() if k != name}
+    )
+    extra = ("Extra", relation.attributes[0][1])
+    wider = Relation(name, relation.attributes + (extra,), frozenset())
+    yield dataclasses.replace(ws, relations={**ws.relations, name: wider})
+
+
+class TestCompiledFilter:
+    @settings(max_examples=100, deadline=1000)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_run_filter_equals_the_reference(self, seed):
+        rng = random.Random(seed)
+        ws = gen_workspace(rng)
+        indexes = ws.domains["D1"].sorted_elements()
+        candidates = sorted(set().union(*(d.elements for d in ws.domains.values())),
+                            key=lambda a: a.order_key())
+        for variant in error_variants(ws, rng):
+            for f in ws.filters.values():
+                for i in indexes:
+                    for c in candidates:
+                        assert outcome(lambda: run_filter(f, i, c, variant)) == \
+                            outcome(lambda: reference_filter(f, i, c, variant))
+
+    def test_and_and_or_evaluate_both_operands(self, teaching_ws):
+        missing = Member("Missing", (Var("x"),))
+        for body in (Or(TruePred(), missing), And(FalsePred(), missing),
+                     Or(missing, TruePred()), And(missing, FalsePred())):
+            f = Filter("Strict", "i", "x", body)
+            with pytest.raises(UnknownRelation):
+                run_filter(f, symbol("Logic"), symbol("Smith"), teaching_ws)
+
+    def test_the_left_operand_raises_first(self, teaching_ws):
+        missing = Member("Missing", (Var("x"),))
+        wrong_arity = Member("Relationship1", (Var("x"),))
+        for node in (And, Or):
+            for left, right, error in [(missing, wrong_arity, UnknownRelation),
+                                       (wrong_arity, missing, ArityMismatch)]:
+                f = Filter("Order", "i", "x", node(left, right))
+                with pytest.raises(error):
+                    run_filter(f, symbol("Logic"), symbol("Smith"), teaching_ws)
+
+    def test_errors_are_raised_when_the_node_runs(self, teaching_ws):
+        env = bind(EMPTY, "x", symbol("Smith"))
+        for pred, error in [
+            (Member("Missing", (Var("x"),)), UnknownRelation),
+            (Member("Relationship1", (Var("x"),)), ArityMismatch),
+            (Member("Relationship1", (Var("x"), Var("y"), Wildcard())),
+             UnboundVariable),
+            (Eq(Wildcard(), Var("x")), EvalTypeError),
+            (Eq(Var("x"), Var("y")), UnboundVariable),
+        ]:
+            test = compile_predicate(pred, lambda name: lambda env: env.lookup(name))
+            with pytest.raises(error) as raised:
+                test(env, teaching_ws)
+            assert outcome(lambda: reference_predicate(pred, env, teaching_ws)) \
+                == (error, str(raised.value))
+
+    def test_compiled_body_is_kept_and_invisible(self, teaching_ws):
+        f = teaching_ws.filters["TchFilter"]
+        used, fresh = (Filter(f.name, f.index_var, f.candidate_var, f.body)
+                       for _ in range(2))
+        run_filter(used, symbol("Logic"), symbol("Smith"), teaching_ws)
+        compiled = used._test
+        run_filter(used, symbol("Logic"), symbol("Doe"), teaching_ws)
+        assert used._test is compiled
+        assert fresh._test is None
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
 
 
 class TestCheckCommutes:

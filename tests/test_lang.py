@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dodl.core import number
+from dodl.diagrams import And, Not, Or
 from dodl.errors import DodlError
-from dodl.lang import build, load_texts, parse, parse_query, validate
+from dodl.lang import build, dump, load_texts, parse, parse_query, validate
 from dodl.lang.lexer import EOF, IDENT, INT, PUNCT, tokenize
 from dodl.lang.parser import MAX_DEPTH
 from dodl.lang.syntax import Diagnostic, DomainDecl, QueryCmd, TriggerCmd
@@ -436,7 +439,10 @@ class TestNestingDepth:
         lambda n: "query " + "(" * n + "R" + ")" * n + ";",
         lambda n: ("diagram G entry D path_a [" + "id(" * n + "input"
                    + ")" * n + "] path_b [input] exit D;"),
-    ], ids=["not", "parentheses", "project", "query-parentheses", "diagram"])
+        lambda n: "filter F (i, x) = " + " and ".join(["x = a"] * n) + ";",
+        lambda n: "query select R where " + " or ".join(["A = a"] * n) + ";",
+    ], ids=["not", "parentheses", "project", "query-parentheses", "diagram",
+            "and-chain", "or-chain"])
     def test_limit_is_a_diagnostic_and_parsing_resumes(self, make):
         assert not parse(make(MAX_DEPTH - 1)).errors
         unit = parse(make(3000) + "\nsort S : symbolic;")
@@ -460,3 +466,77 @@ class TestNestingDepth:
     def test_parse_query_raises_a_dodl_error(self):
         with pytest.raises(DodlError, match="nesting deeper than"):
             parse_query("(" * 3000 + "R" + ")" * 3000)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: " and ".join(["x = a"] * n),
+        lambda n: " or ".join(["x = a"] * n),
+        # not (And(x = a, not x = b) or x = c or ...): height n.
+        lambda n: ("not (" + " or ".join(["x = a and not x = b"]
+                                         + ["x = c"] * (n - 4)) + ")"),
+    ], ids=["and", "or", "mixed"])
+    def test_a_chain_counts_one_level_per_operand(self, make):
+        head = "sort S : symbolic;\ndomain D : S = { a, b, c };\n"
+        at_limit = head + f"filter F (i, x) = {make(MAX_DEPTH)};\n"
+        result = load_texts([("chain.dodl", at_limit)])
+        assert not result.diagnostics
+        text = dump(result.exchange.state)
+        again = load_texts([("dump.dodl", text)])
+        assert not again.diagnostics
+        assert dump(again.exchange.state) == text
+
+        past = head + f"filter F (i, x) = {make(MAX_DEPTH + 1)};\n"
+        (diagnostic,) = load_texts([("chain.dodl", past)]).diagnostics
+        assert diagnostic.message == f"nesting deeper than {MAX_DEPTH} levels"
+        # The first token of the operand that makes the tree too deep.
+        offset = past.rindex("x = ")
+        assert (diagnostic.start, diagnostic.end) == (offset, offset + 1)
+        line_start = past.index("filter")
+        assert (diagnostic.line, diagnostic.col) == (3, offset - line_start + 1)
+
+    @settings(max_examples=200, deadline=1000)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_every_accepted_predicate_prints_back(self, seed):
+        rng = random.Random(seed)
+        source = ("sort S : symbolic;\ndomain D : S = { a, b };\n"
+                  f"filter F (i, x) = {random_predicate_text(rng, 110)[0]};\n")
+        result = load_texts([("random.dodl", source)])
+        if result.diagnostics:
+            assert [d.message for d in result.diagnostics] == \
+                [f"nesting deeper than {MAX_DEPTH} levels"]
+            return
+        assert height(result.exchange.state.filters["F"].body) <= MAX_DEPTH
+        text = dump(result.exchange.state)
+        again = load_texts([("dump.dodl", text)])
+        assert not again.diagnostics
+        assert dump(again.exchange.state) == text
+
+
+def random_predicate_text(rng: random.Random, budget: int) -> tuple[str, bool]:
+    """Predicate text using about ``budget`` levels, mixing long chains,
+    ``not`` and redundant parentheses; also says whether it is a bare chain."""
+    roll = rng.random()
+    if budget <= 1 or roll < 0.1:
+        return rng.choice(["x = a", "i = b", "true", "false"]), False
+    if roll < 0.3:
+        text, chain = random_predicate_text(rng, budget - 1)
+        return "not " + (f"({text})" if chain else text), False
+    if roll < 0.45:
+        return "(" + random_predicate_text(rng, budget - 1)[0] + ")", False
+    # Any operand may be the deepest, but only one gets a large budget, so
+    # the text stays small.
+    count = rng.randint(2, budget)
+    deep = rng.randrange(count)
+    operands = []
+    for k in range(count):
+        text, chain = random_predicate_text(
+            rng, rng.randint(1, budget - 1) if k == deep else rng.randint(1, 2))
+        operands.append(f"({text})" if chain else text)
+    return rng.choice([" and ", " or "]).join(operands), True
+
+
+def height(pred) -> int:
+    if isinstance(pred, (And, Or)):
+        return 1 + max(height(pred.left), height(pred.right))
+    if isinstance(pred, Not):
+        return 1 + height(pred.operand)
+    return 1
