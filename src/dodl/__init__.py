@@ -17,8 +17,6 @@ from .core import (
     PotentialObject,
     Sort,
     actual_name,
-    bind,
-    make_domain,
     number,
     symbol,
 )
@@ -76,6 +74,7 @@ from .relational import (
     eval_query,
     join,
     oracle_index,
+    oracle_route,
     project,
     select,
     union,

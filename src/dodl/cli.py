@@ -14,9 +14,6 @@ from pathlib import Path
 
 from .core import Atom
 from .diagrams import (
-    Member,
-    Var,
-    Wildcard,
     check_commutes,
     enumerate_entry,
     format_value,
@@ -32,7 +29,7 @@ from .evolver import (
 )
 from .lang import dump, load_files, parse_query
 from .lang.printer import format_atom_set, format_query_result
-from .relational import oracle_index
+from .relational import oracle_index, oracle_route
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -222,7 +219,7 @@ def _cmd_oracle_diff(args, result) -> int:
         raise UnknownPotentialObject(
             f"potential object {args.po!r} is not defined"
         )
-    relation, index_attr, target_attr = _oracle_route(po, state)
+    relation, index_attr, target_attr = oracle_route(po, state.relations)
     rows = []
     all_equal = True
     for index in po.index_domain.sorted_elements():
@@ -238,36 +235,6 @@ def _cmd_oracle_diff(args, result) -> int:
         ))
     _print_table(("index", "indexed", "oracle", "verdict"), rows, args.format)
     return 0 if all_equal else 1
-
-
-def _oracle_route(po, state):
-    """Read (relation, index attribute, target attribute) off a membership
-    filter; only that restricted class has a plain-relational twin."""
-    body = po.filter.body
-    if not isinstance(body, Member):
-        raise DodlError(
-            f"filter {po.filter.name!r} is not a plain membership test; "
-            f"there is no relational twin to compare against"
-        )
-    relation = state.relations[body.relation]
-    index_pos = candidate_pos = None
-    for position, term in enumerate(body.pattern):
-        if isinstance(term, Var) and term.name == po.filter.index_var:
-            index_pos = position
-        elif isinstance(term, Var) and term.name == po.filter.candidate_var:
-            candidate_pos = position
-        elif not isinstance(term, Wildcard):
-            raise DodlError(
-                f"filter {po.filter.name!r} constrains more than the index "
-                f"and candidate; there is no relational twin"
-            )
-    if index_pos is None or candidate_pos is None:
-        raise DodlError(
-            f"filter {po.filter.name!r} does not test both the index and "
-            f"the candidate against {body.relation!r}"
-        )
-    names = relation.attribute_names
-    return relation, names[index_pos], names[candidate_pos]
 
 
 def _print_table(header, rows, style):

@@ -135,16 +135,6 @@ class Domain:
         return atom in self.elements
 
 
-def make_domain(name: str, sort: Sort, atoms: list[Atom]) -> tuple[Domain, int]:
-    """Build a domain from ``atoms``, dropping duplicates.
-
-    Returns the domain together with the number of duplicates removed, so
-    loaders can report them.
-    """
-    domain = Domain(name, sort, frozenset(atoms))
-    return domain, len(atoms) - len(domain.elements)
-
-
 @dataclass(frozen=True)
 class Event:
     """The selection of one index atom out of an index domain."""
@@ -237,8 +227,3 @@ class Environment:
 
     def __contains__(self, var: str) -> bool:
         return var in self.bindings
-
-
-def bind(env: Environment, var: str, value: Atom) -> Environment:
-    """Extend ``env`` with ``var -> value`` at the next stage."""
-    return env.bind(var, value)

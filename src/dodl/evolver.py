@@ -16,7 +16,6 @@ from .diagrams import DiagramSpec, Filter, run_filter
 from .errors import (
     DefinitionError,
     DodlError,
-    IndexNotInDomain,
     ScriptError,
     UnknownEvolvent,
     UnknownPotentialObject,
@@ -112,16 +111,12 @@ def _get_potential(state: Workspace, po_name: str) -> PotentialObject:
 
 def derive_actual(state: Workspace, po: PotentialObject, index: Atom) -> ActualObject:
     """The actual object ``po`` yields at ``index``, without touching state."""
-    if index not in po.index_domain:
-        raise IndexNotInDomain(
-            f"{index.text!r} is not in domain {po.index_domain.name!r}"
-        )
+    event = Event(index, po.index_domain)
     elements = frozenset(
         candidate
         for candidate in po.carrier.elements
         if run_filter(po.filter, index, candidate, state)
     )
-    event = Event(index, po.index_domain)
     return ActualObject(actual_name(po.name, index), elements, (po.name, event))
 
 
@@ -160,17 +155,22 @@ def run_script(state: Workspace, script_name: str) -> Workspace:
 
 
 def apply_evolvent(state: Workspace, evolvent_name: str) -> Workspace:
-    """Run a named transition: identity, a script, or a left-to-right chain."""
-    evolvent = state.evolvents.get(evolvent_name)
-    if evolvent is None:
-        raise UnknownEvolvent(f"evolvent {evolvent_name!r} is not defined")
-    if evolvent.kind == IDENTITY:
-        return state
-    if evolvent.kind == SCRIPT:
-        return run_script(state, evolvent.script)
+    """Run a named transition: identity, a script, or a left-to-right chain.
+
+    Composed parts are expanded on an explicit stack, so the depth of a
+    composition is not bounded by the interpreter's recursion limit.
+    """
     current = state
-    for part in evolvent.parts:
-        current = apply_evolvent(current, part)
+    pending = [evolvent_name]  # names still to run, the next one last
+    while pending:
+        name = pending.pop()
+        evolvent = state.evolvents.get(name)
+        if evolvent is None:
+            raise UnknownEvolvent(f"evolvent {name!r} is not defined")
+        if evolvent.kind == SCRIPT:
+            current = run_script(current, evolvent.script)
+        elif evolvent.kind == COMPOSED:
+            pending.extend(reversed(evolvent.parts))
     return current
 
 

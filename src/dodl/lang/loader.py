@@ -9,7 +9,6 @@ so their effects land in the audit log.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,11 +16,6 @@ from ..core import Domain, PotentialObject, Sort
 from ..diagrams import (
     DiagramSpec,
     Filter,
-    Member,
-    Predicate,
-    And,
-    Or,
-    Not,
     Shape,
     check_commutes,
     enumerate_entry,
@@ -36,7 +30,7 @@ from ..evolver import (
     Trigger,
     Workspace,
 )
-from ..meta import Concept, ConceptRegistry
+from ..meta import Concept, ConceptRegistry, find_cycle
 from ..relational import Relation
 from .parser import parse
 from .printer import dump, format_atom_set, format_query_result
@@ -51,10 +45,8 @@ from .syntax import (
     FilterDecl,
     PotentialDecl,
     QueryCmd,
-    Ref,
     RelationDecl,
     ScriptDecl,
-    ShapePart,
     SortDecl,
     SourceUnit,
     TriggerCmd,
@@ -101,7 +93,6 @@ class _Builder:
         self.decls: dict[type, dict[str, object]] = {
             cls: {} for cls, _ in _NAMESPACES
         }
-        self.unit_of: dict[int, SourceUnit] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -109,10 +100,8 @@ class _Builder:
         """Record an error diagnostic at an anchor (a Ref, ShapePart or
         statement; anything carrying a span)."""
         span = anchor.span
-        unit = self.unit_of.get(id(anchor))
         self.diagnostics.append(Diagnostic(
-            message, span.line, span.col, span.start, span.end, (),
-            unit.path if unit else None,
+            message, span.line, span.col, span.start, span.end, (), span.path,
         ))
 
     # -- pass 1: collect names -------------------------------------------------
@@ -132,8 +121,6 @@ class _Builder:
         kind_word = dict(_NAMESPACES)
         for unit in self.units:
             for stmt in unit.statements:
-                for anchor in _anchors(stmt):
-                    self.unit_of[id(anchor)] = unit
                 cls = type(stmt)
                 if cls not in self.decls:
                     continue
@@ -200,19 +187,18 @@ class _Builder:
         filters = dict(self.base.filters)
         for name, decl in self.decls[FilterDecl].items():
             ok = True
-            members = _collect_members(decl.body)
-            for ref, member in zip(decl.member_refs, members):
-                relation = relations.get(member.relation)
+            for ref, arity in decl.member_refs:
+                relation = relations.get(ref.name)
                 if relation is None:
                     self.complain(
-                        ref, f"relation {member.relation!r} is not defined"
+                        ref, f"relation {ref.name!r} is not defined"
                     )
                     ok = False
-                elif len(member.pattern) != relation.arity:
+                elif arity != relation.arity:
                     self.complain(
                         ref,
-                        f"pattern of arity {len(member.pattern)} against "
-                        f"relation {member.relation!r} of arity {relation.arity}",
+                        f"pattern of arity {arity} against "
+                        f"relation {ref.name!r} of arity {relation.arity}",
                     )
                     ok = False
             if not ok:
@@ -308,29 +294,11 @@ class _Builder:
                 registry.add(concept)
             except CycleDetected as exc:
                 self.complain(decl, str(exc))
-        self._check_encapsulation(registry)
-        return registry
-
-    def _check_encapsulation(self, registry: ConceptRegistry):
         for name, decl in self.decls[ConceptDecl].items():
-            if name not in registry:
-                continue
-            known = set()
-            stack = [name]
-            seen = set()
-            while stack:
-                current = stack.pop()
-                if current in seen or current not in registry:
-                    continue
-                seen.add(current)
-                concept = registry.get(current)
-                known |= set(concept.own_attributes)
-                stack.extend(concept.parents)
-            for attr in sorted(frozenset(decl.encapsulated) - known):
-                self.complain(
-                    decl,
-                    f"concept {name!r} encapsulates undefined attribute {attr!r}",
-                )
+            if name in registry:
+                for message in registry.encapsulation_problems(name):
+                    self.complain(decl, message)
+        return registry
 
     def _build_diagrams(self, domains, filters, potentials) -> dict[str, DiagramSpec]:
         diagrams = dict(self.base.diagrams)
@@ -427,41 +395,20 @@ class _Builder:
                         name, "composed",
                         parts=tuple(p.name for p in decl.parts),
                     )
-        self._check_evolvent_cycles(evolvents)
+        cycle = find_cycle(
+            sorted(evolvents),
+            lambda name: evolvents[name].parts if name in evolvents else (),
+        )
+        if cycle is not None:
+            decl = self.decls[EvolventDecl].get(cycle[0])
+            anchor = decl if decl is not None else next(
+                d for d in self.decls[EvolventDecl].values()
+                if d.name.name in cycle
+            )
+            self.complain(
+                anchor, "evolvent composition cycle: " + " -> ".join(cycle)
+            )
         return evolvents
-
-    def _check_evolvent_cycles(self, evolvents: dict[str, Evolvent]):
-        colors: dict[str, int] = {}
-
-        def visit(name: str, trail: list[str]) -> list[str] | None:
-            state = colors.get(name)
-            if state == 1:
-                return trail[trail.index(name):] + [name]
-            if state == 2 or name not in evolvents:
-                return None
-            colors[name] = 1
-            trail.append(name)
-            for part in evolvents[name].parts:
-                cycle = visit(part, trail)
-                if cycle is not None:
-                    return cycle
-            trail.pop()
-            colors[name] = 2
-            return None
-
-        for name in sorted(evolvents):
-            cycle = visit(name, [])
-            if cycle is not None:
-                decl = self.decls[EvolventDecl].get(cycle[0])
-                anchor = decl if decl is not None else next(
-                    d for d in self.decls[EvolventDecl].values()
-                    if d.name.name in cycle
-                )
-                self.complain(
-                    anchor,
-                    "evolvent composition cycle: " + " -> ".join(cycle),
-                )
-                return
 
     # -- commands ----------------------------------------------------------------
 
@@ -503,11 +450,9 @@ class _Builder:
                     outputs.append(dump(exchange.state).rstrip("\n"))
         return outputs
 
-    def validate_commands(self, workspace_preview: dict):
-        """Static checks for command statements against collected names."""
-        potentials = workspace_preview["potentials"]
-        diagrams = workspace_preview["diagrams"]
-        relations = workspace_preview["relations"]
+    def validate_commands(self, workspace: Workspace):
+        """Static checks for command statements against the built workspace."""
+        potentials = workspace.potentials
         for unit in self.units:
             for stmt in unit.statements:
                 if isinstance(stmt, TriggerCmd):
@@ -524,47 +469,18 @@ class _Builder:
                             f"{po.index_domain.name!r}",
                         )
                 elif isinstance(stmt, CheckCmd):
-                    if stmt.diagram.name not in diagrams:
+                    if stmt.diagram.name not in workspace.diagrams:
                         self.complain(
                             stmt.diagram,
                             f"diagram {stmt.diagram.name!r} is not defined",
                         )
                 elif isinstance(stmt, QueryCmd):
                     for ref in stmt.relation_refs:
-                        if ref.name not in relations:
+                        if ref.name not in workspace.relations:
                             self.complain(
                                 ref,
                                 f"relation {ref.name!r} is not defined",
                             )
-
-
-def _anchors(stmt) -> list:
-    """The statement itself plus every span-carrying node inside it.
-
-    Only tuples are searched: atoms, predicates and expressions carry no span.
-    """
-    anchors = [stmt]
-
-    def walk(items):
-        for obj in items:
-            if isinstance(obj, (Ref, ShapePart)):
-                anchors.append(obj)
-            elif isinstance(obj, tuple):
-                walk(obj)
-
-    walk([getattr(stmt, f.name) for f in dataclasses.fields(stmt)])
-    return anchors
-
-
-def _collect_members(pred: Predicate) -> list[Member]:
-    """Membership tests in source (pre-)order; mirrors the parser's refs."""
-    if isinstance(pred, Member):
-        return [pred]
-    if isinstance(pred, (And, Or)):
-        return _collect_members(pred.left) + _collect_members(pred.right)
-    if isinstance(pred, Not):
-        return _collect_members(pred.operand)
-    return []
 
 
 def build(units: list[SourceUnit], base: Workspace | None = None) -> LoadResult:
@@ -584,11 +500,7 @@ def build(units: list[SourceUnit], base: Workspace | None = None) -> LoadResult:
     if workspace is None:
         return LoadResult(None, builder.diagnostics, builder.notes)
 
-    builder.validate_commands({
-        "potentials": workspace.potentials,
-        "diagrams": workspace.diagrams,
-        "relations": workspace.relations,
-    })
+    builder.validate_commands(workspace)
     if builder.diagnostics:
         return LoadResult(None, builder.diagnostics, builder.notes)
 
@@ -610,11 +522,7 @@ def validate(unit: SourceUnit, workspace: Workspace | None = None) -> list[Diagn
     builder.collect()
     built = builder.build_workspace()
     if built is not None:
-        builder.validate_commands({
-            "potentials": built.potentials,
-            "diagrams": built.diagrams,
-            "relations": built.relations,
-        })
+        builder.validate_commands(built)
     return builder.diagnostics
 
 

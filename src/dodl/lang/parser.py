@@ -170,9 +170,12 @@ class Parser:
             )
         return self.advance()
 
+    def span(self, first: Token, last: Token) -> Span:
+        return Span(first.line, first.col, first.start, last.end, self.path)
+
     def name_ref(self, what: str = "identifier") -> Ref:
         token = self.expect_name(what)
-        return Ref(token.text, _span(token, token))
+        return Ref(token.text, self.span(token, token))
 
     def parse_atom(self) -> Atom:
         token = self.current
@@ -228,7 +231,7 @@ class Parser:
 
     def _finish(self, first: Token) -> Span:
         last = self.expect_punct(";")
-        return _span(first, last)
+        return self.span(first, last)
 
     def _parse_sort(self, first: Token) -> SortDecl:
         name = self.name_ref("sort name")
@@ -299,7 +302,7 @@ class Parser:
         candidate_var = self.expect_name("candidate variable").text
         self.expect_punct(")")
         self.expect_punct("=")
-        member_refs: list[Ref] = []
+        member_refs: list[tuple[Ref, int]] = []
         body = self.parse_predicate(
             params=(index_var, candidate_var), member_refs=member_refs
         )
@@ -388,7 +391,7 @@ class Parser:
 
     def _parse_shape_part(self) -> ShapePart:
         token = self.expect_name("domain name or 'bool'")
-        return ShapePart(token.text, _span(token, token))
+        return ShapePart(token.text, self.span(token, token))
 
     def _parse_path(self, filter_refs, shift_refs) -> tuple[DiagramExpr, ...]:
         self.expect_punct("[")
@@ -533,7 +536,7 @@ class Parser:
     # -- predicates ----------------------------------------------------------
 
     def parse_predicate(self, params: tuple[str, str] | None,
-                        member_refs: list[Ref]) -> Predicate:
+                        member_refs: list[tuple[Ref, int]]) -> Predicate:
         """Boolean grammar: ``or`` < ``and`` < ``not`` < atoms.
 
         With ``params`` given (filter bodies), identifiers resolve to
@@ -598,13 +601,13 @@ class Parser:
         if self.at_word("member"):
             self.advance()
             ref = self.name_ref("relation name")
-            member_refs.append(ref)
             self.expect_punct("(")
             pattern = [self._parse_term(params, allow_wildcard=True)]
             while self.at_punct(","):
                 self.advance()
                 pattern.append(self._parse_term(params, allow_wildcard=True))
             self.expect_punct(")")
+            member_refs.append((ref, len(pattern)))
             return Member(ref.name, tuple(pattern)), 1
         left = self._parse_term(params, allow_wildcard=False)
         self.expect_punct("=")
@@ -690,10 +693,6 @@ class Parser:
             expected=("'select'", "'project'", "'join'", "'union'",
                       "'difference'", "'oracle'", "relation name"),
         )
-
-
-def _span(first: Token, last: Token) -> Span:
-    return Span(first.line, first.col, first.start, last.end)
 
 
 def parse(text: str, path: str | None = None) -> SourceUnit:

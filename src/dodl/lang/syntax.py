@@ -32,10 +32,13 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class Span:
+    """Where a node was written: its position in the text at ``path``."""
+
     line: int
     col: int
     start: int
     end: int
+    path: str | None
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,8 @@ class FilterDecl:
     index_var: str
     candidate_var: str
     body: Predicate
-    member_refs: tuple[Ref, ...]  # relation names used by membership tests
+    # (relation name, pattern arity) of each membership test, in source order
+    member_refs: tuple[tuple[Ref, int], ...]
     span: Span
 
 

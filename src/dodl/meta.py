@@ -19,6 +19,36 @@ from .errors import (
 )
 
 
+def find_cycle(roots, successors) -> list[str] | None:
+    """The first cycle a depth-first walk from ``roots`` meets, or None.
+
+    ``successors(name)`` gives a node's out-edges in visiting order (empty
+    for a name outside the graph).  A cycle comes back closed, as
+    ``[a, b, ..., a]``.  Each node is finished once and the walk keeps its
+    own stack, so it takes time linear in the edges it follows and no
+    recursion (Tarjan, SIAM J. Comput. 1(2), 1972).
+    """
+    path: list[str] = []
+    position: dict[str, int] = {}
+    finished: set[str] = set()
+    pending = [iter(roots)]  # the roots, then one edge iterator per path node
+    while pending:
+        name = next(pending[-1], None)
+        if name is None:
+            pending.pop()
+            if path:
+                done = path.pop()
+                del position[done]
+                finished.add(done)
+        elif name in position:
+            return path[position[name]:] + [name]
+        elif name not in finished:
+            position[name] = len(path)
+            path.append(name)
+            pending.append(iter(successors(name)))
+    return None
+
+
 @dataclass(frozen=True)
 class Concept:
     """A metadata object node.
@@ -79,37 +109,19 @@ class ConceptRegistry:
         if concept.name in self._concepts:
             raise DuplicateName(f"concept {concept.name!r} is already defined")
         self._concepts[concept.name] = concept
-        cycle = self._find_cycle(concept.name)
+        # Any cycle the addition closes passes through the new node, so
+        # walking parent edges from it alone finds one.
+        concepts = self._concepts
+        cycle = find_cycle(
+            (concept.name,),
+            lambda name: concepts[name].parents if name in concepts else (),
+        )
         if cycle is not None:
             del self._concepts[concept.name]
             raise CycleDetected(
                 "concept inheritance cycle: " + " -> ".join(cycle)
             )
         return concept
-
-    def _find_cycle(self, start: str) -> list[str] | None:
-        # Walk parent edges from the newly added node only: any cycle the
-        # addition closes must pass through it.
-        path: list[str] = []
-        seen_on_path: set[str] = set()
-
-        def walk(name: str) -> list[str] | None:
-            if name in seen_on_path:
-                return path[path.index(name):] + [name]
-            concept = self._concepts.get(name)
-            if concept is None:
-                return None
-            path.append(name)
-            seen_on_path.add(name)
-            for parent in concept.parents:
-                found = walk(parent)
-                if found is not None:
-                    return found
-            path.pop()
-            seen_on_path.discard(name)
-            return None
-
-        return walk(start)
 
     def derive(self, apo: str, dpo_name: str, overrides: dict[str, Atom]) -> Concept:
         """Create and register a descendant of ``apo`` with its own overrides.
@@ -197,20 +209,29 @@ class ConceptRegistry:
                         f"concept {name!r} inherits from unknown concept "
                         f"{parent!r}"
                     )
-            known = set(concept.own_attributes)
-            for parent in concept.parents:
-                if parent in self._concepts:
-                    known |= self._inherited_attribute_names(parent)
-            for attr in sorted(concept.encapsulated - known):
-                problems.append(
-                    f"concept {name!r} encapsulates undefined attribute "
-                    f"{attr!r}"
-                )
+            problems.extend(self.encapsulation_problems(name))
         return problems
 
-    def _inherited_attribute_names(self, name: str) -> set[str]:
-        out = set(self.get(name).own_attributes)
-        for parent in self.get(name).parents:
-            if parent in self._concepts:
-                out |= self._inherited_attribute_names(parent)
-        return out
+    def encapsulation_problems(self, name: str) -> list[str]:
+        """One message per attribute ``name`` encapsulates but neither
+        defines nor inherits, in attribute order.
+
+        Each registered ancestor is visited at most once, and the walk stops
+        when every encapsulated attribute has been found; parents that are
+        not registered are skipped.
+        """
+        concepts = self._concepts
+        missing = set(concepts[name].encapsulated)
+        seen = {name}
+        stack = [name]
+        while stack and missing:
+            concept = concepts[stack.pop()]
+            missing.difference_update(concept.own_attributes)
+            for parent in concept.parents:
+                if parent in concepts and parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+        return [
+            f"concept {name!r} encapsulates undefined attribute {attr!r}"
+            for attr in sorted(missing)
+        ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .core import Atom, Sort, symbol
+from .core import Atom, PotentialObject, Sort, symbol
 from .diagrams import (
     And,
     Const,
@@ -23,9 +23,11 @@ from .diagrams import (
     Term,
     TruePred,
     Var,
+    Wildcard,
 )
 from .errors import (
     DefinitionError,
+    DodlError,
     EvalTypeError,
     NoSharedAttributes,
     SchemaMismatch,
@@ -231,6 +233,39 @@ def oracle_index(
     narrowed = select(r, Eq(Var(index_attr), Const(index_value)))
     column = project(narrowed, [target_attr])
     return frozenset(row[0] for row in column.tuples)
+
+
+def oracle_route(
+    po: PotentialObject, relations: Mapping[str, Relation]
+) -> tuple[Relation, str, str]:
+    """Read the arguments of :func:`oracle_index` off a membership filter:
+    (relation, index attribute, target attribute).  Only that restricted
+    class of filters has a plain-relational twin."""
+    body = po.filter.body
+    if not isinstance(body, Member):
+        raise DodlError(
+            f"filter {po.filter.name!r} is not a plain membership test; "
+            f"there is no relational twin to compare against"
+        )
+    relation = relations[body.relation]
+    index_pos = candidate_pos = None
+    for position, term in enumerate(body.pattern):
+        if isinstance(term, Var) and term.name == po.filter.index_var:
+            index_pos = position
+        elif isinstance(term, Var) and term.name == po.filter.candidate_var:
+            candidate_pos = position
+        elif not isinstance(term, Wildcard):
+            raise DodlError(
+                f"filter {po.filter.name!r} constrains more than the index "
+                f"and candidate; there is no relational twin"
+            )
+    if index_pos is None or candidate_pos is None:
+        raise DodlError(
+            f"filter {po.filter.name!r} does not test both the index and "
+            f"the candidate against {body.relation!r}"
+        )
+    names = relation.attribute_names
+    return relation, names[index_pos], names[candidate_pos]
 
 
 # ---------------------------------------------------------------------------

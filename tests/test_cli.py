@@ -250,6 +250,18 @@ class TestScriptEvolve:
                                "script", "Nothing")
         assert code == 1
 
+    def test_evolve_a_deep_composition(self, teaching_dir):
+        (teaching_dir / "deep.dodl").write_text(
+            "".join(f"evolvent Deep{i} = compose(Deep{i + 1});\n"
+                    for i in range(1199))
+            + "evolvent Deep1199 = compose(Assign);\n",
+            encoding="utf-8")
+        proc = run_module("--workspace", str(teaching_dir), "evolve", "Deep0")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("Tch_Informatics = { Doe, Jackson }\n"
+                               "Tch_Logic = { Johnes, Smith }\n"
+                               "stage 2\n")
+
 
 class TestDumpAndAudit:
     def test_dump_matches_the_library(self, capsys, teaching_dir, teaching_ws):
@@ -325,6 +337,20 @@ class TestLoad:
         assert "Traceback" not in proc.stderr
         assert "chain.dodl:3:" in proc.stderr
         assert "nesting deeper than" in proc.stderr
+
+    @pytest.mark.parametrize("graph", ["concept", "evolvent"])
+    def test_a_deep_graph_loads(self, tmp_path, graph):
+        deep = tmp_path / "deep.dodl"
+        if graph == "concept":
+            text = "concept N0 { };\n" + "".join(
+                f"concept N{i} : N{i - 1} {{ }};\n" for i in range(1, 1200))
+        else:
+            text = "".join(f"evolvent N{i} = compose(N{i + 1});\n"
+                           for i in range(1199)) + "evolvent N1199 = identity;\n"
+        deep.write_text(text, encoding="utf-8")
+        proc = run_module("load", str(deep))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("ok: ")
 
     def test_load_prints_command_outputs(self, capsys, teaching_dir):
         extra = teaching_dir / "zrun.dodl"

@@ -6,13 +6,12 @@ from dodl.core import (
     NUMERIC,
     SYMBOLIC,
     Atom,
+    Domain,
     Environment,
     Event,
     PotentialObject,
     Sort,
     actual_name,
-    bind,
-    make_domain,
     number,
     symbol,
 )
@@ -88,59 +87,53 @@ class TestAtom:
         assert symbol("Doe").order_key() < symbol("Smith").order_key()
 
 
-class TestMakeDomain:
+class TestDomain:
     def test_four_teachers(self):
-        domain, dropped = make_domain(
+        domain = Domain(
             "Teach", NAME,
             [symbol("Johnes"), symbol("Smith"), symbol("Doe"), symbol("Jackson")],
         )
         assert len(domain.elements) == 4
-        assert dropped == 0
 
-    def test_deduplication_is_counted(self):
-        domain, dropped = make_domain("Course", Sort("Course", SYMBOLIC),
-                                      [symbol("Logic"), symbol("Logic")])
+    def test_duplicates_collapse(self):
+        domain = Domain("Course", Sort("Course", SYMBOLIC),
+                        [symbol("Logic"), symbol("Logic")])
         assert domain.elements == frozenset({symbol("Logic")})
-        assert dropped == 1
 
     def test_numeric_domain(self):
-        domain, dropped = make_domain("Hours", H, [number(20), number(30)])
+        domain = Domain("Hours", H, [number(20), number(30)])
         assert len(domain.elements) == 2
         assert all(a.kind == NUMERIC for a in domain.elements)
-        assert dropped == 0
 
     def test_kind_mismatch_raises(self):
         with pytest.raises(SortMismatch):
-            make_domain("Hours", H, [symbol("twenty")])
+            Domain("Hours", H, [symbol("twenty")])
 
     def test_idempotent_over_existing_elements(self):
-        domain, _ = make_domain("Teach", NAME, [symbol("Doe"), symbol("Smith")])
-        again, dropped = make_domain("Teach", NAME, list(domain.elements))
-        assert again == domain
-        assert dropped == 0
+        domain = Domain("Teach", NAME, [symbol("Doe"), symbol("Smith")])
+        assert Domain("Teach", NAME, domain.elements) == domain
 
     def test_sorted_elements_are_deterministic(self):
-        domain, _ = make_domain("Hours", H, [number(30), number(20), number(7)])
+        domain = Domain("Hours", H, [number(30), number(20), number(7)])
         assert [a.text for a in domain.sorted_elements()] == ["7", "20", "30"]
 
 
 class TestEnvironment:
     def test_bind_from_empty(self):
-        env = bind(Environment.empty(), "x", symbol("Jones"))
+        env = Environment.empty().bind("x", symbol("Jones"))
         assert env.lookup("x") == symbol("Jones")
         assert env.stage == 1
 
     def test_rebinding_makes_new_stage_and_keeps_original(self):
-        first = bind(Environment.empty(), "x", symbol("Jones"))
-        second = bind(first, "x", symbol("Smith"))
+        first = Environment.empty().bind("x", symbol("Jones"))
+        second = first.bind("x", symbol("Smith"))
         assert second.lookup("x") == symbol("Smith")
         assert second.stage == 2
         assert first.lookup("x") == symbol("Jones")
         assert first.stage == 1
 
     def test_two_binds_compose(self):
-        env = bind(bind(Environment.empty(), "idx", symbol("Logic")),
-                   "x", symbol("Doe"))
+        env = Environment.empty().bind("idx", symbol("Logic")).bind("x", symbol("Doe"))
         assert env.stage == 2
         assert env.lookup("idx") == symbol("Logic")
         assert env.lookup("x") == symbol("Doe")
@@ -151,9 +144,9 @@ class TestEnvironment:
 
     @given(atoms, atoms, st.sampled_from(["x", "y", "idx"]))
     def test_bind_is_persistent(self, a, b, var):
-        env = bind(Environment.empty(), "seed", a)
+        env = Environment.empty().bind("seed", a)
         before = dict(env.bindings)
-        out = bind(env, var, b)
+        out = env.bind(var, b)
         assert env.bindings == before
         assert out.stage == env.stage + 1
         assert out.lookup(var) == b
@@ -161,9 +154,8 @@ class TestEnvironment:
 
 class TestObjects:
     def _domains(self):
-        teach, _ = make_domain("Teach", NAME, [symbol("Doe"), symbol("Smith")])
-        course, _ = make_domain("Course", Sort("Course", SYMBOLIC),
-                                [symbol("Logic")])
+        teach = Domain("Teach", NAME, [symbol("Doe"), symbol("Smith")])
+        course = Domain("Course", Sort("Course", SYMBOLIC), [symbol("Logic")])
         return teach, course
 
     def test_event_requires_membership(self):

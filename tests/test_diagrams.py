@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COURSES, TEACHERS, teaches
-from dodl.core import Environment, bind, symbol
+from dodl.core import Environment, symbol
 from dodl.diagrams import (
     And,
     Apply,
@@ -42,7 +42,6 @@ from dodl.diagrams import (
 from dodl.errors import (
     ArityMismatch,
     DefinitionError,
-    DodlError,
     EvalTypeError,
     IndexNotInDomain,
     UnboundVariable,
@@ -50,64 +49,12 @@ from dodl.errors import (
 )
 from dodl.evolver import Workspace
 from dodl.relational import Relation
+from reference import outcome, reference_filter, reference_predicate
 from wsgen import gen_indexed_case, gen_workspace
 
 EMPTY = Environment.empty()
 
 
-def reference_predicate(pred, env, workspace) -> bool:
-    """The filter semantics as a plain tree walk over an environment.
-
-    Strict in both operands of ``and`` and ``or``; a membership test checks
-    the relation and arity, reads its terms left to right, then scans the
-    tuples.  The compiled evaluator must agree with it value for value and
-    error for error.
-    """
-    if isinstance(pred, TruePred):
-        return True
-    if isinstance(pred, FalsePred):
-        return False
-    if isinstance(pred, Not):
-        return not reference_predicate(pred.operand, env, workspace)
-    if isinstance(pred, (And, Or)):
-        left = reference_predicate(pred.left, env, workspace)
-        right = reference_predicate(pred.right, env, workspace)
-        return (left and right) if isinstance(pred, And) else (left or right)
-    if isinstance(pred, Eq):
-        return reference_term(pred.left, env) == reference_term(pred.right, env)
-    relation = workspace.relations.get(pred.relation)
-    if relation is None:
-        raise UnknownRelation(f"relation {pred.relation!r} is not defined")
-    if len(pred.pattern) != relation.arity:
-        raise ArityMismatch(
-            f"pattern of arity {len(pred.pattern)} against relation "
-            f"{relation.name!r} of arity {relation.arity}"
-        )
-    wanted = [None if isinstance(t, Wildcard) else reference_term(t, env)
-              for t in pred.pattern]
-    return any(all(w is None or w == cell for w, cell in zip(wanted, row))
-               for row in relation.tuples)
-
-
-def reference_term(term, env):
-    if isinstance(term, Const):
-        return term.atom
-    if isinstance(term, Var):
-        return env.lookup(term.name)
-    raise EvalTypeError("a wildcard has no value outside a membership pattern")
-
-
-def outcome(evaluate):
-    """The value of a call, or the type and message of the error it raised."""
-    try:
-        return evaluate()
-    except DodlError as exc:
-        return type(exc), str(exc)
-
-
-def reference_filter(f, index, candidate, workspace) -> bool:
-    env = bind(bind(EMPTY, f.index_var, index), f.candidate_var, candidate)
-    return reference_predicate(f.body, env, workspace)
 
 symbolic_atoms = st.text(
     alphabet=st.sampled_from("abcdefghXYZ"), min_size=1, max_size=6
@@ -132,7 +79,7 @@ class TestEvalExpr:
         assert eval_expr(expr, EMPTY, teaching_ws) is False
 
     def test_var_reads_environment(self, teaching_ws):
-        env = bind(EMPTY, "x", symbol("Doe"))
+        env = EMPTY.bind("x", symbol("Doe"))
         assert eval_expr(Var("x"), env, teaching_ws) == symbol("Doe")
         with pytest.raises(UnboundVariable):
             eval_expr(Var("y"), env, teaching_ws)
@@ -146,7 +93,7 @@ class TestEvalExpr:
         assert eval_expr(expr, EMPTY, teaching_ws) == symbol("Smith")
 
     def test_subst_binds_in_child_environment_only(self, teaching_ws):
-        env = bind(EMPTY, "a", symbol("Logic"))
+        env = EMPTY.bind("a", symbol("Logic"))
         expr = Subst("x", Var("x"), Const(symbol("Jones")))
         assert eval_expr(expr, env, teaching_ws) == symbol("Jones")
         assert env.stage == 1
@@ -194,14 +141,13 @@ class TestEvalExpr:
 class TestEvalPredicate:
     def test_member_with_bound_variables(self, teaching_ws):
         pred = Member("Relationship1", (Var("idx"), Var("x"), Wildcard()))
-        env = bind(bind(EMPTY, "idx", symbol("Logic")), "x", symbol("Smith"))
+        env = EMPTY.bind("idx", symbol("Logic")).bind("x", symbol("Smith"))
         assert eval_predicate(pred, env, teaching_ws) is True
 
     def test_member_scans_all_rows(self, teaching_ws):
         assert not teaches("Informatics", "Smith")
         pred = Member("Relationship1", (Var("idx"), Var("x"), Wildcard()))
-        env = bind(bind(EMPTY, "idx", symbol("Informatics")),
-                   "x", symbol("Smith"))
+        env = EMPTY.bind("idx", symbol("Informatics")).bind("x", symbol("Smith"))
         assert eval_predicate(pred, env, teaching_ws) is False
 
     def test_boolean_identities(self, teaching_ws):
@@ -211,7 +157,7 @@ class TestEvalPredicate:
                               EMPTY, teaching_ws) is False
 
     def test_eq_compares_atoms(self, teaching_ws):
-        env = bind(EMPTY, "x", symbol("Doe"))
+        env = EMPTY.bind("x", symbol("Doe"))
         assert eval_predicate(Eq(Var("x"), Const(symbol("Doe"))),
                               env, teaching_ws) is True
         assert eval_predicate(Eq(Var("x"), Const(symbol("Smith"))),
@@ -337,7 +283,7 @@ class TestCompiledFilter:
                     run_filter(f, symbol("Logic"), symbol("Smith"), teaching_ws)
 
     def test_errors_are_raised_when_the_node_runs(self, teaching_ws):
-        env = bind(EMPTY, "x", symbol("Smith"))
+        env = EMPTY.bind("x", symbol("Smith"))
         for pred, error in [
             (Member("Missing", (Var("x"),)), UnknownRelation),
             (Member("Relationship1", (Var("x"),)), ArityMismatch),

@@ -6,18 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import teaches
-from dodl.core import Domain, Environment, PotentialObject, number, symbol
+from dodl.core import Domain, PotentialObject, number, symbol
 from dodl.diagrams import (
-    And,
     Const,
     FalsePred,
     Filter,
     Member,
-    Not,
-    Or,
     Var,
     Wildcard,
-    eval_predicate,
 )
 from dodl.errors import (
     IndexNotInDomain,
@@ -29,6 +25,7 @@ from dodl.errors import (
 )
 from dodl.evolver import (
     EventScript,
+    Evolvent,
     Exchange,
     GetAO,
     GetConcept,
@@ -42,6 +39,7 @@ from dodl.evolver import (
     trigger,
 )
 from dodl.relational import OracleExpr, RelName, Relation, oracle_index
+from reference import reference_filter
 from wsgen import WORDS, gen_indexed_case, gen_workspace
 
 
@@ -87,6 +85,17 @@ class TestTrigger:
     def test_index_must_be_in_domain(self, teaching_ws):
         with pytest.raises(IndexNotInDomain):
             trigger(teaching_ws, "Tch", symbol("Algebra"))
+
+    def test_an_index_outside_the_domain_runs_no_filter(self, teaching_ws,
+                                                        monkeypatch):
+        calls = []
+        monkeypatch.setattr("dodl.evolver.run_filter",
+                            lambda *args: calls.append(args))
+        po = teaching_ws.potentials["Tch"]
+        with pytest.raises(IndexNotInDomain) as raised:
+            derive_actual(teaching_ws, po, symbol("Algebra"))
+        assert str(raised.value) == "'Algebra' is not in domain 'Course'"
+        assert calls == []
 
     def test_retrigger_replaces_and_advances(self, teaching_ws):
         s1, first = trigger(teaching_ws, "Tch", symbol("Logic"))
@@ -198,6 +207,40 @@ class TestApplyEvolvent:
         with pytest.raises(UnknownEvolvent):
             apply_evolvent(teaching_ws, "Nowhere")
 
+    def test_nested_parts_run_depth_first_left_to_right(self, teaching_ws):
+        bad = EventScript("Bad", (("Tch", symbol("Algebra")),))
+        ws = dataclasses.replace(
+            teaching_ws,
+            scripts={**teaching_ws.scripts, "Bad": bad},
+            evolvents={
+                **teaching_ws.evolvents,
+                "Fails": Evolvent("Fails", "script", script="Bad"),
+                "Inner": Evolvent("Inner", "composed", parts=("Assign", "Fails")),
+                "BadFirst": Evolvent("BadFirst", "composed",
+                                     parts=("Inner", "Missing")),
+                "MissingFirst": Evolvent("MissingFirst", "composed",
+                                         parts=("Assign", "Missing", "Inner")),
+                "Nested": Evolvent("Nested", "composed",
+                                   parts=("Still", "AssignTwice", "Assign")),
+            },
+        )
+        with pytest.raises(ScriptError):
+            apply_evolvent(ws, "BadFirst")
+        with pytest.raises(UnknownEvolvent, match="'Missing'"):
+            apply_evolvent(ws, "MissingFirst")
+        assert apply_evolvent(ws, "Nested").stage == 6
+
+    def test_a_deep_composition_needs_no_recursion(self, teaching_ws):
+        depth = 5000
+        chain = {f"Deep{i}": Evolvent(f"Deep{i}", "composed",
+                                      parts=(f"Deep{i - 1}",))
+                 for i in range(1, depth)}
+        chain["Deep0"] = Evolvent("Deep0", "composed", parts=("Assign",))
+        ws = dataclasses.replace(
+            teaching_ws, evolvents={**teaching_ws.evolvents, **chain})
+        assert apply_evolvent(ws, f"Deep{depth - 1}") == \
+            apply_evolvent(ws, "Assign")
+
     def test_stage_never_decreases(self, teaching_ws):
         state = teaching_ws
         stages = [state.stage]
@@ -225,25 +268,6 @@ class TestOracleEquivalence:
                 }
                 assert {a.text for a in ao.elements} == brute
                 assert {a.text for a in via_oracle} == brute
-
-
-def scan_predicate(pred, env, workspace) -> bool:
-    """eval_predicate with every membership test answered by a plain scan."""
-    if isinstance(pred, Member):
-        wanted = [None if isinstance(t, Wildcard)
-                  else t.atom if isinstance(t, Const) else env.lookup(t.name)
-                  for t in pred.pattern]
-        return any(all(w is None or w == cell for w, cell in zip(wanted, row))
-                   for row in workspace.relations[pred.relation].tuples)
-    if isinstance(pred, Not):
-        return not scan_predicate(pred.operand, env, workspace)
-    if isinstance(pred, And):
-        return (scan_predicate(pred.left, env, workspace)
-                and scan_predicate(pred.right, env, workspace))
-    if isinstance(pred, Or):
-        return (scan_predicate(pred.left, env, workspace)
-                or scan_predicate(pred.right, env, workspace))
-    return eval_predicate(pred, env, workspace)
 
 
 def probe_cases(seed: int):
@@ -293,10 +317,9 @@ class TestProbeMatchesScan:
         for po in potentials:
             f = po.filter
             for index in po.index_domain.elements:
-                env = Environment.empty().bind(f.index_var, index)
                 expected = frozenset(
                     c for c in po.carrier.elements
-                    if scan_predicate(f.body, env.bind(f.candidate_var, c), ws)
+                    if reference_filter(f, index, c, ws)
                 )
                 assert derive_actual(ws, po, index).elements == expected
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +257,20 @@ class TestLoad:
         assert result.ok
         assert "{ Johnes, Smith }" in result.outputs
 
+    def test_each_diagnostic_names_the_file_of_its_anchor(self):
+        result = load_texts([
+            ("a.dodl", "sort S : symbolic;\ndomain D : Ghost = { X };\n"),
+            (None, "filter F (i, x) = member Nowhere (i, x);\n"),
+            ("b.dodl", "\nsort S : numeric;\nconcept K : K { };\n"),
+        ])
+        assert [(d.path, d.line, d.col, d.message)
+                for d in result.diagnostics] == [
+            ("b.dodl", 2, 1, "sort 'S' is already defined"),
+            ("a.dodl", 2, 12, "sort 'Ghost' is not defined"),
+            (None, 1, 26, "relation 'Nowhere' is not defined"),
+            ("b.dodl", 3, 1, "concept 'K' inherits from itself"),
+        ]
+
     def test_duplicate_atoms_are_noted_not_errored(self):
         source = "sort S : symbolic;\ndomain D : S = { A, A, B };\n"
         result = load_texts([(None, source)])
@@ -382,6 +397,110 @@ ascii_source = st.lists(
     ),
     max_size=60,
 ).map("".join)
+
+
+def concept_chain(depth: int) -> str:
+    return "concept C0 { attr a = X; };\n" + "".join(
+        f"concept C{i} : C{i - 1} {{ encapsulated a; }};\n"
+        for i in range(1, depth))
+
+
+def compose_chain(depth: int) -> str:
+    """E0 = compose(E1), E1 = compose(E2), ... down to an identity, so a walk
+    from E0, the first name in sorted order, goes the whole depth."""
+    return "".join(f"evolvent E{i} = compose(E{i + 1});\n"
+                   for i in range(depth - 1)) + f"evolvent E{depth - 1} = identity;\n"
+
+
+def recursive_evolvent_cycle(parts: dict[str, tuple[str, ...]]):
+    """The loader's evolvent cycle check as it was written before: a
+    recursive three-colour walk from each name in sorted order."""
+    colors: dict[str, int] = {}
+
+    def visit(name, trail):
+        state = colors.get(name)
+        if state == 1:
+            return trail[trail.index(name):] + [name]
+        if state == 2 or name not in parts:
+            return None
+        colors[name] = 1
+        trail.append(name)
+        for part in parts[name]:
+            cycle = visit(part, trail)
+            if cycle is not None:
+                return cycle
+        trail.pop()
+        colors[name] = 2
+        return None
+
+    for name in sorted(parts):
+        cycle = visit(name, [])
+        if cycle is not None:
+            return cycle
+    return None
+
+
+EVOLVENTS = [f"V{i}" for i in range(7)]
+evolvent_graphs = st.lists(
+    st.one_of(st.none(),
+              st.lists(st.sampled_from(EVOLVENTS + ["Ghost"]),
+                       min_size=1, max_size=3)),
+    min_size=len(EVOLVENTS), max_size=len(EVOLVENTS),
+)
+
+
+class TestGraphWalks:
+    """Concept and evolvent graphs are walked without recursion, and each
+    node once."""
+
+    def test_a_deep_concept_chain_loads(self):
+        result = load_texts([(None, concept_chain(1200))])
+        assert result.ok, [d.render() for d in result.diagnostics[:3]]
+        assert len(result.workspace.concepts) == 1200
+
+    def test_a_deep_compose_chain_loads(self):
+        result = load_texts([(None, compose_chain(1200))])
+        assert result.ok, [d.render() for d in result.diagnostics[:3]]
+        assert result.workspace.evolvents["E0"].parts == ("E1",)
+
+    def test_a_ladder_loads_in_linear_time(self):
+        source = "concept C0 { attr a = X; };\nconcept C1 : C0 { };\n" + "".join(
+            f"concept C{i} : C{i - 1}, C{i - 2} {{ encapsulated a; }};\n"
+            for i in range(2, 200))
+        started = time.monotonic()
+        result = load_texts([(None, source)])
+        assert time.monotonic() - started < 1.0
+        assert result.ok
+
+    def test_a_deep_concept_cycle_is_reported_where_it_closes(self):
+        loop = "".join(f"concept C{i} : C{i - 1} {{ }};\n" for i in range(1, 1200))
+        result = load_texts([("loop.dodl", loop + "concept C0 : C1199 { };\n")])
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.message == "concept inheritance cycle: C0 -> " + \
+            " -> ".join(f"C{i}" for i in range(1199, -1, -1))
+        assert (diagnostic.line, diagnostic.path) == (1200, "loop.dodl")
+
+    @settings(max_examples=300, deadline=None)
+    @given(evolvent_graphs, st.randoms(use_true_random=False))
+    def test_evolvent_cycles_equal_the_recursive_check(self, graph, rng):
+        lines = [f"evolvent {name} = identity;" if parts is None else
+                 f"evolvent {name} = compose({', '.join(parts)});"
+                 for name, parts in zip(EVOLVENTS, graph)]
+        rng.shuffle(lines)
+        built = {name: () if parts is None else tuple(parts)
+                 for name, parts in zip(EVOLVENTS, graph)
+                 if parts is None or "Ghost" not in parts}
+        expected = recursive_evolvent_cycle(built)
+        result = load_texts([("e.dodl", "\n".join(lines) + "\n")])
+        found = [(d.message, d.line) for d in result.diagnostics
+                 if "cycle" in d.message]
+        if expected is None:
+            assert found == []
+        else:
+            line = 1 + next(i for i, text in enumerate(lines)
+                            if text.startswith(f"evolvent {expected[0]} "))
+            assert found == [("evolvent composition cycle: "
+                              + " -> ".join(expected), line)]
 
 
 class TestLexer:

@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dodl.core import number, symbol
 from dodl.errors import (
@@ -8,7 +12,7 @@ from dodl.errors import (
     UnknownAttribute,
     UnknownConcept,
 )
-from dodl.meta import Concept, ConceptRegistry
+from dodl.meta import Concept, ConceptRegistry, find_cycle
 
 
 def registry_with_post() -> ConceptRegistry:
@@ -210,6 +214,92 @@ class TestAcyclicity:
             assert rejected == has_cycle(n, edges), (n, sorted(edges))
 
 
+def recursive_find_cycle(parents: dict[str, tuple[str, ...]], start: str):
+    """The registry's cycle finder as it was written before, recursive and
+    with no finished set: the oracle for the messages of the new one."""
+    path: list[str] = []
+    on_path: set[str] = set()
+
+    def walk(name):
+        if name in on_path:
+            return path[path.index(name):] + [name]
+        if name not in parents:
+            return None
+        path.append(name)
+        on_path.add(name)
+        for parent in parents[name]:
+            found = walk(parent)
+            if found is not None:
+                return found
+        path.pop()
+        on_path.discard(name)
+        return None
+
+    return walk(start)
+
+
+NAMES = [f"K{i}" for i in range(7)]
+declarations = st.lists(
+    st.tuples(st.sampled_from(NAMES),
+              st.lists(st.sampled_from(NAMES), max_size=3, unique=True)),
+    max_size=12,
+)
+
+
+def ladder(n: int) -> list[Concept]:
+    """C0, C1 : C0 and Ci : Ci-1, Ci-2: each concept shares all but one
+    ancestor with its first parent."""
+    out = [Concept("C0", own_attributes={"a": number(1)}), Concept("C1", ("C0",))]
+    out += [Concept(f"C{i}", (f"C{i - 1}", f"C{i - 2}"),
+                    encapsulated=frozenset({"a", "b"})) for i in range(2, n)]
+    return out
+
+
+class TestCycleFinder:
+    @settings(max_examples=300, deadline=None)
+    @given(declarations)
+    def test_messages_equal_the_recursive_finder(self, decls):
+        registry = ConceptRegistry()
+        model: dict[str, tuple[str, ...]] = {}
+        for name, parents in decls:
+            if name in model:
+                with pytest.raises(DuplicateName):
+                    registry.add(Concept(name, tuple(parents)))
+                continue
+            cycle = recursive_find_cycle({**model, name: tuple(parents)}, name)
+            if cycle is None:
+                registry.add(Concept(name, tuple(parents)))
+                model[name] = tuple(parents)
+            else:
+                with pytest.raises(CycleDetected) as raised:
+                    registry.add(Concept(name, tuple(parents)))
+                assert str(raised.value) == \
+                    "concept inheritance cycle: " + " -> ".join(cycle)
+            assert registry.names() == sorted(model)
+
+    def test_a_deep_chain_needs_no_recursion(self):
+        depth = 5000
+        edges = {f"N{i}": (f"N{i - 1}",) for i in range(1, depth)}
+        edges["N0"] = (f"N{depth - 1}",)
+        cycle = find_cycle(["N0"], lambda name: edges.get(name, ()))
+        assert len(cycle) == depth + 1
+        assert cycle[0] == cycle[-1] == "N0"
+        edges["N0"] = ()
+        assert find_cycle(sorted(edges), lambda name: edges.get(name, ())) is None
+
+    def test_a_ladder_registers_and_validates_in_linear_time(self):
+        started = time.monotonic()
+        registry = ConceptRegistry()
+        for concept in ladder(200):
+            registry.add(concept)
+        problems = registry.validate()
+        assert time.monotonic() - started < 1.0
+        assert problems == [
+            f"concept 'C{i}' encapsulates undefined attribute 'b'"
+            for i in sorted(range(2, 200), key=lambda i: f"C{i}")
+        ]
+
+
 class TestConceptValue:
     def test_collections_are_normalized(self):
         a = Concept("X", events=("b", "a"), menus=(("M2", "e"), ("M1", "e")))
@@ -227,3 +317,15 @@ class TestConceptValue:
         problems = registry.validate()
         assert any("Ghost" in p for p in problems)
         assert any("nope" in p for p in problems)
+
+    def test_encapsulation_sees_registered_ancestors_only(self):
+        registry = ConceptRegistry()
+        registry.add(Concept("Top", own_attributes={"kept": number(1)}))
+        registry.add(Concept("Low", ("Top", "Later"),
+                             encapsulated=frozenset({"kept", "later", "own"}),
+                             own_attributes={"own": number(2)}))
+        assert registry.encapsulation_problems("Low") == [
+            "concept 'Low' encapsulates undefined attribute 'later'"
+        ]
+        registry.add(Concept("Later", own_attributes={"later": number(3)}))
+        assert registry.encapsulation_problems("Low") == []

@@ -1,11 +1,23 @@
+import dataclasses
 import random
 
 import pytest
 
 from conftest import TEACHING_ROWS
 from dodl.core import NUMERIC, SYMBOLIC, Sort, number, symbol
-from dodl.diagrams import Const, Eq, FalsePred, Member, TruePred, Var, Wildcard
+from dodl.diagrams import (
+    And,
+    Const,
+    Eq,
+    FalsePred,
+    Filter,
+    Member,
+    TruePred,
+    Var,
+    Wildcard,
+)
 from dodl.errors import (
+    DodlError,
     EvalTypeError,
     NoSharedAttributes,
     SchemaMismatch,
@@ -27,6 +39,7 @@ from dodl.relational import (
     eval_query,
     join,
     oracle_index,
+    oracle_route,
     project,
     select,
     union,
@@ -239,6 +252,32 @@ def random_row_predicate(rng: random.Random, relation: Relation):
     value = (number(rng.randrange(12)) if sort.kind == NUMERIC
              else symbol(rng.choice(WORDS)))
     return Eq(Var(attr), Const(value))
+
+
+class TestOracleRoute:
+    def test_reads_the_twin_off_a_membership_filter(self, teaching_ws):
+        po = teaching_ws.potentials["Tch"]
+        relation, index_attr, target_attr = oracle_route(po, teaching_ws.relations)
+        assert relation is teaching_ws.relations["Relationship1"]
+        assert (index_attr, target_attr) == ("Course", "Name")
+
+    @pytest.mark.parametrize("body, message", [
+        (And(TruePred(), TruePred()),
+         "filter 'F' is not a plain membership test; "
+         "there is no relational twin to compare against"),
+        (Member("Relationship1", (Var("i"), Var("x"), Const(number(20)))),
+         "filter 'F' constrains more than the index and candidate; "
+         "there is no relational twin"),
+        (Member("Relationship1", (Var("i"), Wildcard(), Wildcard())),
+         "filter 'F' does not test both the index and the candidate "
+         "against 'Relationship1'"),
+    ])
+    def test_filters_without_a_twin_are_refused(self, teaching_ws, body, message):
+        po = dataclasses.replace(teaching_ws.potentials["Tch"],
+                                 filter=Filter("F", "i", "x", body))
+        with pytest.raises(DodlError) as raised:
+            oracle_route(po, teaching_ws.relations)
+        assert str(raised.value) == message
 
 
 class TestAlgebraLaws:

@@ -9,6 +9,7 @@ names against the package under test.
 import importlib.util
 from pathlib import Path
 
+import dodl.cli
 from dodl.core import Environment, symbol
 from dodl.diagrams import Apply, Const, FilterRef, Pair, eval_expr
 from dodl.evolver import derive_actual
@@ -62,3 +63,39 @@ def test_apply_runs_the_filter_through_diagrams(teaching_ws, monkeypatch):
                  Pair(Const(symbol("Logic")), Const(symbol("Johnes"))))
     assert eval_expr(expr, Environment.empty(), teaching_ws) is True
     assert len(calls) == 1
+
+
+def test_a_demo_pass_reaches_every_boundary(teaching_dir, capsys):
+    """One CLI call of each kind the benchmark makes, on the demo: every
+    boundary must record a span, as ``perfbench/run.py --trace 1`` demands."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    workspace = ["--workspace", str(teaching_dir)]
+    calls = [
+        ["load", str(teaching_dir / "teaching.dodl")],
+        [*workspace, "index", "Tch", "Logic"],
+        [*workspace, "functor", "Tch"],
+        [*workspace, "oracle-diff", "Tch"],
+        [*workspace, "check", "Fig4"],
+        [*workspace, "script", "AssignAll"],
+        [*workspace, "dump"],
+        [*workspace, "query",
+         "project (select Relationship1 where Course = Logic) [Name]"],
+        [*workspace, "query",
+         "project (join(Relationship1, project Relationship1 [Course, Hours]))"
+         " [Name, Hours]"],
+        [*workspace, "query", "union(select Relationship1 where Course = Logic, "
+                              "select Relationship1 where Hours = 30)"],
+        [*workspace, "query", "difference(Relationship1, "
+                              "select Relationship1 where Hours = 20)"],
+    ]
+    try:
+        tracer.install()
+        # Looked up on the module, as the benchmark does, so that the
+        # wrapped ``main`` runs.
+        codes = [dodl.cli.main(argv) for argv in calls]
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().err == ""
+    assert codes == [0] * len(calls)
+    assert set(tracing.BOUNDARIES) - {span[2] for span in tracer.spans} == set()
