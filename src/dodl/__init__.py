@@ -12,7 +12,6 @@ from .core import (
     Atom,
     ActualObject,
     Domain,
-    Environment,
     Event,
     PotentialObject,
     Sort,
@@ -45,9 +44,9 @@ from .diagrams import (
     Var,
     Wildcard,
     check_commutes,
+    compile_expr,
     enumerate_entry,
     eval_expr,
-    eval_predicate,
     run_filter,
 )
 from .errors import DodlError

@@ -1,4 +1,4 @@
-"""Foundational value types: atoms, sorts, domains, events and environments.
+"""Foundational value types: atoms, sorts, domains, events and objects.
 
 Everything here is immutable after construction. Derivation state lives in
 :mod:`dodl.evolver`; this module only knows about single values.
@@ -6,7 +6,7 @@ Everything here is immutable after construction. Derivation state lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -14,7 +14,6 @@ from .errors import (
     IndexNotInDomain,
     ReservedCharacter,
     SortMismatch,
-    UnboundVariable,
 )
 
 if TYPE_CHECKING:
@@ -194,36 +193,3 @@ class ActualObject:
 
     def sorted_elements(self) -> list[Atom]:
         return sorted(self.elements, key=Atom.order_key)
-
-
-@dataclass(frozen=True)
-class Environment:
-    """A persistent variable binding map with a stage-of-knowledge counter.
-
-    Rebinding never mutates: :meth:`bind` returns a new environment one
-    stage later and leaves the receiver observably unchanged.
-    """
-
-    bindings: dict[str, Atom] = field(default_factory=dict)
-    stage: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "bindings", dict(self.bindings))
-
-    @staticmethod
-    def empty() -> Environment:
-        return Environment({}, 0)
-
-    def bind(self, var: str, value: Atom) -> Environment:
-        new = dict(self.bindings)
-        new[var] = value
-        return Environment(new, self.stage + 1)
-
-    def lookup(self, var: str) -> Atom:
-        try:
-            return self.bindings[var]
-        except KeyError:
-            raise UnboundVariable(f"variable {var!r} is not bound") from None
-
-    def __contains__(self, var: str) -> bool:
-        return var in self.bindings

@@ -12,13 +12,14 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
-from .core import Atom, Domain, Environment, PotentialObject
+from .core import Atom, Domain, PotentialObject
 from .errors import (
     ArityMismatch,
     DefinitionError,
     DodlError,
     EvalTypeError,
     IndexNotInDomain,
+    UnboundVariable,
     UnknownDomain,
     UnknownFilter,
     UnknownPotentialObject,
@@ -165,8 +166,8 @@ class Snd:
 class Subst:
     """Evaluate ``target`` with ``var`` bound to the value of ``value``.
 
-    The binding happens in a child environment one stage later; the caller's
-    environment is untouched.
+    The binding is visible only inside ``target``, where it shadows any
+    outer binding of ``var``; ``value`` itself sees only the outer ones.
     """
 
     var: str
@@ -348,15 +349,6 @@ def _compile_member(pred: Member, slot) -> Callable:
     return member
 
 
-def eval_predicate(pred: Predicate, env: Environment, workspace) -> bool:
-    """Boolean semantics over a workspace; strict in both operands."""
-
-    def slot(name):
-        return lambda env: env.lookup(name)
-
-    return compile_predicate(pred, slot)(env, workspace)
-
-
 def run_filter(f: Filter, index: Atom, candidate: Atom, workspace) -> bool:
     """Test one candidate at one index.
 
@@ -373,88 +365,114 @@ def run_filter(f: Filter, index: Atom, candidate: Atom, workspace) -> bool:
     return test((index, candidate), workspace)
 
 
-def eval_expr(
-    expr: DiagramExpr,
-    env: Environment,
-    workspace,
-    step_input: Value | None = None,
-) -> Value:
-    """Evaluate a diagram expression to a value.
+def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
+    """Compile a diagram expression once into a closure
+    ``run(step_input, bound, workspace) -> Value``.
 
-    Strict, leftmost-innermost.  The caller's environment is never mutated;
-    a Subst node evaluates its target in a child environment one stage later.
-    ``step_input`` is the value the Input node denotes inside a diagram path.
+    Each Subst gives its variable the next slot of ``bound``, and ``scope``
+    names those slots outermost first, so a Var reads its innermost
+    binder's slot.  The closure is strict and leftmost-innermost, and each
+    error is raised when its node runs, against that run's workspace.
     """
     if isinstance(expr, Const):
-        return expr.atom
-    if isinstance(expr, Var):
-        return env.lookup(expr.name)
-    if isinstance(expr, Input):
-        if step_input is None:
-            raise EvalTypeError("input is only available inside a diagram path")
-        return step_input
-    if isinstance(expr, Pair):
-        first = eval_expr(expr.first, env, workspace, step_input)
-        second = eval_expr(expr.second, env, workspace, step_input)
-        return (first, second)
-    if isinstance(expr, (Fst, Snd)):
-        value = eval_expr(expr.operand, env, workspace, step_input)
-        if not (isinstance(value, tuple) and len(value) == 2):
-            word = "fst" if isinstance(expr, Fst) else "snd"
-            raise EvalTypeError(f"{word} of a non-pair value {format_value(value)}")
-        return value[0] if isinstance(expr, Fst) else value[1]
+        atom = expr.atom
+        return lambda step_input, bound, workspace: atom
+    if isinstance(expr, Var) and expr.name in scope:
+        slot = len(scope) - 1 - scope[::-1].index(expr.name)
+        return lambda step_input, bound, workspace: bound[slot]
     if isinstance(expr, IdArrow):
-        return eval_expr(expr.operand, env, workspace, step_input)
-    if isinstance(expr, Subst):
-        value = eval_expr(expr.value, env, workspace, step_input)
-        if not isinstance(value, Atom):
-            raise EvalTypeError(
-                f"substitution for {expr.var!r} needs an element, "
-                f"got {format_value(value)}"
-            )
-        child = env.bind(expr.var, value)
-        return eval_expr(expr.target, child, workspace, step_input)
-    if isinstance(expr, FilterRef):
-        f = workspace.filters.get(expr.name)
-        if f is None:
-            raise UnknownFilter(f"filter {expr.name!r} is not defined")
-        return FilterFn(f)
-    if isinstance(expr, IndexShift):
-        po = workspace.potentials.get(expr.po_name)
-        if po is None:
-            raise UnknownPotentialObject(
-                f"potential object {expr.po_name!r} is not defined"
-            )
-        index = eval_expr(expr.index, env, workspace, step_input)
-        if not isinstance(index, Atom):
-            raise EvalTypeError(
-                f"index shift needs an index element, got {format_value(index)}"
-            )
-        if index not in po.index_domain:
-            raise IndexNotInDomain(
-                f"{index.text!r} is not in domain {po.index_domain.name!r}"
-            )
-        return ShiftFn(po, index)
-    if isinstance(expr, Apply):
-        fn = eval_expr(expr.fn, env, workspace, step_input)
-        arg = eval_expr(expr.arg, env, workspace, step_input)
-        if isinstance(fn, FilterFn):
-            if not (isinstance(arg, tuple) and len(arg) == 2
-                    and all(isinstance(a, Atom) for a in arg)):
+        return compile_expr(expr.operand, scope)
+    if isinstance(expr, Input):
+        def run(step_input, bound, workspace):
+            if step_input is None:
+                raise EvalTypeError("input is only available inside a diagram path")
+            return step_input
+    elif isinstance(expr, Pair):
+        first = compile_expr(expr.first, scope)
+        second = compile_expr(expr.second, scope)
+
+        def run(step_input, bound, workspace):
+            return (first(step_input, bound, workspace),
+                    second(step_input, bound, workspace))
+    elif isinstance(expr, (Fst, Snd)):
+        operand = compile_expr(expr.operand, scope)
+        position, word = (0, "fst") if isinstance(expr, Fst) else (1, "snd")
+
+        def run(step_input, bound, workspace):
+            value = operand(step_input, bound, workspace)
+            if not (isinstance(value, tuple) and len(value) == 2):
+                raise EvalTypeError(f"{word} of a non-pair value {format_value(value)}")
+            return value[position]
+    elif isinstance(expr, Subst):
+        var = expr.var
+        value_of = compile_expr(expr.value, scope)
+        target = compile_expr(expr.target, scope + (var,))
+
+        def run(step_input, bound, workspace):
+            value = value_of(step_input, bound, workspace)
+            if not isinstance(value, Atom):
+                raise EvalTypeError(f"substitution for {var!r} needs an element, "
+                                    f"got {format_value(value)}")
+            return target(step_input, bound + (value,), workspace)
+    elif isinstance(expr, FilterRef):
+        name = expr.name
+
+        def run(step_input, bound, workspace):
+            f = workspace.filters.get(name)
+            if f is None:
+                raise UnknownFilter(f"filter {name!r} is not defined")
+            return FilterFn(f)
+    elif isinstance(expr, IndexShift):
+        po_name = expr.po_name
+        index_of = compile_expr(expr.index, scope)
+
+        def run(step_input, bound, workspace):
+            po = workspace.potentials.get(po_name)
+            if po is None:
+                raise UnknownPotentialObject(
+                    f"potential object {po_name!r} is not defined")
+            index = index_of(step_input, bound, workspace)
+            if not isinstance(index, Atom):
                 raise EvalTypeError(
-                    f"filter {fn.filter.name!r} applies to an (index, candidate) "
-                    f"pair, got {format_value(arg)}"
-                )
-            return run_filter(fn.filter, arg[0], arg[1], workspace)
-        if isinstance(fn, ShiftFn):
-            if not isinstance(arg, Atom):
-                raise EvalTypeError(
-                    f"shifted object {fn.po.name!r} applies to a candidate "
-                    f"element, got {format_value(arg)}"
-                )
-            return run_filter(fn.po.filter, fn.index, arg, workspace)
-        raise EvalTypeError(f"cannot apply non-function value {format_value(fn)}")
-    raise EvalTypeError(f"unknown expression node {expr!r}")
+                    f"index shift needs an index element, got {format_value(index)}")
+            if index not in po.index_domain:
+                raise IndexNotInDomain(
+                    f"{index.text!r} is not in domain {po.index_domain.name!r}")
+            return ShiftFn(po, index)
+    elif isinstance(expr, Apply):
+        fn_of = compile_expr(expr.fn, scope)
+        arg_of = compile_expr(expr.arg, scope)
+
+        # run_filter is read as a module global when the node runs, so a
+        # wrapper installed on dodl.diagrams.run_filter sees every call.
+        def run(step_input, bound, workspace):
+            fn = fn_of(step_input, bound, workspace)
+            arg = arg_of(step_input, bound, workspace)
+            if isinstance(fn, FilterFn):
+                if not (isinstance(arg, tuple) and len(arg) == 2
+                        and all(isinstance(a, Atom) for a in arg)):
+                    raise EvalTypeError(
+                        f"filter {fn.filter.name!r} applies to an (index, "
+                        f"candidate) pair, got {format_value(arg)}")
+                return run_filter(fn.filter, arg[0], arg[1], workspace)
+            if isinstance(fn, ShiftFn):
+                if not isinstance(arg, Atom):
+                    raise EvalTypeError(
+                        f"shifted object {fn.po.name!r} applies to a candidate "
+                        f"element, got {format_value(arg)}")
+                return run_filter(fn.po.filter, fn.index, arg, workspace)
+            raise EvalTypeError(f"cannot apply non-function value {format_value(fn)}")
+    else:
+        def run(step_input, bound, workspace):
+            if isinstance(expr, Var):
+                raise UnboundVariable(f"variable {expr.name!r} is not bound")
+            raise EvalTypeError(f"unknown expression node {expr!r}")
+    return run
+
+
+def eval_expr(expr: DiagramExpr, workspace, step_input: Value | None = None) -> Value:
+    """Evaluate a closed diagram expression once; see :func:`compile_expr`."""
+    return compile_expr(expr)(step_input, (), workspace)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +522,11 @@ def enumerate_entry(spec: DiagramSpec, workspace) -> list[Value]:
     return [(a, b) for a in pools[0] for b in pools[1]]
 
 
-def eval_path(steps: tuple[DiagramExpr, ...], entry: Value, workspace) -> Value:
-    """Fold the steps of one path over an entry value."""
+def eval_path(steps: tuple[Callable, ...], entry: Value, workspace) -> Value:
+    """Fold the compiled steps of one path over an entry value."""
     value = entry
     for step in steps:
-        value = eval_expr(step, Environment.empty(), workspace, step_input=value)
+        value = step(value, (), workspace)
     return value
 
 
@@ -554,16 +572,18 @@ def check_commutes(spec: DiagramSpec, inputs, workspace) -> CommutativityReport:
     raised, so the report is total over its input set.  Rows are ordered
     lexicographically by input.
     """
+    path_a = tuple(compile_expr(step) for step in spec.path_a)
+    path_b = tuple(compile_expr(step) for step in spec.path_b)
     rows = []
     for entry in sorted(inputs, key=value_order_key):
         value_a = value_b = None
         error_a = error_b = None
         try:
-            value_a = eval_path(spec.path_a, entry, workspace)
+            value_a = eval_path(path_a, entry, workspace)
         except DodlError as exc:
             error_a = f"{type(exc).__name__}: {exc}"
         try:
-            value_b = eval_path(spec.path_b, entry, workspace)
+            value_b = eval_path(path_b, entry, workspace)
         except DodlError as exc:
             error_b = f"{type(exc).__name__}: {exc}"
         rows.append(CommutativityRow(entry, value_a, value_b, error_a, error_b))

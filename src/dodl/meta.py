@@ -80,6 +80,8 @@ class ConceptRegistry:
 
     def __init__(self):
         self._concepts: dict[str, Concept] = {}
+        # Every name some registered concept lists as a parent.
+        self._named_parents: set[str] = set()
 
     def __eq__(self, other):
         return isinstance(other, ConceptRegistry) and \
@@ -109,18 +111,22 @@ class ConceptRegistry:
         if concept.name in self._concepts:
             raise DuplicateName(f"concept {concept.name!r} is already defined")
         self._concepts[concept.name] = concept
-        # Any cycle the addition closes passes through the new node, so
-        # walking parent edges from it alone finds one.
-        concepts = self._concepts
-        cycle = find_cycle(
-            (concept.name,),
-            lambda name: concepts[name].parents if name in concepts else (),
-        )
-        if cycle is not None:
-            del self._concepts[concept.name]
-            raise CycleDetected(
-                "concept inheritance cycle: " + " -> ".join(cycle)
+        # Any cycle the addition closes passes through the new node, and so
+        # through an edge into it: none exists unless a registered concept,
+        # the new one included, names it as a parent.  Walking parent edges
+        # from the new node alone then finds the cycle.
+        if concept.name in self._named_parents or concept.name in concept.parents:
+            concepts = self._concepts
+            cycle = find_cycle(
+                (concept.name,),
+                lambda name: concepts[name].parents if name in concepts else (),
             )
+            if cycle is not None:
+                del self._concepts[concept.name]
+                raise CycleDetected(
+                    "concept inheritance cycle: " + " -> ".join(cycle)
+                )
+        self._named_parents.update(concept.parents)
         return concept
 
     def derive(self, apo: str, dpo_name: str, overrides: dict[str, Atom]) -> Concept:
@@ -134,19 +140,21 @@ class ConceptRegistry:
         return self.add(Concept(dpo_name, (apo,), dict(overrides)))
 
     def ancestors(self, name: str) -> list[str]:
-        """Depth-first, declaration-order ancestor names, first visit kept."""
-        self.get(name)
+        """Depth-first, declaration-order ancestor names, first visit kept.
+
+        One parent iterator per concept on the path, on an explicit stack.
+        """
         out: list[str] = []
         seen = {name}
-
-        def visit(current: str):
-            for parent in self.get(current).parents:
-                if parent not in seen:
-                    seen.add(parent)
-                    out.append(parent)
-                    visit(parent)
-
-        visit(name)
+        pending = [iter(self.get(name).parents)]
+        while pending:
+            parent = next(pending[-1], None)
+            if parent is None:
+                pending.pop()
+            elif parent not in seen:
+                seen.add(parent)
+                out.append(parent)
+                pending.append(iter(self.get(parent).parents))
         return out
 
     def _lineage(self, name: str) -> list[str]:

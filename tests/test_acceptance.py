@@ -10,7 +10,7 @@ import time
 
 from conftest import TEACHING, teaches
 from dodl.cli import main
-from dodl.core import Environment, symbol
+from dodl.core import symbol
 from dodl.diagrams import (
     Apply,
     Const,
@@ -22,6 +22,8 @@ from dodl.diagrams import (
     Not,
     Pair,
     Snd,
+    Subst,
+    Var,
     check_commutes,
     enumerate_entry,
     eval_expr,
@@ -205,8 +207,14 @@ def test_criterion_6_projection_and_substitution_laws():
     for _ in range(200):
         a, b = symbol(rng.choice(words)), symbol(rng.choice(words))
         pair = Pair(Const(a), Const(b))
-        assert eval_expr(Fst(pair), Environment.empty(), empty_ws) == a
-        assert eval_expr(Snd(pair), Environment.empty(), empty_ws) == b
+        assert eval_expr(Fst(pair), empty_ws) == a
+        assert eval_expr(Snd(pair), empty_ws) == b
+        # subst binds for its target only, and an inner binding shadows.
+        swap = Subst("v", Pair(Input(), Var("v")), Fst(Input()))
+        assert eval_expr(swap, empty_ws, step_input=(a, b)) == ((a, b), a)
+        shadow = Subst("v", Pair(Subst("v", Var("v"), Const(b)), Var("v")),
+                       Const(a))
+        assert eval_expr(shadow, empty_ws) == (b, a)
 
     ws = load_teaching()
     f = ws.filters["TchFilter"]

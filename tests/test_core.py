@@ -1,13 +1,10 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dodl.core import (
     NUMERIC,
     SYMBOLIC,
     Atom,
     Domain,
-    Environment,
     Event,
     PotentialObject,
     Sort,
@@ -21,18 +18,10 @@ from dodl.errors import (
     IndexNotInDomain,
     ReservedCharacter,
     SortMismatch,
-    UnboundVariable,
 )
 
 NAME = Sort("Name", SYMBOLIC)
 H = Sort("H", NUMERIC)
-
-
-symbolic_atoms = st.text(
-    alphabet=st.sampled_from("abcdefghijABCDEFGHIJ"), min_size=1, max_size=8
-).map(symbol)
-numeric_atoms = st.integers(min_value=0, max_value=9999).map(number)
-atoms = st.one_of(symbolic_atoms, numeric_atoms)
 
 
 class TestAtom:
@@ -116,40 +105,6 @@ class TestDomain:
     def test_sorted_elements_are_deterministic(self):
         domain = Domain("Hours", H, [number(30), number(20), number(7)])
         assert [a.text for a in domain.sorted_elements()] == ["7", "20", "30"]
-
-
-class TestEnvironment:
-    def test_bind_from_empty(self):
-        env = Environment.empty().bind("x", symbol("Jones"))
-        assert env.lookup("x") == symbol("Jones")
-        assert env.stage == 1
-
-    def test_rebinding_makes_new_stage_and_keeps_original(self):
-        first = Environment.empty().bind("x", symbol("Jones"))
-        second = first.bind("x", symbol("Smith"))
-        assert second.lookup("x") == symbol("Smith")
-        assert second.stage == 2
-        assert first.lookup("x") == symbol("Jones")
-        assert first.stage == 1
-
-    def test_two_binds_compose(self):
-        env = Environment.empty().bind("idx", symbol("Logic")).bind("x", symbol("Doe"))
-        assert env.stage == 2
-        assert env.lookup("idx") == symbol("Logic")
-        assert env.lookup("x") == symbol("Doe")
-
-    def test_lookup_missing_raises(self):
-        with pytest.raises(UnboundVariable):
-            Environment.empty().lookup("x")
-
-    @given(atoms, atoms, st.sampled_from(["x", "y", "idx"]))
-    def test_bind_is_persistent(self, a, b, var):
-        env = Environment.empty().bind("seed", a)
-        before = dict(env.bindings)
-        out = env.bind(var, b)
-        assert env.bindings == before
-        assert out.stage == env.stage + 1
-        assert out.lookup(var) == b
 
 
 class TestObjects:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dodl.diagrams as diagrams
 from conftest import COURSES, TEACHERS, teaches
-from dodl.core import Environment, symbol
+from dodl.core import symbol
 from dodl.diagrams import (
     And,
     Apply,
@@ -33,15 +34,17 @@ from dodl.diagrams import (
     Var,
     Wildcard,
     check_commutes,
+    compile_expr,
     compile_predicate,
     enumerate_entry,
     eval_expr,
-    eval_predicate,
     run_filter,
+    value_order_key,
 )
 from dodl.errors import (
     ArityMismatch,
     DefinitionError,
+    DodlError,
     EvalTypeError,
     IndexNotInDomain,
     UnboundVariable,
@@ -49,11 +52,22 @@ from dodl.errors import (
 )
 from dodl.evolver import Workspace
 from dodl.relational import Relation
-from reference import outcome, reference_filter, reference_predicate
+from reference import (
+    lookup,
+    outcome,
+    reference_expr,
+    reference_filter,
+    reference_path,
+    reference_predicate,
+)
 from wsgen import gen_indexed_case, gen_workspace
 
-EMPTY = Environment.empty()
 
+
+def eval_predicate(pred, bindings, workspace) -> bool:
+    """Run the compiled predicate once over a dict of variable bindings."""
+    test = compile_predicate(pred, lambda name: lambda args: lookup(args, name))
+    return test(bindings, workspace)
 
 
 symbolic_atoms = st.text(
@@ -64,119 +78,156 @@ symbolic_atoms = st.text(
 class TestEvalExpr:
     def test_fst_projects_first(self, teaching_ws):
         expr = Fst(Pair(Const(symbol("Logic")), Const(symbol("Jones"))))
-        assert eval_expr(expr, EMPTY, teaching_ws) == symbol("Logic")
+        assert eval_expr(expr, teaching_ws) == symbol("Logic")
 
     def test_apply_filter_accepts_assigned_pair(self, teaching_ws):
         expr = Apply(FilterRef("TchFilter"),
                      Pair(Const(symbol("Logic")), Const(symbol("Johnes"))))
-        assert eval_expr(expr, EMPTY, teaching_ws) is True
+        assert eval_expr(expr, teaching_ws) is True
 
     def test_apply_filter_rejects_unassigned_pair(self, teaching_ws):
         # Independent check first: no (Logic, Doe, _) assignment row exists.
         assert not teaches("Logic", "Doe")
         expr = Apply(FilterRef("TchFilter"),
                      Pair(Const(symbol("Logic")), Const(symbol("Doe"))))
-        assert eval_expr(expr, EMPTY, teaching_ws) is False
+        assert eval_expr(expr, teaching_ws) is False
 
     def test_var_reads_environment(self, teaching_ws):
-        env = EMPTY.bind("x", symbol("Doe"))
-        assert eval_expr(Var("x"), env, teaching_ws) == symbol("Doe")
-        with pytest.raises(UnboundVariable):
-            eval_expr(Var("y"), env, teaching_ws)
+        expr = Subst("x", Pair(Var("x"), Var("y")), Const(symbol("Doe")))
+        assert eval_expr(Subst("y", expr, Const(symbol("Smith"))),
+                         teaching_ws) == (symbol("Doe"), symbol("Smith"))
+        with pytest.raises(UnboundVariable, match="variable 'y' is not bound"):
+            eval_expr(expr, teaching_ws)
 
     def test_fst_of_non_pair_is_a_type_error(self, teaching_ws):
         with pytest.raises(EvalTypeError):
-            eval_expr(Fst(Const(symbol("Logic"))), EMPTY, teaching_ws)
+            eval_expr(Fst(Const(symbol("Logic"))), teaching_ws)
 
     def test_id_arrow_passes_through(self, teaching_ws):
         expr = IdArrow(Const(symbol("Smith")))
-        assert eval_expr(expr, EMPTY, teaching_ws) == symbol("Smith")
+        assert eval_expr(expr, teaching_ws) == symbol("Smith")
 
     def test_subst_binds_in_child_environment_only(self, teaching_ws):
-        env = EMPTY.bind("a", symbol("Logic"))
-        expr = Subst("x", Var("x"), Const(symbol("Jones")))
-        assert eval_expr(expr, env, teaching_ws) == symbol("Jones")
-        assert env.stage == 1
-        assert "x" not in env
+        # The binding reaches the target only: not the value, not a sibling.
+        inner = Subst("x", Var("x"), Const(symbol("Jones")))
+        for leak in (Pair(inner, Var("x")), Subst("x", Var("x"), Var("x"))):
+            with pytest.raises(UnboundVariable, match="variable 'x' is not bound"):
+                eval_expr(leak, teaching_ws)
+        assert eval_expr(inner, teaching_ws) == symbol("Jones")
 
     def test_subst_value_must_be_an_element(self, teaching_ws):
         expr = Subst("x", Var("x"),
                      Pair(Const(symbol("a")), Const(symbol("b"))))
         with pytest.raises(EvalTypeError):
-            eval_expr(expr, EMPTY, teaching_ws)
+            eval_expr(expr, teaching_ws)
 
     def test_index_shift_curries_the_potential_object(self, teaching_ws):
-        shifted = eval_expr(IndexShift("Tch", Const(symbol("Logic"))),
-                            EMPTY, teaching_ws)
+        shifted = eval_expr(IndexShift("Tch", Const(symbol("Logic"))), teaching_ws)
         assert isinstance(shifted, ShiftFn)
         applied = eval_expr(
             Apply(IndexShift("Tch", Const(symbol("Logic"))),
                   Const(symbol("Smith"))),
-            EMPTY, teaching_ws,
+            teaching_ws,
         )
         assert applied is True
 
     def test_index_shift_checks_the_index_domain(self, teaching_ws):
         expr = IndexShift("Tch", Const(symbol("Algebra")))
         with pytest.raises(IndexNotInDomain):
-            eval_expr(expr, EMPTY, teaching_ws)
+            eval_expr(expr, teaching_ws)
 
     def test_apply_of_non_function_is_a_type_error(self, teaching_ws):
         expr = Apply(Const(symbol("Logic")), Const(symbol("Doe")))
         with pytest.raises(EvalTypeError):
-            eval_expr(expr, EMPTY, teaching_ws)
+            eval_expr(expr, teaching_ws)
 
     def test_input_outside_a_path_is_a_type_error(self, teaching_ws):
         with pytest.raises(EvalTypeError):
-            eval_expr(Input(), EMPTY, teaching_ws)
+            eval_expr(Input(), teaching_ws)
 
     @given(symbolic_atoms, symbolic_atoms)
     def test_projection_laws(self, a, b):
         ws = Workspace.empty()
         pair = Pair(Const(a), Const(b))
-        assert eval_expr(Fst(pair), EMPTY, ws) == a
-        assert eval_expr(Snd(pair), EMPTY, ws) == b
+        assert eval_expr(Fst(pair), ws) == a
+        assert eval_expr(Snd(pair), ws) == b
+
+
+class TestSubstScope:
+    """A Subst binds its variable for its target only; a Var reads its
+    innermost binder and raises, when it runs, if it has none."""
+
+    def test_a_subst_binds_its_variable(self, teaching_ws):
+        expr = Subst("x", Var("x"), Const(symbol("Jones")))
+        assert eval_expr(expr, teaching_ws) == symbol("Jones")
+
+    def test_an_inner_subst_shadows_and_the_outer_binding_returns(self, teaching_ws):
+        inner = Subst("x", Var("x"), Const(symbol("Smith")))
+        expr = Subst("x", Pair(inner, Var("x")), Const(symbol("Jones")))
+        assert eval_expr(expr, teaching_ws) == (symbol("Smith"), symbol("Jones"))
+
+    def test_nested_substs_bind_distinct_slots(self, teaching_ws):
+        expr = Subst("idx", Subst("x", Pair(Var("idx"), Var("x")),
+                                  Const(symbol("Doe"))),
+                     Const(symbol("Logic")))
+        assert eval_expr(expr, teaching_ws) == (symbol("Logic"), symbol("Doe"))
+
+    def test_an_unbound_variable_raises_when_it_runs(self, teaching_ws):
+        run = compile_expr(Pair(Fst(Input()), Var("x")))
+        with pytest.raises(EvalTypeError, match="fst of a non-pair value Logic"):
+            run(symbol("Logic"), (), teaching_ws)
+        with pytest.raises(UnboundVariable, match="variable 'x' is not bound"):
+            run((symbol("Logic"), symbol("Doe")), (), teaching_ws)
+
+    @given(symbolic_atoms, symbolic_atoms, st.sampled_from(["x", "y", "seed"]))
+    def test_a_binding_never_escapes_its_target(self, a, b, var):
+        ws = Workspace.empty()
+        inner = Subst(var, Var(var), Const(b))
+        expr = Subst("seed", Pair(inner, Var("seed")), Const(a))
+        assert eval_expr(expr, ws) == (b, a)
+        assert outcome(lambda: eval_expr(Pair(inner, Var(var)), ws)) == \
+            (UnboundVariable, f"variable {var!r} is not bound")
 
 
 class TestEvalPredicate:
     def test_member_with_bound_variables(self, teaching_ws):
         pred = Member("Relationship1", (Var("idx"), Var("x"), Wildcard()))
-        env = EMPTY.bind("idx", symbol("Logic")).bind("x", symbol("Smith"))
-        assert eval_predicate(pred, env, teaching_ws) is True
+        bindings = {"idx": symbol("Logic"), "x": symbol("Smith")}
+        assert eval_predicate(pred, bindings, teaching_ws) is True
 
     def test_member_scans_all_rows(self, teaching_ws):
         assert not teaches("Informatics", "Smith")
         pred = Member("Relationship1", (Var("idx"), Var("x"), Wildcard()))
-        env = EMPTY.bind("idx", symbol("Informatics")).bind("x", symbol("Smith"))
-        assert eval_predicate(pred, env, teaching_ws) is False
+        bindings = {"idx": symbol("Informatics"), "x": symbol("Smith")}
+        assert eval_predicate(pred, bindings, teaching_ws) is False
 
     def test_boolean_identities(self, teaching_ws):
         assert eval_predicate(And(TruePred(), Not(FalsePred())),
-                              EMPTY, teaching_ws) is True
+                              {}, teaching_ws) is True
         assert eval_predicate(Or(FalsePred(), FalsePred()),
-                              EMPTY, teaching_ws) is False
+                              {}, teaching_ws) is False
 
     def test_eq_compares_atoms(self, teaching_ws):
-        env = EMPTY.bind("x", symbol("Doe"))
+        bindings = {"x": symbol("Doe")}
         assert eval_predicate(Eq(Var("x"), Const(symbol("Doe"))),
-                              env, teaching_ws) is True
+                              bindings, teaching_ws) is True
         assert eval_predicate(Eq(Var("x"), Const(symbol("Smith"))),
-                              env, teaching_ws) is False
+                              bindings, teaching_ws) is False
 
     def test_unknown_relation(self, teaching_ws):
         pred = Member("Nowhere", (Wildcard(),))
         with pytest.raises(UnknownRelation):
-            eval_predicate(pred, EMPTY, teaching_ws)
+            eval_predicate(pred, {}, teaching_ws)
 
     def test_pattern_arity_checked(self, teaching_ws):
         pred = Member("Relationship1", (Wildcard(), Wildcard()))
         with pytest.raises(ArityMismatch):
-            eval_predicate(pred, EMPTY, teaching_ws)
+            eval_predicate(pred, {}, teaching_ws)
 
     def test_unbound_variable_propagates(self, teaching_ws):
         pred = Member("Relationship1", (Var("idx"), Wildcard(), Wildcard()))
         with pytest.raises(UnboundVariable):
-            eval_predicate(pred, EMPTY, teaching_ws)
+            eval_predicate(pred, {}, teaching_ws)
 
     def test_errors_are_raised_before_the_probe(self, teaching_ws, monkeypatch):
         def probe(self, positions):
@@ -190,7 +241,7 @@ class TestEvalPredicate:
              UnboundVariable),
         ]:
             with pytest.raises(error):
-                eval_predicate(pred, EMPTY, teaching_ws)
+                eval_predicate(pred, {}, teaching_ws)
 
 
 class TestRunFilter:
@@ -283,7 +334,7 @@ class TestCompiledFilter:
                     run_filter(f, symbol("Logic"), symbol("Smith"), teaching_ws)
 
     def test_errors_are_raised_when_the_node_runs(self, teaching_ws):
-        env = EMPTY.bind("x", symbol("Smith"))
+        bindings = {"x": symbol("Smith")}
         for pred, error in [
             (Member("Missing", (Var("x"),)), UnknownRelation),
             (Member("Relationship1", (Var("x"),)), ArityMismatch),
@@ -292,10 +343,10 @@ class TestCompiledFilter:
             (Eq(Wildcard(), Var("x")), EvalTypeError),
             (Eq(Var("x"), Var("y")), UnboundVariable),
         ]:
-            test = compile_predicate(pred, lambda name: lambda env: env.lookup(name))
+            test = compile_predicate(pred, lambda name: lambda args: lookup(args, name))
             with pytest.raises(error) as raised:
-                test(env, teaching_ws)
-            assert outcome(lambda: reference_predicate(pred, env, teaching_ws)) \
+                test(bindings, teaching_ws)
+            assert outcome(lambda: reference_predicate(pred, bindings, teaching_ws)) \
                 == (error, str(raised.value))
 
     def test_compiled_body_is_kept_and_invisible(self, teaching_ws):
@@ -309,6 +360,134 @@ class TestCompiledFilter:
         assert fresh._test is None
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
+
+
+VARIABLES = ("u", "v", "w")
+
+
+def random_expr(rng, ws, depth, scope=()):
+    """A random diagram expression over ``ws``, well typed or not.
+
+    Leaves and nodes are drawn so that every error of the evaluator shows
+    up often: ``fst`` of an atom, ``apply`` of a non-function, unbound
+    variables, ``subst`` of a pair, a shift to an index outside its domain,
+    unknown filters and potential objects, and an unknown node.  ``scope``
+    holds the variables the enclosing ``subst`` nodes bind; a ``var`` or a
+    ``subst`` picks one of them half the time, so shadowed bindings are
+    read often.
+    """
+    atoms = sorted(set().union(*(d.elements for d in ws.domains.values())),
+                   key=lambda a: a.order_key()) or [symbol("Alone")]
+
+    def variable():
+        return rng.choice(scope if scope and rng.random() < 0.5 else VARIABLES)
+
+    def filter_name():
+        return "Ghost" if rng.random() < 0.05 else rng.choice(sorted(ws.filters))
+
+    def po_name():
+        names = sorted(ws.potentials)
+        return "Ghost" if not names or rng.random() < 0.05 else rng.choice(names)
+
+    def subst(value):
+        var = variable()
+        return Subst(var, random_expr(rng, ws, depth - 1, scope + (var,)), value)
+
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.01:
+            return Wildcard()  # not a diagram expression
+        return rng.choice([
+            lambda: Const(rng.choice(atoms)),
+            lambda: Var(variable()),
+            Input,
+            Input,
+            lambda: FilterRef(filter_name()),
+        ])()
+    sub = lambda: random_expr(rng, ws, depth - 1, scope)  # noqa: E731
+    return rng.choice([
+        lambda: Pair(sub(), sub()),
+        lambda: Fst(sub()),
+        lambda: Snd(sub()),
+        lambda: IdArrow(sub()),
+        lambda: subst(sub()),
+        lambda: subst(Const(rng.choice(atoms))),
+        lambda: Apply(sub(), sub()),
+        lambda: Apply(FilterRef(filter_name()),
+                      Pair(Const(rng.choice(atoms)), sub())),
+        lambda: Apply(IndexShift(po_name(), sub()), sub()),
+        lambda: IndexShift(po_name(), Const(rng.choice(atoms))),
+    ])()
+
+
+def random_input(rng, ws):
+    """A step input: none (outside a path), an atom, a truth value or a pair."""
+    atoms = sorted(set().union(*(d.elements for d in ws.domains.values())),
+                   key=lambda a: a.order_key()) or [symbol("Alone")]
+    single = lambda: rng.choice(atoms + [True, False])  # noqa: E731
+    return rng.choice([None, single(), (single(), single()),
+                       (rng.choice(atoms), rng.choice(atoms))])
+
+
+def reference_cell(path, entry, workspace):
+    """One path's (value, error) at one entry, as a report row holds them."""
+    try:
+        return reference_path(path, entry, workspace), None
+    except DodlError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+class TestCompiledExpr:
+    """``compile_expr`` against the tree walk in ``tests/reference.py``:
+    the same value, or the same error type and message, at every node."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_trees_equal_the_reference(self, seed):
+        rng = random.Random(seed)
+        ws = gen_workspace(rng)
+        for variant in error_variants(ws, rng):
+            for _ in range(15):
+                expr = random_expr(rng, variant, rng.randint(1, 5))
+                run = compile_expr(expr)
+                for _ in range(4):
+                    step_input = random_input(rng, variant)
+                    assert outcome(lambda: run(step_input, (), variant)) == \
+                        outcome(lambda: reference_expr(expr, {}, variant,
+                                                       step_input)), expr
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_wsgen_diagrams_equal_the_reference_at_every_entry(self, seed):
+        rng = random.Random(seed)
+        ws = gen_workspace(rng)
+        for variant in error_variants(ws, rng):
+            for spec in variant.diagrams.values():
+                inputs = enumerate_entry(spec, variant)
+                report = check_commutes(spec, inputs, variant)
+                assert [row.input for row in report.rows] == \
+                    sorted(inputs, key=value_order_key)
+                for row in report.rows:
+                    assert (row.value_a, row.error_a) == \
+                        reference_cell(spec.path_a, row.input, variant)
+                    assert (row.value_b, row.error_b) == \
+                        reference_cell(spec.path_b, row.input, variant)
+
+    def test_shadowed_and_unbound_variables(self, teaching_ws):
+        logic, doe = symbol("Logic"), symbol("Doe")
+        for expr, expected in [
+            (Subst("v", Subst("v", Var("v"), Const(doe)), Const(logic)), doe),
+            (Subst("v", Subst("v", Var("v"), Var("v")), Const(logic)), logic),
+            (Subst("v", Pair(Subst("w", Var("v"), Const(doe)), Var("v")),
+                   Const(logic)), (logic, logic)),
+            (Subst("v", Var("w"), Const(logic)),
+             (UnboundVariable, "variable 'w' is not bound")),
+            (Subst("v", Var("v"), Pair(Input(), Input())),
+             (EvalTypeError, "substitution for 'v' needs an element, "
+                             "got (Doe, Doe)")),
+        ]:
+            got = outcome(lambda: compile_expr(expr)(doe, (), teaching_ws))
+            assert got == expected == outcome(
+                lambda: reference_expr(expr, {}, teaching_ws, doe))
 
 
 class TestCheckCommutes:
@@ -379,6 +558,23 @@ class TestCheckCommutes:
         report = check_commutes(spec, reversed(inputs), teaching_ws)
         texts = [(row.input[0].text, row.input[1].text) for row in report.rows]
         assert texts == sorted(texts)
+
+    def test_paths_compile_once_per_call(self, teaching_ws, monkeypatch):
+        compiled = []
+        original = diagrams.compile_expr
+
+        def counting(expr, scope=()):
+            compiled.append(expr)
+            return original(expr, scope)
+
+        monkeypatch.setattr(diagrams, "compile_expr", counting)
+        spec = teaching_ws.diagrams["Fig4"]
+        check_commutes(spec, [], teaching_ws)
+        per_call = len(compiled)
+        report = check_commutes(spec, enumerate_entry(spec, teaching_ws),
+                                teaching_ws)
+        assert report.total == 8
+        assert len(compiled) == 2 * per_call > 0
 
     def test_report_is_a_value(self, teaching_ws):
         spec = teaching_ws.diagrams["Fig4"]

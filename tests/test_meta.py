@@ -300,6 +300,74 @@ class TestCycleFinder:
         ]
 
 
+def recursive_ancestors(registry: ConceptRegistry, name: str) -> list[str]:
+    """``ConceptRegistry.ancestors`` as it was written before, recursive:
+    the oracle for the order of the iterative walk."""
+    registry.get(name)
+    out: list[str] = []
+    seen = {name}
+
+    def visit(current: str):
+        for parent in registry.get(current).parents:
+            if parent not in seen:
+                seen.add(parent)
+                out.append(parent)
+                visit(parent)
+
+    visit(name)
+    return out
+
+
+def outcome(call):
+    try:
+        return call()
+    except (UnknownConcept, UnknownAttribute) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def random_dags(draw):
+    """Concepts K0..Kn whose parents come from earlier names (and, now and
+    then, an unregistered one), declared in a random order."""
+    size = draw(st.integers(min_value=1, max_value=10))
+    names = [f"K{i}" for i in range(size)]
+    concepts = []
+    for i, name in enumerate(names):
+        pool = names[:i] + ["Ghost"]
+        parents = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+        attributes = draw(st.dictionaries(st.sampled_from("ab"),
+                                          st.integers(0, 9).map(number)))
+        concepts.append(Concept(name, tuple(parents), attributes,
+                                events=(f"e{i % 3}",)))
+    return draw(st.permutations(concepts))
+
+
+class TestLineage:
+    @settings(max_examples=300, deadline=None)
+    @given(random_dags())
+    def test_ancestors_equal_the_recursive_walk(self, concepts):
+        registry = ConceptRegistry()
+        for concept in concepts:
+            registry.add(concept)
+        for name in registry.names():
+            assert outcome(lambda: registry.ancestors(name)) == \
+                outcome(lambda: recursive_ancestors(registry, name))
+
+    def test_a_deep_chain_declared_parent_first(self):
+        depth = 1200
+        started = time.monotonic()
+        registry = ConceptRegistry()
+        registry.add(Concept("N0", own_attributes={"a": symbol("root")},
+                             events=("e",)))
+        for i in range(1, depth):
+            registry.add(Concept(f"N{i}", (f"N{i - 1}",)))
+        assert time.monotonic() - started < 0.2
+        last = f"N{depth - 1}"
+        assert registry.resolve_attribute(last, "a") == symbol("root")
+        assert registry.ancestors(last) == [f"N{i}" for i in reversed(range(depth - 1))]
+        assert registry.effective_events(last) == ["e"]
+
+
 class TestConceptValue:
     def test_collections_are_normalized(self):
         a = Concept("X", events=("b", "a"), menus=(("M2", "e"), ("M1", "e")))

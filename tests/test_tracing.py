@@ -10,8 +10,8 @@ import importlib.util
 from pathlib import Path
 
 import dodl.cli
-from dodl.core import Environment, symbol
-from dodl.diagrams import Apply, Const, FilterRef, Pair, eval_expr
+from dodl.core import symbol
+from dodl.diagrams import Apply, Const, FilterRef, Input, Pair, compile_expr
 from dodl.evolver import derive_actual
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -58,11 +58,14 @@ def test_derive_actual_runs_the_filter_once_per_candidate(teaching_ws,
 
 
 def test_apply_runs_the_filter_through_diagrams(teaching_ws, monkeypatch):
+    # Compiled before the wrapper is installed: the compiled Apply must
+    # still look run_filter up when it runs.
+    run = compile_expr(Apply(FilterRef("TchFilter"),
+                             Pair(Const(symbol("Logic")), Input())))
     calls = counting(monkeypatch, "dodl.diagrams.run_filter")
-    expr = Apply(FilterRef("TchFilter"),
-                 Pair(Const(symbol("Logic")), Const(symbol("Johnes"))))
-    assert eval_expr(expr, Environment.empty(), teaching_ws) is True
-    assert len(calls) == 1
+    assert run(symbol("Johnes"), (), teaching_ws) is True
+    assert run(symbol("Doe"), (), teaching_ws) is False
+    assert len(calls) == 2
 
 
 def test_a_demo_pass_reaches_every_boundary(teaching_dir, capsys):
