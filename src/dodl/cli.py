@@ -18,11 +18,12 @@ from .diagrams import (
     enumerate_entry,
     format_value,
 )
-from .errors import DodlError, UnknownDiagram, UnknownPotentialObject
+from .errors import DodlError, not_defined
 from .evolver import (
     Query,
     apply_evolvent,
     derive_actual,
+    get_potential,
     materialize_functor,
     run_script,
     trigger,
@@ -190,7 +191,7 @@ def _cmd_check(args, result) -> int:
     state = result.exchange.state
     spec = state.diagrams.get(args.diagram)
     if spec is None:
-        raise UnknownDiagram(f"diagram {args.diagram!r} is not defined")
+        raise not_defined("diagram", args.diagram)
     report = check_commutes(spec, enumerate_entry(spec, state), state)
     if args.format == "tsv":
         for row in report.rows:
@@ -214,11 +215,7 @@ def _cmd_check(args, result) -> int:
 
 def _cmd_oracle_diff(args, result) -> int:
     state = result.exchange.state
-    po = state.potentials.get(args.po)
-    if po is None:
-        raise UnknownPotentialObject(
-            f"potential object {args.po!r} is not defined"
-        )
+    po = get_potential(state, args.po)
     relation, index_attr, target_attr = oracle_route(po, state.relations)
     rows = []
     all_equal = True

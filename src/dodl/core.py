@@ -143,10 +143,12 @@ class Event:
 
     def __post_init__(self):
         if self.index_atom not in self.index_domain:
-            raise IndexNotInDomain(
-                f"{self.index_atom.text!r} is not in domain "
-                f"{self.index_domain.name!r}"
-            )
+            raise not_in_domain(self.index_atom, self.index_domain)
+
+
+def not_in_domain(atom: Atom, domain: Domain) -> IndexNotInDomain:
+    """The error for an index atom outside the domain it must come from."""
+    return IndexNotInDomain(f"{atom.text!r} is not in domain {domain.name!r}")
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,15 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
-from .core import Atom, Domain, PotentialObject
+from .core import Atom, Domain, PotentialObject, not_in_domain
 from .errors import (
     ArityMismatch,
     DefinitionError,
     DodlError,
     EvalTypeError,
-    IndexNotInDomain,
     UnboundVariable,
     UnknownDomain,
-    UnknownFilter,
-    UnknownPotentialObject,
-    UnknownRelation,
+    not_defined,
 )
 
 # ---------------------------------------------------------------------------
@@ -326,6 +323,14 @@ def _compile_term(term: Term, slot) -> Callable:
     return wildcard
 
 
+def arity_mismatch(relation: str, arity: int,
+                   relation_arity: int) -> ArityMismatch:
+    """The error for a pattern of ``arity`` terms against a relation of
+    ``relation_arity`` attributes."""
+    return ArityMismatch(f"pattern of arity {arity} against relation "
+                         f"{relation!r} of arity {relation_arity}")
+
+
 def _compile_member(pred: Member, slot) -> Callable:
     name = pred.relation
     arity = len(pred.pattern)
@@ -338,12 +343,9 @@ def _compile_member(pred: Member, slot) -> Callable:
     def member(args, workspace):
         relation = workspace.relations.get(name)
         if relation is None:
-            raise UnknownRelation(f"relation {name!r} is not defined")
+            raise not_defined("relation", name)
         if arity != relation.arity:
-            raise ArityMismatch(
-                f"pattern of arity {arity} against relation "
-                f"{relation.name!r} of arity {relation.arity}"
-            )
+            raise arity_mismatch(relation.name, arity, relation.arity)
         key = tuple([value(args) for value in getters])
         return key in relation.probe_index(positions)
     return member
@@ -420,7 +422,7 @@ def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
         def run(step_input, bound, workspace):
             f = workspace.filters.get(name)
             if f is None:
-                raise UnknownFilter(f"filter {name!r} is not defined")
+                raise not_defined("filter", name)
             return FilterFn(f)
     elif isinstance(expr, IndexShift):
         po_name = expr.po_name
@@ -429,15 +431,13 @@ def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
         def run(step_input, bound, workspace):
             po = workspace.potentials.get(po_name)
             if po is None:
-                raise UnknownPotentialObject(
-                    f"potential object {po_name!r} is not defined")
+                raise not_defined("potential object", po_name)
             index = index_of(step_input, bound, workspace)
             if not isinstance(index, Atom):
                 raise EvalTypeError(
                     f"index shift needs an index element, got {format_value(index)}")
             if index not in po.index_domain:
-                raise IndexNotInDomain(
-                    f"{index.text!r} is not in domain {po.index_domain.name!r}")
+                raise not_in_domain(index, po.index_domain)
             return ShiftFn(po, index)
     elif isinstance(expr, Apply):
         fn_of = compile_expr(expr.fn, scope)

@@ -108,3 +108,23 @@ class ScriptError(DodlError):
         self.script = script
         self.step = step
         self.cause = cause
+
+
+# The error each kind of declared name raises when a reference to it finds
+# no declaration; the keys are the words messages use for the kinds.
+UNKNOWN_NAME = {
+    "sort": UnknownSort,
+    "domain": UnknownDomain,
+    "relation": UnknownRelation,
+    "filter": UnknownFilter,
+    "potential object": UnknownPotentialObject,
+    "concept": UnknownConcept,
+    "diagram": UnknownDiagram,
+    "script": UnknownScript,
+    "evolvent": UnknownEvolvent,
+}
+
+
+def not_defined(kind: str, name: str) -> DodlError:
+    """The error for a reference to a ``kind`` name that nothing declares."""
+    return UNKNOWN_NAME[kind](f"{kind} {name!r} is not defined")

@@ -17,10 +17,8 @@ from .errors import (
     DefinitionError,
     DodlError,
     ScriptError,
-    UnknownEvolvent,
-    UnknownPotentialObject,
     UnknownRequestKind,
-    UnknownScript,
+    not_defined,
 )
 from .meta import ConceptRegistry
 from .relational import Relation, RelExpr, eval_query
@@ -83,29 +81,18 @@ class Workspace:
 
     def declarations_equal(self, other: "Workspace") -> bool:
         """Equality of the declared registries, ignoring derivation state."""
-        return (
-            self.sorts == other.sorts
-            and self.domains == other.domains
-            and self.relations == other.relations
-            and self.filters == other.filters
-            and self.potentials == other.potentials
-            and self.concepts == other.concepts
-            and self.diagrams == other.diagrams
-            and self.scripts == other.scripts
-            and self.evolvents == other.evolvents
-        )
+        return dataclasses.replace(self, ao_library={}, stage=0) == \
+            dataclasses.replace(other, ao_library={}, stage=0)
 
 
 # ---------------------------------------------------------------------------
 # Derivation
 
 
-def _get_potential(state: Workspace, po_name: str) -> PotentialObject:
+def get_potential(state: Workspace, po_name: str) -> PotentialObject:
     po = state.potentials.get(po_name)
     if po is None:
-        raise UnknownPotentialObject(
-            f"potential object {po_name!r} is not defined"
-        )
+        raise not_defined("potential object", po_name)
     return po
 
 
@@ -126,14 +113,14 @@ def trigger(state: Workspace, po_name: str, index: Atom) -> tuple[Workspace, Act
     Re-triggering the same (object, index) replaces the stored entry and
     still advances the stage.
     """
-    po = _get_potential(state, po_name)
+    po = get_potential(state, po_name)
     ao = derive_actual(state, po, index)
     return state.with_actual(ao), ao
 
 
 def materialize_functor(state: Workspace, po_name: str) -> dict[Atom, ActualObject]:
     """Preview the whole index -> actual object map; state is unchanged."""
-    po = _get_potential(state, po_name)
+    po = get_potential(state, po_name)
     return {
         index: derive_actual(state, po, index)
         for index in po.index_domain.sorted_elements()
@@ -144,7 +131,7 @@ def run_script(state: Workspace, script_name: str) -> Workspace:
     """Fold trigger over the script's steps; all-or-nothing."""
     script = state.scripts.get(script_name)
     if script is None:
-        raise UnknownScript(f"script {script_name!r} is not defined")
+        raise not_defined("script", script_name)
     current = state
     for position, (po_name, index) in enumerate(script.steps, start=1):
         try:
@@ -166,7 +153,7 @@ def apply_evolvent(state: Workspace, evolvent_name: str) -> Workspace:
         name = pending.pop()
         evolvent = state.evolvents.get(name)
         if evolvent is None:
-            raise UnknownEvolvent(f"evolvent {name!r} is not defined")
+            raise not_defined("evolvent", name)
         if evolvent.kind == SCRIPT:
             current = run_script(current, evolvent.script)
         elif evolvent.kind == COMPOSED:

@@ -51,7 +51,10 @@ class Token(NamedTuple):
         return repr(self.text)
 
 
-def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
+def tokenize(text: str,
+             path: str | None = None) -> tuple[list[Token], list[Diagnostic]]:
+    """The tokens of ``text``, ending in an EOF token, and a diagnostic,
+    naming ``path``, for each character no token may hold."""
     tokens: list[Token] = []
     errors: list[Diagnostic] = []
     append = tokens.append
@@ -75,7 +78,7 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
             else:
                 message = "names may not begin with '_'"
             errors.append(Diagnostic(
-                message, line, start - line_start + 1, start, end,
+                message, line, start - line_start + 1, start, end, (), path,
             ))
 
     n = len(text)

@@ -12,16 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..core import Domain, PotentialObject, Sort
+from ..core import Domain, PotentialObject, Sort, not_in_domain
 from ..diagrams import (
     DiagramSpec,
     Filter,
     Shape,
+    arity_mismatch,
     check_commutes,
     enumerate_entry,
     expr_free_vars,
 )
-from ..errors import CycleDetected, DodlError
+from ..errors import CycleDetected, DodlError, not_defined
 from ..evolver import (
     EventScript,
     Evolvent,
@@ -45,23 +46,27 @@ from .syntax import (
     FilterDecl,
     PotentialDecl,
     QueryCmd,
+    Ref,
     RelationDecl,
     ScriptDecl,
+    ShapePart,
     SortDecl,
     SourceUnit,
     TriggerCmd,
 )
 
+# Each namespace of declared names: its declaration, the word messages use
+# for it, and the Workspace field that holds what it declares.
 _NAMESPACES = (
-    (SortDecl, "sort"),
-    (DomainDecl, "domain"),
-    (RelationDecl, "relation"),
-    (FilterDecl, "filter"),
-    (PotentialDecl, "potential object"),
-    (ConceptDecl, "concept"),
-    (DiagramDecl, "diagram"),
-    (ScriptDecl, "script"),
-    (EvolventDecl, "evolvent"),
+    (SortDecl, "sort", "sorts"),
+    (DomainDecl, "domain", "domains"),
+    (RelationDecl, "relation", "relations"),
+    (FilterDecl, "filter", "filters"),
+    (PotentialDecl, "potential object", "potentials"),
+    (ConceptDecl, "concept", "concepts"),
+    (DiagramDecl, "diagram", "diagrams"),
+    (ScriptDecl, "script", "scripts"),
+    (EvolventDecl, "evolvent", "evolvents"),
 )
 
 
@@ -91,7 +96,7 @@ class _Builder:
         self.diagnostics: list[Diagnostic] = []
         self.notes: list[str] = []
         self.decls: dict[type, dict[str, object]] = {
-            cls: {} for cls, _ in _NAMESPACES
+            cls: {} for cls, _, _ in _NAMESPACES
         }
 
     # -- helpers -------------------------------------------------------------
@@ -104,31 +109,38 @@ class _Builder:
             message, span.line, span.col, span.start, span.end, (), span.path,
         ))
 
+    def resolve(self, ref: Ref | ShapePart, names, kind: str) -> bool:
+        """Whether ``names`` (a registry or a set of names) holds the name
+        ``ref`` gives; if not, a diagnostic at ``ref`` says so."""
+        if ref.name in names:
+            return True
+        self.complain(ref, str(not_defined(kind, ref.name)))
+        return False
+
+    def resolve_event(self, po_ref: Ref, index, potentials) -> bool:
+        """Whether ``po_ref`` names a potential object whose index domain
+        holds ``index``; if not, a diagnostic at ``po_ref`` says why."""
+        if not self.resolve(po_ref, potentials, "potential object"):
+            return False
+        domain = potentials[po_ref.name].index_domain
+        if index in domain:
+            return True
+        self.complain(po_ref, str(not_in_domain(index, domain)))
+        return False
+
     # -- pass 1: collect names -------------------------------------------------
 
     def collect(self):
-        base_names = {
-            SortDecl: set(self.base.sorts),
-            DomainDecl: set(self.base.domains),
-            RelationDecl: set(self.base.relations),
-            FilterDecl: set(self.base.filters),
-            PotentialDecl: set(self.base.potentials),
-            ConceptDecl: set(name for name in self.base.concepts.names()),
-            DiagramDecl: set(self.base.diagrams),
-            ScriptDecl: set(self.base.scripts),
-            EvolventDecl: set(self.base.evolvents),
-        }
-        kind_word = dict(_NAMESPACES)
+        namespace = {cls: (kind, field) for cls, kind, field in _NAMESPACES}
         for unit in self.units:
             for stmt in unit.statements:
                 cls = type(stmt)
-                if cls not in self.decls:
+                if cls not in namespace:
                     continue
+                kind, field = namespace[cls]
                 name = stmt.name.name
-                if name in self.decls[cls] or name in base_names[cls]:
-                    self.complain(
-                        stmt, f"{kind_word[cls]} {name!r} is already defined"
-                    )
+                if name in self.decls[cls] or name in getattr(self.base, field):
+                    self.complain(stmt, f"{kind} {name!r} is already defined")
                 else:
                     self.decls[cls][name] = stmt
 
@@ -141,12 +153,10 @@ class _Builder:
 
         domains = dict(self.base.domains)
         for name, decl in self.decls[DomainDecl].items():
-            sort = sorts.get(decl.sort.name)
-            if sort is None:
-                self.complain(decl.sort, f"sort {decl.sort.name!r} is not defined")
+            if not self.resolve(decl.sort, sorts, "sort"):
                 continue
             try:
-                domain = Domain(name, sort, frozenset(decl.atoms))
+                domain = Domain(name, sorts[decl.sort.name], frozenset(decl.atoms))
             except DodlError as exc:
                 self.complain(decl, str(exc))
                 continue
@@ -159,19 +169,10 @@ class _Builder:
 
         relations = dict(self.base.relations)
         for name, decl in self.decls[RelationDecl].items():
-            schema = []
-            bad = False
-            for attr, sort_ref in decl.attributes:
-                sort = sorts.get(sort_ref.name)
-                if sort is None:
-                    self.complain(
-                        sort_ref, f"sort {sort_ref.name!r} is not defined"
-                    )
-                    bad = True
-                    continue
-                schema.append((attr, sort))
-            if bad:
+            found = [self.resolve(ref, sorts, "sort") for _, ref in decl.attributes]
+            if not all(found):
                 continue
+            schema = [(attr, sorts[ref.name]) for attr, ref in decl.attributes]
             try:
                 relation = Relation(name, tuple(schema), frozenset(decl.rows))
             except DodlError as exc:
@@ -188,18 +189,11 @@ class _Builder:
         for name, decl in self.decls[FilterDecl].items():
             ok = True
             for ref, arity in decl.member_refs:
-                relation = relations.get(ref.name)
-                if relation is None:
-                    self.complain(
-                        ref, f"relation {ref.name!r} is not defined"
-                    )
+                if not self.resolve(ref, relations, "relation"):
                     ok = False
-                elif arity != relation.arity:
-                    self.complain(
-                        ref,
-                        f"pattern of arity {arity} against "
-                        f"relation {ref.name!r} of arity {relation.arity}",
-                    )
+                elif arity != relations[ref.name].arity:
+                    error = arity_mismatch(ref.name, arity, relations[ref.name].arity)
+                    self.complain(ref, str(error))
                     ok = False
             if not ok:
                 continue
@@ -212,31 +206,19 @@ class _Builder:
 
         potentials = dict(self.base.potentials)
         for name, decl in self.decls[PotentialDecl].items():
-            carrier = domains.get(decl.carrier.name)
-            index_domain = domains.get(decl.index_domain.name)
-            filter_ = filters.get(decl.filter.name)
-            ok = True
-            if carrier is None:
-                self.complain(
-                    decl.carrier, f"domain {decl.carrier.name!r} is not defined"
-                )
-                ok = False
-            if index_domain is None:
-                self.complain(
-                    decl.index_domain,
-                    f"domain {decl.index_domain.name!r} is not defined",
-                )
-                ok = False
-            if filter_ is None:
-                self.complain(
-                    decl.filter, f"filter {decl.filter.name!r} is not defined"
-                )
-                ok = False
-            if not ok:
+            found = [
+                self.resolve(decl.carrier, domains, "domain"),
+                self.resolve(decl.index_domain, domains, "domain"),
+                self.resolve(decl.filter, filters, "filter"),
+            ]
+            if not all(found):
                 continue
             try:
                 potentials[name] = PotentialObject(
-                    name, carrier, index_domain, filter_
+                    name,
+                    domains[decl.carrier.name],
+                    domains[decl.index_domain.name],
+                    filters[decl.filter.name],
                 )
             except DodlError as exc:
                 self.complain(decl.index_domain, str(exc))
@@ -269,10 +251,7 @@ class _Builder:
         declared = set(self.decls[ConceptDecl]) | set(self.base.concepts.names())
         for name, decl in self.decls[ConceptDecl].items():
             for parent in decl.parents:
-                if parent.name not in declared:
-                    self.complain(
-                        parent, f"concept {parent.name!r} is not defined"
-                    )
+                self.resolve(parent, declared, "concept")
             if any(p.name == name for p in decl.parents):
                 self.complain(decl, f"concept {name!r} inherits from itself")
         # Register in declaration order; the registry rejects whichever
@@ -303,23 +282,15 @@ class _Builder:
     def _build_diagrams(self, domains, filters, potentials) -> dict[str, DiagramSpec]:
         diagrams = dict(self.base.diagrams)
         for name, decl in self.decls[DiagramDecl].items():
-            ok = True
-            for part in decl.entry + decl.exit:
-                if not part.is_bool and part.name not in domains:
-                    self.complain(
-                        part, f"domain {part.name!r} is not defined"
-                    )
-                    ok = False
-            for ref in decl.filter_refs:
-                if ref.name not in filters:
-                    self.complain(ref, f"filter {ref.name!r} is not defined")
-                    ok = False
-            for ref in decl.shift_refs:
-                if ref.name not in potentials:
-                    self.complain(
-                        ref, f"potential object {ref.name!r} is not defined"
-                    )
-                    ok = False
+            found = [
+                self.resolve(part, domains, "domain")
+                for part in decl.entry + decl.exit if not part.is_bool
+            ]
+            found += [self.resolve(ref, filters, "filter")
+                      for ref in decl.filter_refs]
+            found += [self.resolve(ref, potentials, "potential object")
+                      for ref in decl.shift_refs]
+            ok = all(found)
             for steps, which in ((decl.path_a, "path_a"), (decl.path_b, "path_b")):
                 for step in steps:
                     unbound = expr_free_vars(step)
@@ -344,28 +315,11 @@ class _Builder:
     def _build_scripts(self, potentials) -> dict[str, EventScript]:
         scripts = dict(self.base.scripts)
         for name, decl in self.decls[ScriptDecl].items():
-            ok = True
-            steps = []
-            for po_ref, index in decl.steps:
-                po = potentials.get(po_ref.name)
-                if po is None:
-                    self.complain(
-                        po_ref,
-                        f"potential object {po_ref.name!r} is not defined",
-                    )
-                    ok = False
-                    continue
-                if index not in po.index_domain:
-                    self.complain(
-                        po_ref,
-                        f"{index.text!r} is not in domain "
-                        f"{po.index_domain.name!r}",
-                    )
-                    ok = False
-                    continue
-                steps.append((po_ref.name, index))
-            if ok:
-                scripts[name] = EventScript(name, tuple(steps))
+            found = [self.resolve_event(po_ref, index, potentials)
+                     for po_ref, index in decl.steps]
+            if all(found):
+                steps = tuple((po_ref.name, index) for po_ref, index in decl.steps)
+                scripts[name] = EventScript(name, steps)
         return scripts
 
     def _build_evolvents(self, scripts) -> dict[str, Evolvent]:
@@ -375,22 +329,13 @@ class _Builder:
             if decl.kind == "identity":
                 evolvents[name] = Evolvent(name, "identity")
             elif decl.kind == "script":
-                if decl.script.name not in scripts:
-                    self.complain(
-                        decl.script,
-                        f"script {decl.script.name!r} is not defined",
-                    )
+                if not self.resolve(decl.script, scripts, "script"):
                     continue
                 evolvents[name] = Evolvent(name, "script", script=decl.script.name)
             else:
-                ok = True
-                for part in decl.parts:
-                    if part.name not in declared:
-                        self.complain(
-                            part, f"evolvent {part.name!r} is not defined"
-                        )
-                        ok = False
-                if ok:
+                found = [self.resolve(part, declared, "evolvent")
+                         for part in decl.parts]
+                if all(found):
                     evolvents[name] = Evolvent(
                         name, "composed",
                         parts=tuple(p.name for p in decl.parts),
@@ -452,35 +397,15 @@ class _Builder:
 
     def validate_commands(self, workspace: Workspace):
         """Static checks for command statements against the built workspace."""
-        potentials = workspace.potentials
         for unit in self.units:
             for stmt in unit.statements:
                 if isinstance(stmt, TriggerCmd):
-                    po = potentials.get(stmt.po.name)
-                    if po is None:
-                        self.complain(
-                            stmt.po,
-                            f"potential object {stmt.po.name!r} is not defined",
-                        )
-                    elif stmt.index not in po.index_domain:
-                        self.complain(
-                            stmt.po,
-                            f"{stmt.index.text!r} is not in domain "
-                            f"{po.index_domain.name!r}",
-                        )
+                    self.resolve_event(stmt.po, stmt.index, workspace.potentials)
                 elif isinstance(stmt, CheckCmd):
-                    if stmt.diagram.name not in workspace.diagrams:
-                        self.complain(
-                            stmt.diagram,
-                            f"diagram {stmt.diagram.name!r} is not defined",
-                        )
+                    self.resolve(stmt.diagram, workspace.diagrams, "diagram")
                 elif isinstance(stmt, QueryCmd):
                     for ref in stmt.relation_refs:
-                        if ref.name not in workspace.relations:
-                            self.complain(
-                                ref,
-                                f"relation {ref.name!r} is not defined",
-                            )
+                        self.resolve(ref, workspace.relations, "relation")
 
 
 def build(units: list[SourceUnit], base: Workspace | None = None) -> LoadResult:
@@ -490,7 +415,7 @@ def build(units: list[SourceUnit], base: Workspace | None = None) -> LoadResult:
     only when every declaration checks out; a failing ``check`` command
     surfaces as a diagnostic on an otherwise loadable workspace.
     """
-    syntax_errors = [d for unit in units for d in unit.with_path_on_errors()]
+    syntax_errors = [d for unit in units for d in unit.errors]
     if syntax_errors:
         return LoadResult(None, syntax_errors)
 
@@ -515,9 +440,8 @@ def validate(unit: SourceUnit, workspace: Workspace | None = None) -> list[Diagn
     An empty list means the unit would load against ``workspace``.
     Command statements are dry-run checked but not executed.
     """
-    errors = list(unit.with_path_on_errors())
-    if errors:
-        return errors
+    if unit.errors:
+        return list(unit.errors)
     builder = _Builder([unit], workspace)
     builder.collect()
     built = builder.build_workspace()

@@ -117,7 +117,7 @@ class Parser:
     def __init__(self, text: str, path: str | None = None):
         self.text = text
         self.path = path
-        self.tokens, lex_errors = tokenize(text)
+        self.tokens, lex_errors = tokenize(text, path)
         self.pos = 0
         self.current: Token = self.tokens[0]
         self.depth = 0
@@ -176,6 +176,23 @@ class Parser:
     def name_ref(self, what: str = "identifier") -> Ref:
         token = self.expect_name(what)
         return Ref(token.text, self.span(token, token))
+
+    def comma_list(self, item, empty_at: str | None = None) -> list:
+        """``item ("," item)*``, each item parsed by calling ``item()``.
+
+        With ``empty_at`` given, the list may also be empty: it is when the
+        current token is that closing punctuation.
+        """
+        if empty_at is not None and self.at_punct(empty_at):
+            return []
+        items = [item()]
+        # The comma test and step are inlined: with a relation's rows and
+        # their atoms, this is the loop the parser runs most.
+        while self.current.text == "," and self.current.kind == PUNCT:
+            self.pos += 1
+            self.current = self.tokens[self.pos]
+            items.append(item())
+        return items
 
     def parse_atom(self) -> Atom:
         token = self.current
@@ -250,31 +267,18 @@ class Parser:
         sort = self.name_ref("sort name")
         self.expect_punct("=")
         self.expect_punct("{")
-        atoms = []
-        if not self.at_punct("}"):
-            atoms.append(self.parse_atom())
-            while self.at_punct(","):
-                self.advance()
-                atoms.append(self.parse_atom())
+        atoms = self.comma_list(self.parse_atom, empty_at="}")
         self.expect_punct("}")
         return DomainDecl(name, sort, tuple(atoms), self._finish(first))
 
     def _parse_relation(self, first: Token) -> RelationDecl:
         name = self.name_ref("relation name")
         self.expect_punct("(")
-        attributes = [self._parse_attribute()]
-        while self.at_punct(","):
-            self.advance()
-            attributes.append(self._parse_attribute())
+        attributes = self.comma_list(self._parse_attribute)
         self.expect_punct(")")
         self.expect_punct("=")
         self.expect_punct("{")
-        rows = []
-        if not self.at_punct("}"):
-            rows.append(self._parse_row())
-            while self.at_punct(","):
-                self.advance()
-                rows.append(self._parse_row())
+        rows = self.comma_list(self._parse_row, empty_at="}")
         self.expect_punct("}")
         return RelationDecl(name, tuple(attributes), tuple(rows),
                             self._finish(first))
@@ -287,10 +291,7 @@ class Parser:
 
     def _parse_row(self) -> tuple[Atom, ...]:
         self.expect_punct("(")
-        atoms = [self.parse_atom()]
-        while self.at_punct(","):
-            self.advance()
-            atoms.append(self.parse_atom())
+        atoms = self.comma_list(self.parse_atom)
         self.expect_punct(")")
         return tuple(atoms)
 
@@ -325,10 +326,7 @@ class Parser:
         parents = []
         if self.at_punct(":"):
             self.advance()
-            parents.append(self.name_ref("parent concept"))
-            while self.at_punct(","):
-                self.advance()
-                parents.append(self.name_ref("parent concept"))
+            parents = self.comma_list(lambda: self.name_ref("parent concept"))
         self.expect_punct("{")
         attributes: list[tuple[str, Atom]] = []
         events: list[str] = []
@@ -347,10 +345,9 @@ class Parser:
                 self.expect_punct("->")
                 menus.append((label, self.expect_name("event name").text))
             elif item.text == "encapsulated":
-                encapsulated.append(self.expect_name("attribute name").text)
-                while self.at_punct(","):
-                    self.advance()
-                    encapsulated.append(self.expect_name("attribute name").text)
+                encapsulated += self.comma_list(
+                    lambda: self.expect_name("attribute name").text
+                )
             else:
                 raise self.error(
                     f"found {item.describe()}", item,
@@ -395,12 +392,9 @@ class Parser:
 
     def _parse_path(self, filter_refs, shift_refs) -> tuple[DiagramExpr, ...]:
         self.expect_punct("[")
-        steps = []
-        if not self.at_punct("]"):
-            steps.append(self.parse_diagram_expr(filter_refs, shift_refs))
-            while self.at_punct(","):
-                self.advance()
-                steps.append(self.parse_diagram_expr(filter_refs, shift_refs))
+        steps = self.comma_list(
+            lambda: self.parse_diagram_expr(filter_refs, shift_refs), empty_at="]"
+        )
         self.expect_punct("]")
         return tuple(steps)
 
@@ -474,12 +468,7 @@ class Parser:
         name = self.name_ref("script name")
         self.expect_punct("=")
         self.expect_punct("[")
-        steps = []
-        if not self.at_punct("]"):
-            steps.append(self._parse_script_step())
-            while self.at_punct(","):
-                self.advance()
-                steps.append(self._parse_script_step())
+        steps = self.comma_list(self._parse_script_step, empty_at="]")
         self.expect_punct("]")
         return ScriptDecl(name, tuple(steps), self._finish(first))
 
@@ -504,10 +493,7 @@ class Parser:
         if self.at_word("compose"):
             self.advance()
             self.expect_punct("(")
-            parts = [self.name_ref("evolvent name")]
-            while self.at_punct(","):
-                self.advance()
-                parts.append(self.name_ref("evolvent name"))
+            parts = self.comma_list(lambda: self.name_ref("evolvent name"))
             self.expect_punct(")")
             return EvolventDecl(name, "composed", None, tuple(parts),
                                 self._finish(first))
@@ -602,10 +588,9 @@ class Parser:
             self.advance()
             ref = self.name_ref("relation name")
             self.expect_punct("(")
-            pattern = [self._parse_term(params, allow_wildcard=True)]
-            while self.at_punct(","):
-                self.advance()
-                pattern.append(self._parse_term(params, allow_wildcard=True))
+            pattern = self.comma_list(
+                lambda: self._parse_term(params, allow_wildcard=True)
+            )
             self.expect_punct(")")
             member_refs.append((ref, len(pattern)))
             return Member(ref.name, tuple(pattern)), 1
@@ -649,10 +634,7 @@ class Parser:
             self.advance()
             source = self.parse_relexpr(refs)
             self.expect_punct("[")
-            attrs = [self.expect_name("attribute name").text]
-            while self.at_punct(","):
-                self.advance()
-                attrs.append(self.expect_name("attribute name").text)
+            attrs = self.comma_list(lambda: self.expect_name("attribute name").text)
             self.expect_punct("]")
             return Project(source, tuple(attrs))
         if self.at_word("join") or self.at_word("union") or self.at_word("difference"):

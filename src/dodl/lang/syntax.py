@@ -184,10 +184,3 @@ class SourceUnit:
     text: str
     statements: tuple[Statement, ...]
     errors: tuple[Diagnostic, ...] = ()
-
-    def with_path_on_errors(self) -> tuple[Diagnostic, ...]:
-        return tuple(
-            d if d.path == self.path else
-            Diagnostic(d.message, d.line, d.col, d.start, d.end, d.expected, self.path)
-            for d in self.errors
-        )

@@ -15,7 +15,7 @@ from .errors import (
     DuplicateName,
     EncapsulationViolation,
     UnknownAttribute,
-    UnknownConcept,
+    not_defined,
 )
 
 
@@ -76,12 +76,20 @@ class Concept:
 
 
 class ConceptRegistry:
-    """Single-writer registry of concepts; reads are pure."""
+    """Single-writer registry of concepts.
+
+    Reads never change the concepts it holds; they may fill a cache, which
+    every :meth:`add` empties.
+    """
 
     def __init__(self):
         self._concepts: dict[str, Concept] = {}
         # Every name some registered concept lists as a parent.
         self._named_parents: set[str] = set()
+        # (concept, attribute) -> whether the concept or a registered
+        # ancestor defines the attribute.  An addition can give registered
+        # concepts new ancestors, so add() empties it.
+        self._defines: dict[tuple[str, str], bool] = {}
 
     def __eq__(self, other):
         return isinstance(other, ConceptRegistry) and \
@@ -100,7 +108,7 @@ class ConceptRegistry:
         try:
             return self._concepts[name]
         except KeyError:
-            raise UnknownConcept(f"concept {name!r} is not defined") from None
+            raise not_defined("concept", name) from None
 
     def add(self, concept: Concept) -> Concept:
         """Register a concept; rejects duplicate names and parent cycles.
@@ -127,6 +135,7 @@ class ConceptRegistry:
                     "concept inheritance cycle: " + " -> ".join(cycle)
                 )
         self._named_parents.update(concept.parents)
+        self._defines.clear()
         return concept
 
     def derive(self, apo: str, dpo_name: str, overrides: dict[str, Atom]) -> Concept:
@@ -136,7 +145,7 @@ class ConceptRegistry:
         ancestor chain.
         """
         if apo not in self._concepts:
-            raise UnknownConcept(f"concept {apo!r} is not defined")
+            raise not_defined("concept", apo)
         return self.add(Concept(dpo_name, (apo,), dict(overrides)))
 
     def ancestors(self, name: str) -> list[str]:
@@ -222,24 +231,40 @@ class ConceptRegistry:
 
     def encapsulation_problems(self, name: str) -> list[str]:
         """One message per attribute ``name`` encapsulates but neither
-        defines nor inherits, in attribute order.
-
-        Each registered ancestor is visited at most once, and the walk stops
-        when every encapsulated attribute has been found; parents that are
-        not registered are skipped.
-        """
-        concepts = self._concepts
-        missing = set(concepts[name].encapsulated)
-        seen = {name}
-        stack = [name]
-        while stack and missing:
-            concept = concepts[stack.pop()]
-            missing.difference_update(concept.own_attributes)
-            for parent in concept.parents:
-                if parent in concepts and parent not in seen:
-                    seen.add(parent)
-                    stack.append(parent)
+        defines nor inherits, in attribute order; parents that are not
+        registered are skipped."""
         return [
             f"concept {name!r} encapsulates undefined attribute {attr!r}"
-            for attr in sorted(missing)
+            for attr in sorted(self._concepts[name].encapsulated)
+            if not self._defines_in_lineage(name, attr)
         ]
+
+    def _defines_in_lineage(self, name: str, attr: str) -> bool:
+        """Whether ``name`` or a registered ancestor defines ``attr``.
+
+        Each (concept, attribute) pair is decided once and cached, on an
+        explicit stack: a concept waits on the stack until every registered
+        parent is decided, unless its own or a decided parent's definition
+        settles it first.
+        """
+        concepts, defines = self._concepts, self._defines
+        stack = [name]
+        while stack:
+            node = stack[-1]
+            if (node, attr) in defines:
+                stack.pop()
+                continue
+            concept = concepts[node]
+            parents = [p for p in concept.parents if p in concepts]
+            if attr in concept.own_attributes or any(
+                defines.get((p, attr)) for p in parents
+            ):
+                defines[node, attr] = True
+            else:
+                undecided = [p for p in parents if (p, attr) not in defines]
+                if undecided:
+                    stack.extend(undecided)
+                    continue
+                defines[node, attr] = False
+            stack.pop()
+        return defines[name, attr]

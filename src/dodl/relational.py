@@ -24,6 +24,7 @@ from .diagrams import (
     TruePred,
     Var,
     Wildcard,
+    arity_mismatch,
 )
 from .errors import (
     DefinitionError,
@@ -33,7 +34,7 @@ from .errors import (
     SchemaMismatch,
     SortMismatch,
     UnknownAttribute,
-    UnknownRelation,
+    not_defined,
 )
 
 Row = tuple[Atom, ...]
@@ -247,7 +248,11 @@ def oracle_route(
             f"filter {po.filter.name!r} is not a plain membership test; "
             f"there is no relational twin to compare against"
         )
-    relation = relations[body.relation]
+    relation = relations.get(body.relation)
+    if relation is None:
+        raise not_defined("relation", body.relation)
+    if len(body.pattern) != relation.arity:
+        raise arity_mismatch(body.relation, len(body.pattern), relation.arity)
     index_pos = candidate_pos = None
     for position, term in enumerate(body.pattern):
         if isinstance(term, Var) and term.name == po.filter.index_var:
@@ -358,7 +363,7 @@ def eval_query(expr: RelExpr, relations: Mapping[str, Relation]) -> QueryResult:
     if isinstance(expr, RelName):
         relation = relations.get(expr.name)
         if relation is None:
-            raise UnknownRelation(f"relation {expr.name!r} is not defined")
+            raise not_defined("relation", expr.name)
         return relation
     if isinstance(expr, Select):
         relation = _as_relation(eval_query(expr.source, relations))

@@ -125,6 +125,56 @@ class TestParseQuery:
             parse_query("")
 
 
+# One broken text per comma-separated list of the grammar: a list that ends
+# in a comma, and one whose items lack it.  Each pins the diagnostic's
+# message, line, col, start, end and expected set.
+COMMA_LISTS = [
+    ("domain D : S = { A, };", "found '}'", 1, 21, 20, 21, ("atom",)),
+    ("domain D : S = { A B };", "found 'B'", 1, 20, 19, 20, ("'}'",)),
+    ("relation R (a : S, ) = { };",
+     "found ')'", 1, 20, 19, 20, ("attribute name",)),
+    ("relation R (a : S b : S) = { };", "found 'b'", 1, 19, 18, 19, ("')'",)),
+    ("relation R (a : S) = { (A), };", "found '}'", 1, 29, 28, 29, ("'('",)),
+    ("relation R (a : S) = { (A) (B) };",
+     "found '('", 1, 28, 27, 28, ("'}'",)),
+    ("relation R (a : S, b : S) = { (A, ) };",
+     "found ')'", 1, 35, 34, 35, ("atom",)),
+    ("relation R (a : S, b : S) = { (A B) };",
+     "found 'B'", 1, 34, 33, 34, ("')'",)),
+    ("concept K : P, { };", "found '{'", 1, 16, 15, 16, ("parent concept",)),
+    ("concept K : P Q { };", "found 'Q'", 1, 15, 14, 15, ("'{'",)),
+    ("concept K { encapsulated a, ; };",
+     "found ';'", 1, 29, 28, 29, ("attribute name",)),
+    ("concept K { encapsulated a b; };", "found 'b'", 1, 28, 27, 28, ("';'",)),
+    ("diagram G entry D path_a [ input, ] path_b [ input ] exit D;",
+     "found ']'", 1, 35, 34, 35, ("combinator",)),
+    ("diagram G entry D path_a [ input input ] path_b [ input ] exit D;",
+     "found 'input'", 1, 34, 33, 38, ("']'",)),
+    ("script S = [ (P, A), ];", "found ']'", 1, 22, 21, 22, ("'('",)),
+    ("script S = [ (P, A) (P, B) ];", "found '('", 1, 21, 20, 21, ("']'",)),
+    ("evolvent E = compose(A, );",
+     "found ')'", 1, 25, 24, 25, ("evolvent name",)),
+    ("evolvent E = compose(A B);", "found 'B'", 1, 24, 23, 24, ("')'",)),
+    ("filter F (i, x) = member R (i, );",
+     "found ')'", 1, 32, 31, 32, ("term",)),
+    ("filter F (i, x) = member R (i x);", "found 'x'", 1, 31, 30, 31, ("')'",)),
+    ("query project R [ a, ];",
+     "found ']'", 1, 22, 21, 22, ("attribute name",)),
+    ("query project R [ a b ];", "found 'b'", 1, 21, 20, 21, ("']'",)),
+]
+
+
+class TestCommaLists:
+    @pytest.mark.parametrize("source, message, line, col, start, end, expected",
+                             COMMA_LISTS)
+    def test_a_broken_list_is_reported_at_its_token(self, source, message, line,
+                                                    col, start, end, expected):
+        unit = parse(source, "p.dodl")
+        assert unit.statements == ()
+        assert unit.errors[0] == Diagnostic(message, line, col, start, end,
+                                            expected, "p.dodl")
+
+
 class TestValidate:
     def test_teaching_corpus_is_clean(self, teaching_text):
         assert validate(parse(teaching_text)) == []
@@ -458,6 +508,12 @@ class TestGraphWalks:
         assert result.ok, [d.render() for d in result.diagnostics[:3]]
         assert len(result.workspace.concepts) == 1200
 
+    def test_a_deep_encapsulating_chain_loads_in_linear_time(self):
+        started = time.monotonic()
+        result = load_texts([(None, concept_chain(5000))])
+        assert time.monotonic() - started < 1.0
+        assert result.ok, [d.render() for d in result.diagnostics[:3]]
+
     def test_a_deep_compose_chain_loads(self):
         result = load_texts([(None, compose_chain(1200))])
         assert result.ok, [d.render() for d in result.diagnostics[:3]]
@@ -518,6 +574,12 @@ class TestLexer:
         assert diagnostic.message == "unexpected character '\u00e9'"
         assert (diagnostic.line, diagnostic.col) == (2, source.index("\u00e9") - 18)
         assert source[diagnostic.start:diagnostic.end] == "\u00e9"
+
+    def test_a_lexer_diagnostic_names_its_file(self):
+        source = "sort A : symbolic; $"
+        expected = Diagnostic("unexpected character '$'", 1, 20, 19, 20, (), "x.dodl")
+        assert parse(source, "x.dodl").errors == (expected,)
+        assert load_texts([("x.dodl", source)]).diagnostics == [expected]
 
     def test_non_ascii_name_is_rejected(self):
         source = "sort N : symbolic;\ndomain Caf\u00e9 : N = { a };"

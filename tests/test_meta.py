@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import pytest
@@ -397,3 +398,64 @@ class TestConceptValue:
         ]
         registry.add(Concept("Later", own_attributes={"later": number(3)}))
         assert registry.encapsulation_problems("Low") == []
+
+
+def walked_encapsulation_problems(registry: ConceptRegistry, name: str) -> list[str]:
+    """``ConceptRegistry.encapsulation_problems`` as it was written before:
+    a fresh walk of the registered ancestors on every call, the oracle for
+    the cached answers."""
+    concepts = registry._concepts
+    missing = set(concepts[name].encapsulated)
+    seen = {name}
+    stack = [name]
+    while stack and missing:
+        concept = concepts[stack.pop()]
+        missing.difference_update(concept.own_attributes)
+        for parent in concept.parents:
+            if parent in concepts and parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return [
+        f"concept {name!r} encapsulates undefined attribute {attr!r}"
+        for attr in sorted(missing)
+    ]
+
+
+class TestEncapsulationProblems:
+    @settings(max_examples=300, deadline=None)
+    @given(random_dags(), st.data())
+    def test_problems_equal_the_walk_after_every_addition(self, concepts, data):
+        hidden = data.draw(st.lists(st.frozensets(st.sampled_from("abc")),
+                                    min_size=len(concepts), max_size=len(concepts)))
+        registry = ConceptRegistry()
+        for concept, attrs in zip(concepts, hidden):
+            registry.add(dataclasses.replace(concept, encapsulated=attrs))
+            for name in registry.names():
+                assert registry.encapsulation_problems(name) == \
+                    walked_encapsulation_problems(registry, name)
+
+    def test_a_later_ancestor_clears_the_problem(self):
+        registry = ConceptRegistry()
+        registry.add(Concept("Low", ("Mid",), encapsulated=frozenset({"a"})))
+        registry.add(Concept("Mid", ("Top",)))
+        problem = ["concept 'Low' encapsulates undefined attribute 'a'"]
+        assert registry.encapsulation_problems("Low") == problem
+        assert registry.validate() == problem + [
+            "concept 'Mid' inherits from unknown concept 'Top'"]
+        registry.add(Concept("Top", own_attributes={"a": number(1)}))
+        assert registry.encapsulation_problems("Low") == []
+        assert registry.validate() == []
+
+    def test_a_deep_chain_is_checked_in_linear_time(self):
+        registry = ConceptRegistry()
+        registry.add(Concept("N0", own_attributes={"a": number(0)}))
+        for i in range(1, 5000):
+            registry.add(Concept(f"N{i}", (f"N{i - 1}",),
+                                 encapsulated=frozenset({"a", "b"})))
+        started = time.monotonic()
+        problems = registry.validate()
+        assert time.monotonic() - started < 1.0
+        assert problems == [
+            f"concept 'N{i}' encapsulates undefined attribute 'b'"
+            for i in sorted(range(1, 5000), key=lambda i: f"N{i}")
+        ]

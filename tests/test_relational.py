@@ -15,6 +15,7 @@ from dodl.diagrams import (
     TruePred,
     Var,
     Wildcard,
+    run_filter,
 )
 from dodl.errors import (
     DodlError,
@@ -278,6 +279,22 @@ class TestOracleRoute:
         with pytest.raises(DodlError) as raised:
             oracle_route(po, teaching_ws.relations)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("body", [
+        Member("Ghost", (Var("i"), Var("x"))),
+        Member("Relationship1", (Var("i"), Var("x"))),
+        Member("Relationship1", (Wildcard(), Wildcard(), Var("i"), Var("x"))),
+    ])
+    def test_a_bad_member_raises_what_the_indexing_route_raises(self, teaching_ws,
+                                                               body):
+        po = dataclasses.replace(teaching_ws.potentials["Tch"],
+                                 filter=Filter("F", "i", "x", body))
+        with pytest.raises(DodlError) as oracle:
+            oracle_route(po, teaching_ws.relations)
+        with pytest.raises(DodlError) as indexing:
+            run_filter(po.filter, symbol("Logic"), symbol("Doe"), teaching_ws)
+        assert (type(oracle.value), str(oracle.value)) == \
+            (type(indexing.value), str(indexing.value))
 
 
 class TestAlgebraLaws:
