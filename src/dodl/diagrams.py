@@ -9,10 +9,9 @@ evaluates both paths over a finite input set and reports every comparison.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Union
 
-from .core import Atom, Domain, PotentialObject, not_in_domain
+from .core import Atom, Domain, Field, PotentialObject, not_in_domain, record
 from .errors import (
     ArityMismatch,
     DefinitionError,
@@ -27,17 +26,17 @@ from .errors import (
 # Terms (shared between predicates and diagram expressions)
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     atom: Atom
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Wildcard:
     pass
 
@@ -49,7 +48,7 @@ Term = Union[Const, Var, Wildcard]
 # Predicates
 
 
-@dataclass(frozen=True)
+@record
 class Member:
     """True iff some tuple of the named relation matches the pattern."""
 
@@ -57,35 +56,35 @@ class Member:
     pattern: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Eq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record
 class And:
     left: "Predicate"
     right: "Predicate"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     left: "Predicate"
     right: "Predicate"
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     operand: "Predicate"
 
 
-@dataclass(frozen=True)
+@record
 class TruePred:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FalsePred:
     pass
 
@@ -108,7 +107,7 @@ def predicate_vars(pred: Predicate) -> frozenset[str]:
     return frozenset()
 
 
-@dataclass(frozen=True)
+@record
 class Filter:
     """A named two-variable predicate: (index, candidate) -> bool."""
 
@@ -117,9 +116,7 @@ class Filter:
     candidate_var: str
     body: Predicate
     # The body compiled by run_filter; invisible to eq, hash and repr.
-    _test: Callable | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _test: Callable | None = Field(default=None, hidden=True)
 
     def __post_init__(self):
         if self.index_var == self.candidate_var:
@@ -138,28 +135,28 @@ class Filter:
 # Diagram expressions
 
 
-@dataclass(frozen=True)
+@record
 class Input:
     """The value flowing into the current path step."""
 
 
-@dataclass(frozen=True)
+@record
 class Pair:
     first: "DiagramExpr"
     second: "DiagramExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Fst:
     operand: "DiagramExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Snd:
     operand: "DiagramExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Subst:
     """Evaluate ``target`` with ``var`` bound to the value of ``value``.
 
@@ -172,7 +169,7 @@ class Subst:
     value: "DiagramExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Apply:
     """Apply a function object to an argument object."""
 
@@ -180,14 +177,14 @@ class Apply:
     arg: "DiagramExpr"
 
 
-@dataclass(frozen=True)
+@record
 class FilterRef:
     """A filter as a function value over (index, candidate) pairs."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class IndexShift:
     """Curry a potential object by an index, leaving a candidate test."""
 
@@ -195,7 +192,7 @@ class IndexShift:
     index: "DiagramExpr"
 
 
-@dataclass(frozen=True)
+@record
 class IdArrow:
     """Identity arrow; marks a component that passes through unchanged."""
 
@@ -230,14 +227,14 @@ def expr_free_vars(expr: DiagramExpr, bound: frozenset[str] = frozenset()) -> fr
 # Values
 
 
-@dataclass(frozen=True)
+@record
 class FilterFn:
     """A filter used as a function value; applies to an (index, candidate) pair."""
 
     filter: Filter
 
 
-@dataclass(frozen=True)
+@record
 class ShiftFn:
     """A potential object curried by an index; applies to a candidate atom."""
 
@@ -479,7 +476,7 @@ def eval_expr(expr: DiagramExpr, workspace, step_input: Value | None = None) -> 
 # Diagram specifications and the commutativity check
 
 
-@dataclass(frozen=True)
+@record
 class Shape:
     """Entry or exit shape: one part or a pair of parts.
 
@@ -497,7 +494,7 @@ class Shape:
         return len(self.parts) == 2
 
 
-@dataclass(frozen=True)
+@record
 class DiagramSpec:
     name: str
     entry: Shape
@@ -530,21 +527,24 @@ def eval_path(steps: tuple[Callable, ...], entry: Value, workspace) -> Value:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class CommutativityRow:
     input: Value
     value_a: Value | None
     value_b: Value | None
     error_a: str | None
     error_b: str | None
+    # Both paths gave a value and the values are equal; set once, here.
+    agrees: bool = Field(hidden=True)
 
-    @property
-    def agrees(self) -> bool:
-        return self.error_a is None and self.error_b is None \
+    def __post_init__(self):
+        object.__setattr__(
+            self, "agrees", self.error_a is None and self.error_b is None
             and self.value_a == self.value_b
+        )
 
 
-@dataclass(frozen=True)
+@record
 class CommutativityReport:
     diagram: str
     rows: tuple[CommutativityRow, ...]

@@ -7,11 +7,19 @@ serialize through an :class:`Exchange`, which also keeps the audit log.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from typing import Union
 
-from .core import ActualObject, Atom, Domain, Event, PotentialObject, Sort, actual_name
+from .core import (
+    ActualObject,
+    Atom,
+    Domain,
+    Event,
+    Field,
+    PotentialObject,
+    Sort,
+    actual_name,
+    record,
+)
 from .diagrams import DiagramSpec, Filter, run_filter
 from .errors import (
     DefinitionError,
@@ -28,7 +36,7 @@ SCRIPT = "script"
 COMPOSED = "composed"
 
 
-@dataclass(frozen=True)
+@record
 class EventScript:
     """An ordered list of (potential object, index) events."""
 
@@ -36,7 +44,7 @@ class EventScript:
     steps: tuple[tuple[str, Atom], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Evolvent:
     """A named workspace transition: a no-op, one script, or a chain."""
 
@@ -54,20 +62,20 @@ class Evolvent:
             raise DefinitionError(f"evolvent {self.name!r} composes nothing")
 
 
-@dataclass(frozen=True)
+@record
 class Workspace:
     """All registries plus the derivation state (actual objects, stage)."""
 
-    sorts: dict[str, Sort] = field(default_factory=dict)
-    domains: dict[str, Domain] = field(default_factory=dict)
-    relations: dict[str, Relation] = field(default_factory=dict)
-    filters: dict[str, Filter] = field(default_factory=dict)
-    potentials: dict[str, PotentialObject] = field(default_factory=dict)
-    concepts: ConceptRegistry = field(default_factory=ConceptRegistry)
-    diagrams: dict[str, DiagramSpec] = field(default_factory=dict)
-    scripts: dict[str, EventScript] = field(default_factory=dict)
-    evolvents: dict[str, Evolvent] = field(default_factory=dict)
-    ao_library: dict[str, ActualObject] = field(default_factory=dict)
+    sorts: dict[str, Sort] = Field(default_factory=dict)
+    domains: dict[str, Domain] = Field(default_factory=dict)
+    relations: dict[str, Relation] = Field(default_factory=dict)
+    filters: dict[str, Filter] = Field(default_factory=dict)
+    potentials: dict[str, PotentialObject] = Field(default_factory=dict)
+    concepts: ConceptRegistry = Field(default_factory=ConceptRegistry)
+    diagrams: dict[str, DiagramSpec] = Field(default_factory=dict)
+    scripts: dict[str, EventScript] = Field(default_factory=dict)
+    evolvents: dict[str, Evolvent] = Field(default_factory=dict)
+    ao_library: dict[str, ActualObject] = Field(default_factory=dict)
     stage: int = 0
 
     @staticmethod
@@ -77,12 +85,12 @@ class Workspace:
     def with_actual(self, ao: ActualObject) -> "Workspace":
         library = dict(self.ao_library)
         library[ao.name] = ao
-        return dataclasses.replace(self, ao_library=library, stage=self.stage + 1)
+        return self.replace(ao_library=library, stage=self.stage + 1)
 
     def declarations_equal(self, other: "Workspace") -> bool:
         """Equality of the declared registries, ignoring derivation state."""
-        return dataclasses.replace(self, ao_library={}, stage=0) == \
-            dataclasses.replace(other, ao_library={}, stage=0)
+        return self.replace(ao_library={}, stage=0) == \
+            other.replace(ao_library={}, stage=0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,28 +173,28 @@ def apply_evolvent(state: Workspace, evolvent_name: str) -> Workspace:
 # System Exchange
 
 
-@dataclass(frozen=True)
+@record
 class GetPO:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class GetAO:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class GetConcept:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Trigger:
     po_name: str
     index: Atom
 
 
-@dataclass(frozen=True)
+@record
 class Query:
     expr: RelExpr
 
@@ -194,7 +202,7 @@ class Query:
 Request = Union[GetPO, GetAO, GetConcept, Trigger, Query]
 
 
-@dataclass(frozen=True)
+@record
 class Response:
     ok: bool
     value: object = None
@@ -202,7 +210,7 @@ class Response:
     message: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class AuditEntry:
     stage: int
     kind: str

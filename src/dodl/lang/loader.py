@@ -9,10 +9,9 @@ so their effects land in the audit log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..core import Domain, PotentialObject, Sort, not_in_domain
+from ..core import Domain, Field, PotentialObject, Sort, not_in_domain, record
 from ..diagrams import (
     DiagramSpec,
     Filter,
@@ -70,15 +69,15 @@ _NAMESPACES = (
 )
 
 
-@dataclass
+@record
 class LoadResult:
     """Outcome of a load: the exchange over the built workspace (if any),
     error diagnostics, informational notes, and command output blocks."""
 
     exchange: Exchange | None
     diagnostics: list[Diagnostic]
-    notes: list[str] = field(default_factory=list)
-    outputs: list[str] = field(default_factory=list)
+    notes: list[str] = Field(default_factory=list)
+    outputs: list[str] = Field(default_factory=list)
 
     @property
     def ok(self) -> bool:

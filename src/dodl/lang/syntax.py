@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from ..core import Atom
+from ..core import Atom, record
 from ..diagrams import DiagramExpr, Predicate
 from ..relational import RelExpr
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     """A problem at a source location; the span slices the offending tokens."""
 
@@ -30,7 +29,7 @@ class Diagnostic:
         return text
 
 
-@dataclass(frozen=True)
+@record
 class Span:
     """Where a node was written: its position in the text at ``path``."""
 
@@ -41,7 +40,7 @@ class Span:
     path: str | None
 
 
-@dataclass(frozen=True)
+@record
 class Ref:
     """A name occurrence with its exact source location."""
 
@@ -49,14 +48,14 @@ class Ref:
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class SortDecl:
     name: Ref
     kind: str
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class DomainDecl:
     name: Ref
     sort: Ref
@@ -64,7 +63,7 @@ class DomainDecl:
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class RelationDecl:
     name: Ref
     attributes: tuple[tuple[str, Ref], ...]  # (attribute name, sort ref)
@@ -72,7 +71,7 @@ class RelationDecl:
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class FilterDecl:
     name: Ref
     index_var: str
@@ -83,7 +82,7 @@ class FilterDecl:
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class PotentialDecl:
     name: Ref
     carrier: Ref
@@ -92,7 +91,7 @@ class PotentialDecl:
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class ConceptDecl:
     name: Ref
     parents: tuple[Ref, ...]
@@ -103,7 +102,7 @@ class ConceptDecl:
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class ShapePart:
     """One component of an entry/exit shape: a domain name or ``bool``."""
 
@@ -115,7 +114,7 @@ class ShapePart:
         return self.name == "bool"
 
 
-@dataclass(frozen=True)
+@record
 class DiagramDecl:
     name: Ref
     entry: tuple[ShapePart, ...]
@@ -127,14 +126,14 @@ class DiagramDecl:
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class ScriptDecl:
     name: Ref
     steps: tuple[tuple[Ref, Atom], ...]
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class EvolventDecl:
     name: Ref
     kind: str  # identity | script | composed
@@ -143,27 +142,27 @@ class EvolventDecl:
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class TriggerCmd:
     po: Ref
     index: Atom
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class CheckCmd:
     diagram: Ref
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class QueryCmd:
     expr: RelExpr
     relation_refs: tuple[Ref, ...]
     span: Span
 
 
-@dataclass(frozen=True)
+@record
 class DumpCmd:
     span: Span
 
@@ -176,7 +175,7 @@ Command = Union[TriggerCmd, CheckCmd, QueryCmd, DumpCmd]
 Statement = Union[Declaration, Command]
 
 
-@dataclass(frozen=True)
+@record
 class SourceUnit:
     """One parsed source: its statements plus any syntax diagnostics."""
 

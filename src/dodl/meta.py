@@ -7,9 +7,7 @@ declaration order, nearest definition first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .core import Atom
+from .core import Atom, Field, record
 from .errors import (
     CycleDetected,
     DuplicateName,
@@ -49,7 +47,7 @@ def find_cycle(roots, successors) -> list[str] | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class Concept:
     """A metadata object node.
 
@@ -60,7 +58,7 @@ class Concept:
 
     name: str
     parents: tuple[str, ...] = ()
-    own_attributes: dict[str, Atom] = field(default_factory=dict)
+    own_attributes: dict[str, Atom] = Field(default_factory=dict)
     events: tuple[str, ...] = ()
     menus: tuple[tuple[str, str], ...] = ()
     encapsulated: frozenset[str] = frozenset()

@@ -7,10 +7,9 @@ named relation, so the two routes can be compared against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .core import Atom, PotentialObject, Sort, symbol
+from .core import Atom, Field, PotentialObject, Sort, record, symbol
 from .diagrams import (
     And,
     Const,
@@ -40,7 +39,7 @@ from .errors import (
 Row = tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     """A named relation with an ordered schema and set-semantics tuples."""
 
@@ -48,8 +47,8 @@ class Relation:
     attributes: tuple[tuple[str, Sort], ...]
     tuples: frozenset[Row]
     # positions -> keys; filled by probe_index, invisible to eq, hash and repr.
-    _probes: dict[tuple[int, ...], frozenset[Row]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    _probes: dict[tuple[int, ...], frozenset[Row]] = Field(
+        default_factory=dict, hidden=True
     )
 
     def __post_init__(self):
@@ -277,7 +276,7 @@ def oracle_route(
 # Query expressions (the surface the shell and System Exchange evaluate)
 
 
-@dataclass(frozen=True)
+@record
 class TermIdent:
     """An identifier in a query predicate, resolved per relation at run time:
     an attribute of the selected relation if one matches, else a constant."""
@@ -285,42 +284,42 @@ class TermIdent:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class RelName:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Select:
     source: "RelExpr"
     pred: Predicate
 
 
-@dataclass(frozen=True)
+@record
 class Project:
     source: "RelExpr"
     attrs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class JoinExpr:
     left: "RelExpr"
     right: "RelExpr"
 
 
-@dataclass(frozen=True)
+@record
 class UnionExpr:
     left: "RelExpr"
     right: "RelExpr"
 
 
-@dataclass(frozen=True)
+@record
 class DifferenceExpr:
     left: "RelExpr"
     right: "RelExpr"
 
 
-@dataclass(frozen=True)
+@record
 class OracleExpr:
     source: "RelExpr"
     index_attr: str

@@ -1,12 +1,16 @@
-"""Reference interpreters of the filter and diagram languages, for the tests.
+"""Reference implementations for the tests.
 
-They walk the trees over a plain dict of variable bindings and answer each
-membership test by scanning the relation's tuples, sharing no code with
-``diagrams.compile_predicate`` and ``diagrams.compile_expr``, the
-evaluators they check.
+The interpreters of the filter and diagram languages walk the trees over a
+plain dict of variable bindings and answer each membership test by scanning
+the relation's tuples, sharing no code with ``diagrams.compile_predicate``
+and ``diagrams.compile_expr``, the evaluators they check.
+:func:`reference_dataclass` rebuilds a record class's fields as a standard
+library dataclass, the meaning ``core.Record`` promises to keep.
 """
 
-from dodl.core import Atom
+import dataclasses
+
+from dodl.core import MISSING, Atom
 from dodl.diagrams import (
     And,
     Apply,
@@ -189,3 +193,24 @@ def outcome(evaluate):
         return evaluate()
     except DodlError as exc:
         return type(exc), str(exc)
+
+
+def reference_dataclass(cls):
+    """A frozen dataclass with the fields of the record class ``cls`` and
+    none of its methods, each hidden field out of ``__init__``, eq, hash
+    and repr.  A class with no field list (the hand-written ``Atom``) gives
+    its slots as plain fields."""
+    specs = []
+    for f in cls.fields if hasattr(cls, "fields") else cls.__slots__:
+        if isinstance(f, str):
+            specs.append((f, object))
+            continue
+        options = {}
+        if f.default is not MISSING:
+            options["default"] = f.default
+        if f.default_factory is not None:
+            options["default_factory"] = f.default_factory
+        if f.hidden:
+            options.update(init=False, repr=False, compare=False)
+        specs.append((f.name, object, dataclasses.field(**options)))
+    return dataclasses.make_dataclass(cls.__qualname__, specs, frozen=True)

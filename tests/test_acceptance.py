@@ -108,9 +108,7 @@ def test_criterion_3_diagram_commutativity():
 
     negated = Filter("TchFilterNeg", "idx", "x",
                      Not(ws.filters["TchFilter"].body))
-    import dataclasses
-    broken_ws = dataclasses.replace(
-        ws, filters={**ws.filters, "TchFilterNeg": negated})
+    broken_ws = ws.replace(filters={**ws.filters, "TchFilterNeg": negated})
     broken = DiagramSpec("Fig4Broken", spec.entry, spec.path_a,
                          (Apply(FilterRef("TchFilterNeg"), Input()),),
                          spec.exit)

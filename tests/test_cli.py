@@ -17,15 +17,20 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
-    """``python -m dodl`` in a child that imports the package under test."""
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """A child interpreter that imports the package under test."""
     src = str(Path(dodl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "dodl", *argv],
+        [sys.executable, *argv],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m dodl`` in a fresh process."""
+    return run_python("-m", "dodl", *argv)
 
 
 class TestIndex:
@@ -394,3 +399,10 @@ class TestEntryPoint:
                           "index", "Tch", "Logic")
         assert proc.returncode == 0
         assert proc.stdout == "Tch_Logic = { Johnes, Smith }\n"
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # Every dodl call is a fresh process, so each module the import
+        # pulls in is paid for on every call.
+        proc = run_python("-c", "import sys, dodl.cli; "
+                          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

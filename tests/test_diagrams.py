@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -291,12 +290,12 @@ def error_variants(ws, rng):
     yield ws
     name = rng.choice(sorted(ws.relations))
     relation = ws.relations[name]
-    yield dataclasses.replace(
-        ws, relations={k: r for k, r in ws.relations.items() if k != name}
+    yield ws.replace(
+        relations={k: r for k, r in ws.relations.items() if k != name}
     )
     extra = ("Extra", relation.attributes[0][1])
     wider = Relation(name, relation.attributes + (extra,), frozenset())
-    yield dataclasses.replace(ws, relations={**ws.relations, name: wider})
+    yield ws.replace(relations={**ws.relations, name: wider})
 
 
 class TestCompiledFilter:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -65,15 +64,14 @@ class TestTrigger:
             assert {a.text for a in ao.elements} == expected
 
     def test_false_filter_gives_empty_object(self, teaching_ws):
-        silenced = dataclasses.replace(
-            teaching_ws,
+        silenced = teaching_ws.replace(
             filters={**teaching_ws.filters,
                      "NoPass": Filter("NoPass", "i", "x", FalsePred())},
         )
-        po = dataclasses.replace(silenced.potentials["Tch"],
-                                 name="Quiet", filter=silenced.filters["NoPass"])
-        silenced = dataclasses.replace(
-            silenced, potentials={**silenced.potentials, "Quiet": po})
+        po = silenced.potentials["Tch"].replace(
+            name="Quiet", filter=silenced.filters["NoPass"])
+        silenced = silenced.replace(
+            potentials={**silenced.potentials, "Quiet": po})
         state, ao = trigger(silenced, "Quiet", symbol("Logic"))
         assert ao.elements == frozenset()
         assert "Quiet_Logic" in state.ao_library
@@ -132,15 +130,14 @@ class TestMaterializeFunctor:
         assert teaching_ws.stage == 0 and not teaching_ws.ao_library
 
     def test_empty_index_domain(self, teaching_ws):
-        import dataclasses as dc
         from dodl.core import Domain, PotentialObject
 
         hollow = Domain("Hollow", teaching_ws.sorts["Course"], frozenset())
         po = PotentialObject("Idle", teaching_ws.domains["Teach"], hollow,
                              teaching_ws.filters["TchFilter"])
-        ws = dc.replace(teaching_ws,
-                        domains={**teaching_ws.domains, "Hollow": hollow},
-                        potentials={**teaching_ws.potentials, "Idle": po})
+        ws = teaching_ws.replace(
+            domains={**teaching_ws.domains, "Hollow": hollow},
+            potentials={**teaching_ws.potentials, "Idle": po})
         assert materialize_functor(ws, "Idle") == {}
 
     def test_agrees_with_the_relational_oracle(self, teaching_ws):
@@ -157,8 +154,7 @@ class TestRunScript:
         assert state.stage == teaching_ws.stage + 2
 
     def test_empty_script(self, teaching_ws):
-        ws = dataclasses.replace(
-            teaching_ws,
+        ws = teaching_ws.replace(
             scripts={**teaching_ws.scripts, "Nil": EventScript("Nil", ())},
         )
         state = run_script(ws, "Nil")
@@ -172,8 +168,8 @@ class TestRunScript:
     def test_failure_is_atomic_and_names_the_step(self, teaching_ws):
         bad = EventScript("Bad", (("Tch", symbol("Logic")),
                                   ("Tch", symbol("Algebra"))))
-        ws = dataclasses.replace(
-            teaching_ws, scripts={**teaching_ws.scripts, "Bad": bad})
+        ws = teaching_ws.replace(
+            scripts={**teaching_ws.scripts, "Bad": bad})
         with pytest.raises(ScriptError) as exc:
             run_script(ws, "Bad")
         assert exc.value.step == 2
@@ -209,8 +205,7 @@ class TestApplyEvolvent:
 
     def test_nested_parts_run_depth_first_left_to_right(self, teaching_ws):
         bad = EventScript("Bad", (("Tch", symbol("Algebra")),))
-        ws = dataclasses.replace(
-            teaching_ws,
+        ws = teaching_ws.replace(
             scripts={**teaching_ws.scripts, "Bad": bad},
             evolvents={
                 **teaching_ws.evolvents,
@@ -236,8 +231,8 @@ class TestApplyEvolvent:
                                       parts=(f"Deep{i - 1}",))
                  for i in range(1, depth)}
         chain["Deep0"] = Evolvent("Deep0", "composed", parts=("Assign",))
-        ws = dataclasses.replace(
-            teaching_ws, evolvents={**teaching_ws.evolvents, **chain})
+        ws = teaching_ws.replace(
+            evolvents={**teaching_ws.evolvents, **chain})
         assert apply_evolvent(ws, f"Deep{depth - 1}") == \
             apply_evolvent(ws, "Assign")
 
@@ -286,7 +281,7 @@ def probe_cases(seed: int):
     for name, relation in ws.relations.items():
         relations[name + "e"] = Relation(name + "e", relation.attributes,
                                           frozenset())
-    ws = dataclasses.replace(ws, relations=relations)
+    ws = ws.replace(relations=relations)
 
     def domain(relation, pattern, var, fallback):
         for position, term in enumerate(pattern):

@@ -8,7 +8,6 @@ must exit 0 or 1 without reaching the internal-error net.
 """
 
 import contextlib
-import dataclasses
 import io
 import random
 import tempfile
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import TEACHING
 from dodl.cli import main
+from dodl.core import Record
 from dodl.lang import LoadResult, dump, load_texts, parse
 from dodl.lang.syntax import Ref, ShapePart
 from wsgen import gen_workspace
@@ -32,8 +32,8 @@ def references(node) -> list:
         return [node]
     if isinstance(node, tuple):
         return [ref for item in node for ref in references(item)]
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        return [ref for f in dataclasses.fields(node)
+    if isinstance(node, Record):
+        return [ref for f in node.fields
                 for ref in references(getattr(node, f.name))]
     return []
 
@@ -42,6 +42,19 @@ def source_text(seed: int) -> str:
     if seed < 0:
         return TEACHING.read_text(encoding="utf-8")
     return dump(gen_workspace(random.Random(seed)))
+
+
+def renamable(stmt) -> list:
+    """The references of a statement other than the name it declares."""
+    return [ref for ref in references(stmt)
+            if ref is not getattr(stmt, "name", None)]
+
+
+def test_every_source_has_a_reference_to_rename():
+    # Without references the fuzz would only ever drop statements.
+    for seed in range(-1, 300):
+        statements = parse(source_text(seed)).statements
+        assert any(renamable(stmt) for stmt in statements), seed
 
 
 @st.composite
@@ -53,8 +66,7 @@ def damaged_workspaces(draw):
     pieces = [text[s.span.start:s.span.end] for s in statements]
     target = draw(st.integers(0, len(statements) - 1))
     stmt = statements[target]
-    refs = [ref for ref in references(stmt)
-            if ref is not getattr(stmt, "name", None)]
+    refs = renamable(stmt)
     if refs and draw(st.booleans()):
         ref = draw(st.sampled_from(refs))
         start = ref.span.start - stmt.span.start

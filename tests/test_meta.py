@@ -1,4 +1,3 @@
-import dataclasses
 import time
 
 import pytest
@@ -429,7 +428,7 @@ class TestEncapsulationProblems:
                                     min_size=len(concepts), max_size=len(concepts)))
         registry = ConceptRegistry()
         for concept, attrs in zip(concepts, hidden):
-            registry.add(dataclasses.replace(concept, encapsulated=attrs))
+            registry.add(concept.replace(encapsulated=attrs))
             for name in registry.names():
                 assert registry.encapsulation_problems(name) == \
                     walked_encapsulation_problems(registry, name)

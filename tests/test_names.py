@@ -6,8 +6,6 @@ message.  Then the library lookups that raise at run time, and the CLI's
 commands on names nothing declares.
 """
 
-import dataclasses
-
 import pytest
 
 from dodl import (
@@ -256,10 +254,10 @@ def test_not_defined_gives_each_kind_its_error(kind, error):
 def test_declarations_equal_ignores_only_the_derivation_state(teaching_ws):
     derived, _ = trigger(teaching_ws, "Tch", symbol("Logic"))
     assert derived.declarations_equal(teaching_ws)
-    for field in dataclasses.fields(teaching_ws):
+    for field in teaching_ws.fields:
         if field.name in ("ao_library", "stage", "concepts"):
             continue
-        changed = dataclasses.replace(teaching_ws, **{field.name: {}})
+        changed = teaching_ws.replace(**{field.name: {}})
         assert not changed.declarations_equal(teaching_ws), field.name
     changed = load_texts([("base.dodl", BASE)]).workspace
     assert not changed.declarations_equal(teaching_ws)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -274,8 +273,8 @@ class TestOracleRoute:
          "against 'Relationship1'"),
     ])
     def test_filters_without_a_twin_are_refused(self, teaching_ws, body, message):
-        po = dataclasses.replace(teaching_ws.potentials["Tch"],
-                                 filter=Filter("F", "i", "x", body))
+        po = teaching_ws.potentials["Tch"].replace(
+            filter=Filter("F", "i", "x", body))
         with pytest.raises(DodlError) as raised:
             oracle_route(po, teaching_ws.relations)
         assert str(raised.value) == message
@@ -287,8 +286,8 @@ class TestOracleRoute:
     ])
     def test_a_bad_member_raises_what_the_indexing_route_raises(self, teaching_ws,
                                                                body):
-        po = dataclasses.replace(teaching_ws.potentials["Tch"],
-                                 filter=Filter("F", "i", "x", body))
+        po = teaching_ws.potentials["Tch"].replace(
+            filter=Filter("F", "i", "x", body))
         with pytest.raises(DodlError) as oracle:
             oracle_route(po, teaching_ws.relations)
         with pytest.raises(DodlError) as indexing:
