@@ -4,6 +4,10 @@ Every invocation loads fresh from the ``*.dodl`` files of the workspace
 directory (lexicographic file order); nothing persists between runs except
 the source files themselves.  Exit codes: 0 success, 1 diagnostics, a
 failed check or an internal fault, 2 usage error.
+
+Each call builds the top-level argument parser and only the parser of the
+subcommand it runs (see :class:`_DeferredParser`); argparse set-up was
+otherwise a large share of a call on a small workspace.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="suppress informational output")
     parser.add_argument("--format", choices=("text", "tsv"), default="text",
                         help="style for tabular outputs")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_DeferredParser)
 
     p = sub.add_parser("load", help="parse, validate and build source files")
     p.add_argument("files", nargs="+")
@@ -87,6 +92,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("dump", help="print the canonical workspace text")
     sub.add_parser("audit", help="print the exchange audit log")
     return parser
+
+
+class _DeferredParser:
+    """A subcommand's parser, built when argparse first uses it.
+
+    ``add_argument`` calls are recorded, and the first other attribute
+    read (``parse_known_args``, when the command is the one chosen) builds
+    the real ``ArgumentParser`` and forwards to it from then on.  So a call
+    builds the top-level parser and at most one subcommand parser, and
+    help, usage errors and unknown commands build none.
+    """
+
+    def __init__(self, **kwargs):
+        self._kwargs = kwargs
+        self._arguments = []
+        self._parser = None
+
+    def add_argument(self, *args, **kwargs):
+        self._arguments.append((args, kwargs))
+
+    def __getattr__(self, name):
+        if self._parser is None:
+            self._parser = argparse.ArgumentParser(**self._kwargs)
+            for args, kwargs in self._arguments:
+                self._parser.add_argument(*args, **kwargs)
+        return getattr(self._parser, name)
 
 
 def _dispatch(args) -> int:

@@ -415,27 +415,40 @@ def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
             return target(step_input, bound + (value,), workspace)
     elif isinstance(expr, FilterRef):
         name = expr.name
+        # The last value built, kept while the lookup finds the same
+        # filter object, so a run over many entries builds one FilterFn.
+        last = None
 
         def run(step_input, bound, workspace):
+            nonlocal last
             f = workspace.filters.get(name)
             if f is None:
                 raise not_defined("filter", name)
-            return FilterFn(f)
+            if last is None or last.filter is not f:
+                last = FilterFn(f)
+            return last
     elif isinstance(expr, IndexShift):
         po_name = expr.po_name
         index_of = compile_expr(expr.index, scope)
+        # As for FilterRef: reused while the potential object is the same
+        # object and the index is equal, which passed the checks before.
+        last = None
 
         def run(step_input, bound, workspace):
+            nonlocal last
             po = workspace.potentials.get(po_name)
             if po is None:
                 raise not_defined("potential object", po_name)
             index = index_of(step_input, bound, workspace)
+            if last is not None and last.po is po and last.index == index:
+                return last
             if not isinstance(index, Atom):
                 raise EvalTypeError(
                     f"index shift needs an index element, got {format_value(index)}")
             if index not in po.index_domain:
                 raise not_in_domain(index, po.index_domain)
-            return ShiftFn(po, index)
+            last = ShiftFn(po, index)
+            return last
     elif isinstance(expr, Apply):
         fn_of = compile_expr(expr.fn, scope)
         arg_of = compile_expr(expr.arg, scope)

@@ -6,8 +6,11 @@ the relation's tuples, sharing no code with ``diagrams.compile_predicate``
 and ``diagrams.compile_expr``, the evaluators they check.
 :func:`reference_dataclass` rebuilds a record class's fields as a standard
 library dataclass, the meaning ``core.Record`` promises to keep.
+:func:`reference_parser` builds the CLI's argument parser eagerly, every
+subcommand parser up front, as plain argparse does.
 """
 
+import argparse
 import dataclasses
 
 from dodl.core import MISSING, Atom
@@ -214,3 +217,41 @@ def reference_dataclass(cls):
             options.update(init=False, repr=False, compare=False)
         specs.append((f.name, object, dataclasses.field(**options)))
     return dataclasses.make_dataclass(cls.__qualname__, specs, frozen=True)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The ``dodl`` argument parser with every subcommand parser built."""
+    parser = argparse.ArgumentParser(
+        prog="dodl",
+        description="Derive actual objects from potential objects by "
+                    "indexing events, with a relational cross-check.",
+    )
+    parser.add_argument("--workspace", default=".", metavar="<dir>",
+                        help="directory of .dodl files (default: .)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress informational output")
+    parser.add_argument("--format", choices=("text", "tsv"), default="text",
+                        help="style for tabular outputs")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("load", help="parse, validate and build source files")
+    p.add_argument("files", nargs="+")
+    p = sub.add_parser("index", help="trigger one event and print the result")
+    p.add_argument("po")
+    p.add_argument("atom")
+    p = sub.add_parser("functor", help="print the whole index-to-object map")
+    p.add_argument("po")
+    p = sub.add_parser("script", help="run an event script")
+    p.add_argument("name")
+    p = sub.add_parser("evolve", help="apply an evolvent")
+    p.add_argument("name")
+    p = sub.add_parser("check", help="run a diagram commutativity report")
+    p.add_argument("diagram")
+    p = sub.add_parser("oracle-diff", help="compare indexing with the "
+                                           "relational oracle")
+    p.add_argument("po")
+    p = sub.add_parser("query", help="evaluate a relational expression")
+    p.add_argument("expr")
+    sub.add_parser("dump", help="print the canonical workspace text")
+    sub.add_parser("audit", help="print the exchange audit log")
+    return parser

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,9 +7,12 @@ from pathlib import Path
 import pytest
 
 import dodl
+from argv_corpus import ARGV_CASES, expand, run_main
+from conftest import TEACHING
 from dodl.cli import main
 from dodl.lang import dump
 from dodl.relational import Relation
+from reference import reference_parser
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -367,6 +371,74 @@ class TestLoad:
         assert "Fig4: 8/8 inputs commute" in out
 
 
+def unreadable_case(kind, root):
+    """The argv of a call that meets an unreadable source file, and the
+    diagnostic it must print."""
+    ws = root / "ws"
+    ws.mkdir()
+    (ws / "teaching.dodl").write_text(TEACHING.read_text(encoding="utf-8"),
+                                      encoding="utf-8")
+    if kind == "missing":
+        return ["load", str(root / "missing.dodl")], \
+            f"{root / 'missing.dodl'}:1:1: cannot read file: no such file or directory"
+    if kind == "dash-h":
+        return ["load", "--", "-h"], \
+            "-h:1:1: cannot read file: no such file or directory"
+    if kind == "directory":
+        return ["load", str(ws)], f"{ws}:1:1: cannot read file: is a directory"
+    if kind == "workspace-directory":
+        (ws / "x.dodl").mkdir()
+        return ["--workspace", str(ws), "dump"], \
+            f"{ws / 'x.dodl'}:1:1: cannot read file: is a directory"
+    (ws / "latin1.dodl").write_bytes(b"sort S : symbolic;\n"
+                                     b"domain D : S = { caf\xe9 };\n")
+    return ["--workspace", str(ws), "dump"], \
+        f"{ws / 'latin1.dodl'}:2:21: not UTF-8 text: invalid continuation byte"
+
+
+UNREADABLE = ["missing", "dash-h", "directory", "workspace-directory",
+              "not-utf-8"]
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_in_process(self, capsys, tmp_path, monkeypatch, kind):
+        monkeypatch.chdir(tmp_path)
+        argv, diagnostic = unreadable_case(kind, tmp_path)
+        assert run_cli(capsys, *argv) == (1, "", diagnostic + "\n")
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_through_the_module(self, tmp_path, monkeypatch, kind):
+        monkeypatch.chdir(tmp_path)
+        argv, diagnostic = unreadable_case(kind, tmp_path)
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (1, "", diagnostic + "\n")
+
+    def test_no_permission(self, capsys, tmp_path, monkeypatch):
+        # A real chmod does not stop a superuser from reading, so the
+        # refusal is raised where the file is read.
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        locked = tmp_path / "locked.dodl"
+        assert run_cli(capsys, "load", str(locked)) == \
+            (1, "", f"{locked}:1:1: cannot read file: permission denied\n")
+
+    def test_every_unreadable_file_is_named(self, capsys, tmp_path):
+        unreadable_case("workspace-directory", tmp_path)
+        ws = tmp_path / "ws"
+        code, out, err = run_cli(capsys, "load", str(tmp_path / "gone.dodl"),
+                                 str(ws / "teaching.dodl"), str(ws / "x.dodl"))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"{tmp_path / 'gone.dodl'}:1:1: cannot read file: "
+            "no such file or directory",
+            f"{ws / 'x.dodl'}:1:1: cannot read file: is a directory",
+        ]
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys)[0] == 2
@@ -382,6 +454,36 @@ class TestUsage:
                                str(tmp_path / "void"), "dump")
         assert code == 1
         assert "not a directory" in err
+
+
+class TestDeferredParsers:
+    @pytest.mark.parametrize("case", ARGV_CASES, ids=" ".join)
+    def test_output_equals_the_eager_parser(self, teaching_dir, monkeypatch,
+                                            case):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = expand(case, teaching_dir)
+        assert run_main(argv) == run_main(argv, reference_parser)
+
+    @pytest.mark.parametrize("argv, built", [
+        (["index", "Tch", "Logic"], 2),
+        (["dump"], 2),
+        (["index", "-h"], 2),
+        (["-h"], 1),
+        (["frobnicate"], 1),
+        ([], 1),
+    ])
+    def test_only_the_chosen_command_is_built(self, capsys, teaching_dir,
+                                              monkeypatch, argv, built):
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        run_cli(capsys, "--workspace", str(teaching_dir), *argv)
+        assert len(constructed) == built, constructed
 
 
 class TestDeterminism:

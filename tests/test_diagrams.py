@@ -471,6 +471,36 @@ class TestCompiledExpr:
                     assert (row.value_b, row.error_b) == \
                         reference_cell(spec.path_b, row.input, variant)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_one_compiled_tree_over_changing_workspaces(self, seed):
+        # A compiled step keeps the function value it built last; running
+        # one tree over two workspaces in turn checks that the value never
+        # outlives the filter, potential object or index it was built from.
+        rng = random.Random(seed)
+        workspaces = (gen_workspace(rng), gen_workspace(rng))
+        for _ in range(10):
+            expr = random_expr(rng, workspaces[0], rng.randint(1, 5))
+            run = compile_expr(expr)
+            for _ in range(8):
+                ws = rng.choice(workspaces)
+                step_input = random_input(rng, ws)
+                assert outcome(lambda: run(step_input, (), ws)) == \
+                    outcome(lambda: reference_expr(expr, {}, ws, step_input)), expr
+
+    def test_a_function_value_is_built_once_per_lookup(self, teaching_ws):
+        logic = symbol("Logic")
+        for expr in (FilterRef("TchFilter"), IndexShift("Tch", Const(logic))):
+            run = compile_expr(expr)
+            first = run(None, (), teaching_ws)
+            assert run(None, (), teaching_ws) is first
+            changed = teaching_ws.replace(
+                filters={**teaching_ws.filters},
+                potentials={"Tch": teaching_ws.potentials["Tch"].replace()})
+            other = run(None, (), changed)
+            assert other == first
+            assert (other is first) == isinstance(expr, FilterRef)
+
     def test_shadowed_and_unbound_variables(self, teaching_ws):
         logic, doe = symbol("Logic"), symbol("Doe")
         for expr, expected in [
