@@ -458,31 +458,39 @@ def load_texts(named_texts: list[tuple[str | None, str]],
 def load_files(paths: list[str | Path], base: Workspace | None = None) -> LoadResult:
     """Load source files as :func:`load_texts` loads texts.
 
-    A file that cannot be read (missing, a directory, not readable, not
-    UTF-8) is a diagnostic naming its path, and stops the build as a
-    syntax error does.
+    A file that cannot be read (missing, a directory, a FIFO, not readable,
+    not UTF-8, or a path holding a NUL character) is a diagnostic naming
+    its path, and stops the build as a syntax error does.
     """
     units = []
     for path in paths:
         p = Path(path)
         name = str(p)
         try:
+            if p.is_fifo():
+                # Reading one waits for a writer, perhaps forever.
+                units.append(_unreadable(name, "is a FIFO"))
+                continue
             text = p.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            units.append(SourceUnit(name, "", (), (_unreadable(name, exc),)))
+        except UnicodeDecodeError as exc:
+            # The whole file is decoded at once, so the error's offsets are
+            # offsets into the file, and every byte before it decoded.
+            prefix = exc.object[:exc.start].decode("utf-8")
+            units.append(SourceUnit(name, "", (), (Diagnostic(
+                f"not UTF-8 text: {exc.reason}", prefix.count("\n") + 1,
+                len(prefix) - prefix.rfind("\n"), exc.start, exc.end,
+                path=name),)))
+        except OSError as exc:
+            units.append(_unreadable(
+                name, (exc.strerror or type(exc).__name__).lower()))
+        except ValueError as exc:
+            # open() refuses a path holding a NUL character.
+            units.append(_unreadable(name, str(exc)))
         else:
             units.append(parse(text, name))
     return build(units, base)
 
 
-def _unreadable(path: str, exc: OSError | UnicodeDecodeError) -> Diagnostic:
-    if isinstance(exc, UnicodeDecodeError):
-        # The whole file is decoded at once, so the error's offsets are
-        # offsets into the file, and every byte before it decoded.
-        prefix = exc.object[:exc.start].decode("utf-8")
-        return Diagnostic(f"not UTF-8 text: {exc.reason}",
-                          prefix.count("\n") + 1,
-                          len(prefix) - prefix.rfind("\n"),
-                          exc.start, exc.end, path=path)
-    reason = (exc.strerror or type(exc).__name__).lower()
-    return Diagnostic(f"cannot read file: {reason}", 1, 1, 0, 0, path=path)
+def _unreadable(path: str, reason: str) -> SourceUnit:
+    return SourceUnit(path, "", (), (Diagnostic(
+        f"cannot read file: {reason}", 1, 1, 0, 0, path=path),))

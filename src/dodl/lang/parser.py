@@ -60,7 +60,7 @@ from ..relational import (
     TermIdent,
     UnionExpr,
 )
-from .lexer import EOF, IDENT, INT, PUNCT, Token, tokenize
+from .lexer import IDENT, INT, Lines, describe, token_kind, tokenize
 from .syntax import (
     CheckCmd,
     ConceptDecl,
@@ -91,6 +91,7 @@ STATEMENT_KEYWORDS = (
     "sort", "domain", "relation", "filter", "potential", "concept",
     "diagram", "script", "evolvent", "trigger", "check", "query", "dump",
 )
+_ATOM_KINDS = {IDENT: SYMBOLIC, INT: NUMERIC}
 
 
 class _SyncError(Exception):
@@ -114,68 +115,74 @@ def _nested(production):
 
 
 class Parser:
+    """Reads the token lists of one text; a token is named by its position
+    in them, and ``current`` is the text of the token at ``pos``.  No
+    punctuation is a word, so a token's text alone tells what it is."""
+
     def __init__(self, text: str, path: str | None = None):
         self.text = text
         self.path = path
-        self.tokens, lex_errors = tokenize(text, path)
+        self.texts, self.starts, lex_errors = tokenize(text, path)
         self.pos = 0
-        self.current: Token = self.tokens[0]
+        self.current: str = self.texts[0]
         self.depth = 0
         self.errors: list[Diagnostic] = list(lex_errors)
+        # Lexeme text -> the atom it spells, built once per parse.
+        self.atoms: dict[str, Atom] = {}
+        # Built here, not on first use: an attribute filled in later through
+        # the instance's __dict__, as functools.cached_property does, makes
+        # every attribute read of the parser slower (CPython 3.11).
+        self.lines = Lines(text)
 
     # -- token plumbing ----------------------------------------------------
 
-    def advance(self) -> Token:
-        token = self.current
-        if token.kind != EOF:
+    def advance(self) -> str:
+        """Step past the current token, unless it is the end of input, and
+        return its text."""
+        text = self.current
+        if text:
             self.pos += 1
-            self.current = self.tokens[self.pos]
-        return token
+            self.current = self.texts[self.pos]
+        return text
 
-    def at_word(self, word: str) -> bool:
-        token = self.current
-        return token.kind == IDENT and token.text == word
+    def diagnostic(self, message: str, at: int, end: int,
+                   expected: tuple[str, ...] = ()) -> Diagnostic:
+        start = self.starts[at]
+        line, col = self.lines.position(start)
+        return Diagnostic(message, line, col, start, end, expected, self.path)
 
-    def at_punct(self, text: str) -> bool:
-        token = self.current
-        return token.kind == PUNCT and token.text == text
+    def end(self, at: int) -> int:
+        return self.starts[at] + len(self.texts[at])
 
-    def error(self, message: str, token: Token | None = None,
+    def error(self, message: str, at: int | None = None,
               expected: tuple[str, ...] = ()) -> _SyncError:
-        token = token or self.current
-        self.errors.append(Diagnostic(
-            message, token.line, token.col, token.start, token.end,
-            expected, self.path,
-        ))
+        at = self.pos if at is None else at
+        self.errors.append(self.diagnostic(message, at, self.end(at), expected))
         return _SyncError()
 
-    def expect_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
+    def expect(self, text: str) -> None:
+        if self.current != text:
             raise self.error(
-                f"found {self.current.describe()}", expected=(f"'{text}'",)
+                f"found {describe(self.current)}", expected=(f"'{text}'",)
+            )
+        self.pos += 1
+        self.current = self.texts[self.pos]
+
+    def expect_name(self, what: str = "identifier") -> str:
+        if token_kind(self.current) != IDENT:
+            raise self.error(
+                f"found {describe(self.current)}", expected=(what,)
             )
         return self.advance()
 
-    def expect_word(self, word: str) -> Token:
-        if not self.at_word(word):
-            raise self.error(
-                f"found {self.current.describe()}", expected=(f"'{word}'",)
-            )
-        return self.advance()
-
-    def expect_name(self, what: str = "identifier") -> Token:
-        if self.current.kind != IDENT:
-            raise self.error(
-                f"found {self.current.describe()}", expected=(what,)
-            )
-        return self.advance()
-
-    def span(self, first: Token, last: Token) -> Span:
-        return Span(first.line, first.col, first.start, last.end, self.path)
+    def span(self, first: int, last: int) -> Span:
+        start = self.starts[first]
+        line, col = self.lines.position(start)
+        return Span(line, col, start, self.end(last), self.path)
 
     def name_ref(self, what: str = "identifier") -> Ref:
-        token = self.expect_name(what)
-        return Ref(token.text, self.span(token, token))
+        at = self.pos
+        return Ref(self.expect_name(what), self.span(at, at))
 
     def comma_list(self, item, empty_at: str | None = None) -> list:
         """``item ("," item)*``, each item parsed by calling ``item()``.
@@ -183,126 +190,137 @@ class Parser:
         With ``empty_at`` given, the list may also be empty: it is when the
         current token is that closing punctuation.
         """
-        if empty_at is not None and self.at_punct(empty_at):
+        if empty_at is not None and self.current == empty_at:
             return []
         items = [item()]
         # The comma test and step are inlined: with a relation's rows and
         # their atoms, this is the loop the parser runs most.
-        while self.current.text == "," and self.current.kind == PUNCT:
+        while self.current == ",":
             self.pos += 1
-            self.current = self.tokens[self.pos]
+            self.current = self.texts[self.pos]
             items.append(item())
         return items
 
     def parse_atom(self) -> Atom:
-        token = self.current
-        if token.kind == IDENT:
-            self.advance()
-            return Atom(token.text, SYMBOLIC)
-        if token.kind == INT:
-            self.advance()
-            return Atom(token.text, NUMERIC)
-        raise self.error(
-            f"found {token.describe()}", expected=("atom",)
-        )
+        atom = self.atoms.get(self.current)
+        if atom is None:
+            return self._new_atom()
+        self.pos += 1
+        self.current = self.texts[self.pos]
+        return atom
+
+    def _new_atom(self) -> Atom:
+        """Step past the current token and build the atom it spells.  Equal
+        atoms, such as ``7`` and ``007``, share one object; a text that is
+        no atom raises again at each occurrence."""
+        text = self.current
+        kind = _ATOM_KINDS.get(token_kind(text))
+        if kind is None:
+            raise self.error(f"found {describe(text)}", expected=("atom",))
+        self.advance()
+        atom = Atom(text, kind)
+        atom = self.atoms.setdefault(atom.text, atom)
+        self.atoms[text] = atom
+        return atom
 
     # -- statements ----------------------------------------------------------
 
     def parse_unit(self) -> SourceUnit:
         statements = []
-        while self.current.kind != EOF:
+        while self.current:
             if len(self.errors) >= MAX_ERRORS:
                 break
-            first = self.current
+            first = self.pos
             try:
                 statements.append(self.parse_statement())
             except _SyncError:
                 self.synchronize()
             except DodlError as exc:
                 # Malformed values (e.g. a bad atom) surface as diagnostics.
-                self.errors.append(Diagnostic(
-                    str(exc), first.line, first.col, first.start,
-                    max(first.end, self.current.start), (), self.path,
+                self.errors.append(self.diagnostic(
+                    str(exc), first, max(self.end(first), self.starts[self.pos]),
                 ))
                 self.synchronize()
         return SourceUnit(self.path, self.text,
                           tuple(statements), tuple(self.errors[:MAX_ERRORS]))
 
     def synchronize(self):
-        while self.current.kind != EOF and not self.at_punct(";"):
-            self.advance()
-        if self.at_punct(";"):
-            self.advance()
+        """Step past the next ';', or to the end of input."""
+        try:
+            self.pos = self.texts.index(";", self.pos) + 1
+        except ValueError:
+            self.pos = len(self.texts) - 1
+        self.current = self.texts[self.pos]
 
     def parse_statement(self):
-        token = self.current
-        if token.kind != IDENT or token.text not in STATEMENT_KEYWORDS:
+        word = self.current
+        if word not in STATEMENT_KEYWORDS:
             raise self.error(
-                f"found {token.describe()}",
-                expected=STATEMENT_KEYWORDS,
+                f"found {describe(word)}", expected=STATEMENT_KEYWORDS,
             )
-        handler = getattr(self, f"_parse_{token.text}")
+        first = self.pos
         self.advance()
-        statement = handler(token)
-        return statement
+        return getattr(self, f"_parse_{word}")(first)
 
-    def _finish(self, first: Token) -> Span:
-        last = self.expect_punct(";")
+    def _finish(self, first: int) -> Span:
+        last = self.pos
+        self.expect(";")
         return self.span(first, last)
 
-    def _parse_sort(self, first: Token) -> SortDecl:
+    def _parse_sort(self, first: int) -> SortDecl:
         name = self.name_ref("sort name")
-        self.expect_punct(":")
-        kind_token = self.expect_name("'symbolic' or 'numeric'")
-        if kind_token.text not in (SYMBOLIC, NUMERIC):
+        self.expect(":")
+        at = self.pos
+        kind = self.expect_name("'symbolic' or 'numeric'")
+        if kind not in (SYMBOLIC, NUMERIC):
             raise self.error(
-                f"found {kind_token.describe()}", kind_token,
+                f"found {describe(kind)}", at,
                 expected=("'symbolic'", "'numeric'"),
             )
-        return SortDecl(name, kind_token.text, self._finish(first))
+        return SortDecl(name, kind, self._finish(first))
 
-    def _parse_domain(self, first: Token) -> DomainDecl:
+    def _parse_domain(self, first: int) -> DomainDecl:
         name = self.name_ref("domain name")
-        self.expect_punct(":")
+        self.expect(":")
         sort = self.name_ref("sort name")
-        self.expect_punct("=")
-        self.expect_punct("{")
+        self.expect("=")
+        self.expect("{")
         atoms = self.comma_list(self.parse_atom, empty_at="}")
-        self.expect_punct("}")
+        self.expect("}")
         return DomainDecl(name, sort, tuple(atoms), self._finish(first))
 
-    def _parse_relation(self, first: Token) -> RelationDecl:
+    def _parse_relation(self, first: int) -> RelationDecl:
         name = self.name_ref("relation name")
-        self.expect_punct("(")
+        self.expect("(")
         attributes = self.comma_list(self._parse_attribute)
-        self.expect_punct(")")
-        self.expect_punct("=")
-        self.expect_punct("{")
+        self.expect(")")
+        self.expect("=")
+        self.expect("{")
         rows = self.comma_list(self._parse_row, empty_at="}")
-        self.expect_punct("}")
+        self.expect("}")
         return RelationDecl(name, tuple(attributes), tuple(rows),
                             self._finish(first))
 
     def _parse_attribute(self) -> tuple[str, Ref]:
         attr = self.expect_name("attribute name")
-        self.expect_punct(":")
+        self.expect(":")
         sort = self.name_ref("sort name")
-        return attr.text, sort
+        return attr, sort
 
     def _parse_row(self) -> tuple[Atom, ...]:
-        self.expect_punct("(")
+        self.expect("(")
         atoms = self.comma_list(self.parse_atom)
-        self.expect_punct(")")
+        self.expect(")")
         return tuple(atoms)
 
-    def _parse_filter(self, first: Token) -> FilterDecl:
+    def _parse_filter(self, first: int) -> FilterDecl:
         name = self.name_ref("filter name")
-        self.expect_punct("(")
-        index_var = self.expect_name("index variable").text
-        self.expect_punct(",")
-        candidate_var = self.expect_name("candidate variable").text
-        self.expect_punct(")")
-        self.expect_punct("=")
+        self.expect("(")
+        index_var = self.expect_name("index variable")
+        self.expect(",")
+        candidate_var = self.expect_name("candidate variable")
+        self.expect(")")
+        self.expect("=")
         member_refs: list[tuple[Ref, int]] = []
         body = self.parse_predicate(
             params=(index_var, candidate_var), member_refs=member_refs
@@ -310,107 +328,109 @@ class Parser:
         return FilterDecl(name, index_var, candidate_var, body,
                           tuple(member_refs), self._finish(first))
 
-    def _parse_potential(self, first: Token) -> PotentialDecl:
+    def _parse_potential(self, first: int) -> PotentialDecl:
         name = self.name_ref("potential object name")
-        self.expect_word("carrier")
+        self.expect("carrier")
         carrier = self.name_ref("domain name")
-        self.expect_word("index")
+        self.expect("index")
         index_domain = self.name_ref("domain name")
-        self.expect_word("filter")
+        self.expect("filter")
         filter_ref = self.name_ref("filter name")
         return PotentialDecl(name, carrier, index_domain, filter_ref,
                              self._finish(first))
 
-    def _parse_concept(self, first: Token) -> ConceptDecl:
+    def _parse_concept(self, first: int) -> ConceptDecl:
         name = self.name_ref("concept name")
         parents = []
-        if self.at_punct(":"):
+        if self.current == ":":
             self.advance()
             parents = self.comma_list(lambda: self.name_ref("parent concept"))
-        self.expect_punct("{")
+        self.expect("{")
         attributes: list[tuple[str, Atom]] = []
         events: list[str] = []
         menus: list[tuple[str, str]] = []
         encapsulated: list[str] = []
-        while not self.at_punct("}"):
+        while self.current != "}":
+            at = self.pos
             item = self.expect_name("'attr', 'event', 'menu' or 'encapsulated'")
-            if item.text == "attr":
-                attr = self.expect_name("attribute name").text
-                self.expect_punct("=")
+            if item == "attr":
+                attr = self.expect_name("attribute name")
+                self.expect("=")
                 attributes.append((attr, self.parse_atom()))
-            elif item.text == "event":
-                events.append(self.expect_name("event name").text)
-            elif item.text == "menu":
-                label = self.expect_name("menu label").text
-                self.expect_punct("->")
-                menus.append((label, self.expect_name("event name").text))
-            elif item.text == "encapsulated":
+            elif item == "event":
+                events.append(self.expect_name("event name"))
+            elif item == "menu":
+                label = self.expect_name("menu label")
+                self.expect("->")
+                menus.append((label, self.expect_name("event name")))
+            elif item == "encapsulated":
                 encapsulated += self.comma_list(
-                    lambda: self.expect_name("attribute name").text
+                    lambda: self.expect_name("attribute name")
                 )
             else:
                 raise self.error(
-                    f"found {item.describe()}", item,
+                    f"found {describe(item)}", at,
                     expected=("'attr'", "'event'", "'menu'", "'encapsulated'"),
                 )
-            self.expect_punct(";")
-        self.expect_punct("}")
+            self.expect(";")
+        self.expect("}")
         return ConceptDecl(name, tuple(parents), tuple(attributes),
                            tuple(events), tuple(menus), tuple(encapsulated),
                            self._finish(first))
 
-    def _parse_diagram(self, first: Token) -> DiagramDecl:
+    def _parse_diagram(self, first: int) -> DiagramDecl:
         name = self.name_ref("diagram name")
-        self.expect_word("entry")
+        self.expect("entry")
         entry = self._parse_shape()
         filter_refs: list[Ref] = []
         shift_refs: list[Ref] = []
-        self.expect_word("path_a")
+        self.expect("path_a")
         path_a = self._parse_path(filter_refs, shift_refs)
-        self.expect_word("path_b")
+        self.expect("path_b")
         path_b = self._parse_path(filter_refs, shift_refs)
-        self.expect_word("exit")
+        self.expect("exit")
         exit_shape = self._parse_shape()
         return DiagramDecl(name, entry, path_a, path_b, exit_shape,
                            tuple(filter_refs), tuple(shift_refs),
                            self._finish(first))
 
     def _parse_shape(self) -> tuple[ShapePart, ...]:
-        if self.at_word("pair"):
+        if self.current == "pair":
             self.advance()
-            self.expect_punct("(")
+            self.expect("(")
             left = self._parse_shape_part()
-            self.expect_punct(",")
+            self.expect(",")
             right = self._parse_shape_part()
-            self.expect_punct(")")
+            self.expect(")")
             return (left, right)
         return (self._parse_shape_part(),)
 
     def _parse_shape_part(self) -> ShapePart:
-        token = self.expect_name("domain name or 'bool'")
-        return ShapePart(token.text, self.span(token, token))
+        at = self.pos
+        return ShapePart(self.expect_name("domain name or 'bool'"),
+                         self.span(at, at))
 
     def _parse_path(self, filter_refs, shift_refs) -> tuple[DiagramExpr, ...]:
-        self.expect_punct("[")
+        self.expect("[")
         steps = self.comma_list(
             lambda: self.parse_diagram_expr(filter_refs, shift_refs), empty_at="]"
         )
-        self.expect_punct("]")
+        self.expect("]")
         return tuple(steps)
 
     @_nested
     def parse_diagram_expr(self, filter_refs, shift_refs) -> DiagramExpr:
-        token = self.current
-        if token.kind != IDENT:
+        at = self.pos
+        word = self.current
+        if token_kind(word) != IDENT:
             raise self.error(
-                f"found {token.describe()}", expected=("combinator",)
+                f"found {describe(word)}", expected=("combinator",)
             )
-        word = token.text
         self.advance()
         if word == "input":
             return Input()
         if word == "var":
-            return Var(self.expect_name("variable name").text)
+            return Var(self.expect_name("variable name"))
         if word == "const":
             return Const(self.parse_atom())
         if word == "filter":
@@ -418,105 +438,105 @@ class Parser:
             filter_refs.append(ref)
             return FilterRef(ref.name)
         if word in ("fst", "snd", "id"):
-            self.expect_punct("(")
+            self.expect("(")
             operand = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect_punct(")")
+            self.expect(")")
             if word == "fst":
                 return Fst(operand)
             if word == "snd":
                 return Snd(operand)
             return IdArrow(operand)
         if word == "pair":
-            self.expect_punct("(")
+            self.expect("(")
             left = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect_punct(",")
+            self.expect(",")
             right = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect_punct(")")
+            self.expect(")")
             return Pair(left, right)
         if word == "apply":
-            self.expect_punct("(")
+            self.expect("(")
             fn = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect_punct(",")
+            self.expect(",")
             arg = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect_punct(")")
+            self.expect(")")
             return Apply(fn, arg)
         if word == "subst":
-            self.expect_punct("(")
-            var = self.expect_name("variable name").text
-            self.expect_punct(",")
+            self.expect("(")
+            var = self.expect_name("variable name")
+            self.expect(",")
             target = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect_punct(",")
+            self.expect(",")
             value = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect_punct(")")
+            self.expect(")")
             return Subst(var, target, value)
         if word == "shift":
-            self.expect_punct("(")
+            self.expect("(")
             ref = self.name_ref("potential object name")
             shift_refs.append(ref)
-            self.expect_punct(",")
+            self.expect(",")
             index = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect_punct(")")
+            self.expect(")")
             return IndexShift(ref.name, index)
         raise self.error(
-            f"found {token.describe()}", token,
+            f"found {describe(word)}", at,
             expected=("'input'", "'var'", "'const'", "'fst'", "'snd'",
                       "'pair'", "'subst'", "'apply'", "'filter'", "'shift'",
                       "'id'"),
         )
 
-    def _parse_script(self, first: Token) -> ScriptDecl:
+    def _parse_script(self, first: int) -> ScriptDecl:
         name = self.name_ref("script name")
-        self.expect_punct("=")
-        self.expect_punct("[")
+        self.expect("=")
+        self.expect("[")
         steps = self.comma_list(self._parse_script_step, empty_at="]")
-        self.expect_punct("]")
+        self.expect("]")
         return ScriptDecl(name, tuple(steps), self._finish(first))
 
     def _parse_script_step(self) -> tuple[Ref, Atom]:
-        self.expect_punct("(")
+        self.expect("(")
         po = self.name_ref("potential object name")
-        self.expect_punct(",")
+        self.expect(",")
         index = self.parse_atom()
-        self.expect_punct(")")
+        self.expect(")")
         return po, index
 
-    def _parse_evolvent(self, first: Token) -> EvolventDecl:
+    def _parse_evolvent(self, first: int) -> EvolventDecl:
         name = self.name_ref("evolvent name")
-        self.expect_punct("=")
-        if self.at_word("identity"):
+        self.expect("=")
+        if self.current == "identity":
             self.advance()
             return EvolventDecl(name, "identity", None, (), self._finish(first))
-        if self.at_word("script"):
+        if self.current == "script":
             self.advance()
             script = self.name_ref("script name")
             return EvolventDecl(name, "script", script, (), self._finish(first))
-        if self.at_word("compose"):
+        if self.current == "compose":
             self.advance()
-            self.expect_punct("(")
+            self.expect("(")
             parts = self.comma_list(lambda: self.name_ref("evolvent name"))
-            self.expect_punct(")")
+            self.expect(")")
             return EvolventDecl(name, "composed", None, tuple(parts),
                                 self._finish(first))
         raise self.error(
-            f"found {self.current.describe()}",
+            f"found {describe(self.current)}",
             expected=("'identity'", "'script'", "'compose'"),
         )
 
-    def _parse_trigger(self, first: Token) -> TriggerCmd:
+    def _parse_trigger(self, first: int) -> TriggerCmd:
         po = self.name_ref("potential object name")
         index = self.parse_atom()
         return TriggerCmd(po, index, self._finish(first))
 
-    def _parse_check(self, first: Token) -> CheckCmd:
+    def _parse_check(self, first: int) -> CheckCmd:
         diagram = self.name_ref("diagram name")
         return CheckCmd(diagram, self._finish(first))
 
-    def _parse_query(self, first: Token) -> QueryCmd:
+    def _parse_query(self, first: int) -> QueryCmd:
         refs: list[Ref] = []
         expr = self.parse_relexpr(refs)
         return QueryCmd(expr, tuple(refs), self._finish(first))
 
-    def _parse_dump(self, first: Token) -> DumpCmd:
+    def _parse_dump(self, first: int) -> DumpCmd:
         return DumpCmd(self._finish(first))
 
     # -- predicates ----------------------------------------------------------
@@ -552,9 +572,9 @@ class Parser:
     def _parse_chain(self, word: str, node, base: int,
                      operand) -> tuple[Predicate, int]:
         left, height = operand()
-        while self.at_word(word):
+        while self.current == word:
             self.advance()
-            first = self.current
+            first = self.pos
             right, right_height = operand()
             height = 1 + max(height, right_height)
             if base + height > MAX_DEPTH:
@@ -564,114 +584,113 @@ class Parser:
 
     @_nested
     def _parse_unary(self, params, member_refs) -> tuple[Predicate, int]:
-        if self.at_word("not"):
+        if self.current == "not":
             self.advance()
             operand, height = self._parse_unary(params, member_refs)
             return Not(operand), height + 1
         return self._parse_predicate_atom(params, member_refs)
 
     def _parse_predicate_atom(self, params, member_refs) -> tuple[Predicate, int]:
-        if self.at_word("true"):
+        if self.current == "true":
             self.advance()
             return TruePred(), 1
-        if self.at_word("false"):
+        if self.current == "false":
             self.advance()
             return FalsePred(), 1
-        if self.at_punct("("):
+        if self.current == "(":
             self.advance()
             # The parentheses already took a level; the tree inside does
             # not need another.
             inner = self._parse_or(params, member_refs, self.depth - 1)
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        if self.at_word("member"):
+        if self.current == "member":
             self.advance()
             ref = self.name_ref("relation name")
-            self.expect_punct("(")
+            self.expect("(")
             pattern = self.comma_list(
                 lambda: self._parse_term(params, allow_wildcard=True)
             )
-            self.expect_punct(")")
+            self.expect(")")
             member_refs.append((ref, len(pattern)))
             return Member(ref.name, tuple(pattern)), 1
         left = self._parse_term(params, allow_wildcard=False)
-        self.expect_punct("=")
+        self.expect("=")
         right = self._parse_term(params, allow_wildcard=False)
         return Eq(left, right), 1
 
     def _parse_term(self, params, allow_wildcard: bool):
-        token = self.current
-        if self.at_punct("_"):
+        text = self.current
+        if text == "_":
             if not allow_wildcard:
                 raise self.error("'_' is only valid in a membership pattern")
             self.advance()
             return Wildcard()
-        if token.kind == INT:
+        kind = token_kind(text)
+        if kind == IDENT and params is None:
             self.advance()
-            return Const(Atom(token.text, NUMERIC))
-        if token.kind == IDENT:
+            return TermIdent(text)
+        if kind == IDENT and text in params:
             self.advance()
-            if params is None:
-                return TermIdent(token.text)
-            if token.text in params:
-                return Var(token.text)
-            return Const(Atom(token.text, SYMBOLIC))
+            return Var(text)
+        if kind in _ATOM_KINDS:
+            return Const(self.parse_atom())
         raise self.error(
-            f"found {token.describe()}", expected=("term",)
+            f"found {describe(text)}", expected=("term",)
         )
 
     # -- query expressions -----------------------------------------------------
 
     @_nested
     def parse_relexpr(self, refs: list[Ref]) -> RelExpr:
-        if self.at_word("select"):
+        if self.current == "select":
             self.advance()
             source = self.parse_relexpr(refs)
-            self.expect_word("where")
+            self.expect("where")
             pred = self.parse_predicate(params=None, member_refs=[])
             return Select(source, pred)
-        if self.at_word("project"):
+        if self.current == "project":
             self.advance()
             source = self.parse_relexpr(refs)
-            self.expect_punct("[")
-            attrs = self.comma_list(lambda: self.expect_name("attribute name").text)
-            self.expect_punct("]")
+            self.expect("[")
+            attrs = self.comma_list(lambda: self.expect_name("attribute name"))
+            self.expect("]")
             return Project(source, tuple(attrs))
-        if self.at_word("join") or self.at_word("union") or self.at_word("difference"):
-            word = self.advance().text
-            self.expect_punct("(")
+        if self.current in ("join", "union", "difference"):
+            word = self.advance()
+            self.expect("(")
             left = self.parse_relexpr(refs)
-            self.expect_punct(",")
+            self.expect(",")
             right = self.parse_relexpr(refs)
-            self.expect_punct(")")
+            self.expect(")")
             if word == "join":
                 return JoinExpr(left, right)
             if word == "union":
                 return UnionExpr(left, right)
             return DifferenceExpr(left, right)
-        if self.at_word("oracle"):
+        if self.current == "oracle":
             self.advance()
-            self.expect_punct("(")
+            self.expect("(")
             source = self.parse_relexpr(refs)
-            self.expect_punct(",")
-            index_attr = self.expect_name("attribute name").text
-            self.expect_punct("=")
+            self.expect(",")
+            index_attr = self.expect_name("attribute name")
+            self.expect("=")
             index_value = self.parse_atom()
-            self.expect_punct(",")
-            target_attr = self.expect_name("attribute name").text
-            self.expect_punct(")")
+            self.expect(",")
+            target_attr = self.expect_name("attribute name")
+            self.expect(")")
             return OracleExpr(source, index_attr, index_value, target_attr)
-        if self.at_punct("("):
+        if self.current == "(":
             self.advance()
             inner = self.parse_relexpr(refs)
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        if self.current.kind == IDENT:
+        if token_kind(self.current) == IDENT:
             ref = self.name_ref("relation name")
             refs.append(ref)
             return RelName(ref.name)
         raise self.error(
-            f"found {self.current.describe()}",
+            f"found {describe(self.current)}",
             expected=("'select'", "'project'", "'join'", "'union'",
                       "'difference'", "'oracle'", "relation name"),
         )
@@ -687,9 +706,9 @@ def parse_query(text: str) -> RelExpr:
     parser = Parser(text, None)
     try:
         expr = parser.parse_relexpr([])
-        if parser.current.kind != EOF:
+        if parser.current:
             raise parser.error(
-                f"found {parser.current.describe()} after the expression"
+                f"found {describe(parser.current)} after the expression"
             )
     except _SyncError:
         expr = None

@@ -8,6 +8,7 @@ and ``diagrams.compile_expr``, the evaluators they check.
 library dataclass, the meaning ``core.Record`` promises to keep.
 :func:`reference_parser` builds the CLI's argument parser eagerly, every
 subcommand parser up front, as plain argparse does.
+:func:`reference_tokenize` lexes one character at a time into field tuples.
 """
 
 import argparse
@@ -47,6 +48,8 @@ from dodl.errors import (
     UnknownPotentialObject,
     UnknownRelation,
 )
+from dodl.lang.lexer import EOF, IDENT, INT, PUNCT
+from dodl.lang.syntax import Diagnostic
 
 
 def lookup(bindings, name):
@@ -255,3 +258,79 @@ def reference_parser() -> argparse.ArgumentParser:
     sub.add_parser("dump", help="print the canonical workspace text")
     sub.add_parser("audit", help="print the exchange audit log")
     return parser
+
+
+def reference_tokenize(text: str):
+    """The character-at-a-time lexer the pattern lexer replaced, as field
+    tuples.  Kept as the reference for ASCII input."""
+    tokens = []
+    errors = []
+    pos = 0
+    line = 1
+    col = 1
+    n = len(text)
+
+    def emit(kind, start, start_line, start_col, end):
+        tokens.append((kind, text[start:end], start_line, start_col, start, end))
+
+    while pos < n:
+        ch = text[pos]
+        if ch == "\n":
+            pos += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            pos += 1
+            col += 1
+            continue
+        if ch == "#":
+            while pos < n and text[pos] != "\n":
+                pos += 1
+            continue
+        start, start_line, start_col = pos, line, col
+        if ch.isalpha():
+            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            col += pos - start
+            emit(IDENT, start, start_line, start_col, pos)
+            continue
+        if ch.isdigit():
+            while pos < n and text[pos].isdigit():
+                pos += 1
+            col += pos - start
+            emit(INT, start, start_line, start_col, pos)
+            continue
+        if ch == "-" and pos + 1 < n and text[pos + 1] == ">":
+            pos += 2
+            col += 2
+            emit(PUNCT, start, start_line, start_col, pos)
+            continue
+        if ch == "_":
+            pos += 1
+            col += 1
+            if pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                    pos += 1
+                col += pos - start - 1
+                errors.append(Diagnostic(
+                    "names may not begin with '_'",
+                    start_line, start_col, start, pos,
+                ))
+                continue
+            emit(PUNCT, start, start_line, start_col, pos)
+            continue
+        if ch in "{}()[],;:=_":
+            pos += 1
+            col += 1
+            emit(PUNCT, start, start_line, start_col, pos)
+            continue
+        pos += 1
+        col += 1
+        errors.append(Diagnostic(
+            f"unexpected character {ch!r}",
+            start_line, start_col, start, pos,
+        ))
+
+    tokens.append((EOF, "", line, col, n, n))
+    return tokens, errors

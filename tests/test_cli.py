@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -21,20 +23,36 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def run_python(*argv) -> subprocess.CompletedProcess:
+def run_python(*argv, timeout: float | None = None) -> subprocess.CompletedProcess:
     """A child interpreter that imports the package under test."""
     src = str(Path(dodl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
     )
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the block once ``seconds`` pass, even in a blocked system call.
+    The failure is no OSError, so no handler of file errors takes it."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run_module(*argv, timeout: float | None = None) -> subprocess.CompletedProcess:
     """``python -m dodl`` in a fresh process."""
-    return run_python("-m", "dodl", *argv)
+    return run_python("-m", "dodl", *argv, timeout=timeout)
 
 
 class TestIndex:
@@ -425,6 +443,27 @@ class TestUnreadableFiles:
         locked = tmp_path / "locked.dodl"
         assert run_cli(capsys, "load", str(locked)) == \
             (1, "", f"{locked}:1:1: cannot read file: permission denied\n")
+
+    def fifo_case(self, root):
+        unreadable_case("missing", root)
+        fifo = root / "ws" / "z.dodl"
+        os.mkfifo(fifo)
+        return ["--workspace", str(root / "ws"), "dump"], \
+            f"{fifo}:1:1: cannot read file: is a FIFO\n"
+
+    def test_fifo_in_process(self, capsys, tmp_path):
+        argv, diagnostic = self.fifo_case(tmp_path)
+        with deadline(10):
+            assert run_cli(capsys, *argv) == (1, "", diagnostic)
+
+    def test_fifo_through_the_module(self, tmp_path):
+        argv, diagnostic = self.fifo_case(tmp_path)
+        proc = run_module(*argv, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", diagnostic)
+
+    def test_path_with_a_nul_character(self, capsys):
+        assert run_cli(capsys, "load", "a\x00b") == \
+            (1, "", "a\x00b:1:1: cannot read file: embedded null byte\n")
 
     def test_every_unreadable_file_is_named(self, capsys, tmp_path):
         unreadable_case("workspace-directory", tmp_path)

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -9,10 +10,12 @@ from dodl.core import number
 from dodl.diagrams import And, Not, Or
 from dodl.errors import DodlError
 from dodl.lang import build, dump, load_texts, parse, parse_query, validate
-from dodl.lang.lexer import EOF, IDENT, INT, PUNCT, tokenize
+from dodl.lang.lexer import EOF, Lines, token_kind, tokenize
 from dodl.lang.parser import MAX_DEPTH
 from dodl.lang.syntax import Diagnostic, DomainDecl, QueryCmd, TriggerCmd
 from dodl.relational import OracleExpr, Project, Select
+from front_end_pins import PINS, damaged, observe
+from reference import reference_tokenize
 
 
 class TestParse:
@@ -356,85 +359,14 @@ class TestLoad:
         assert result.diagnostics
 
 
-def reference_tokenize(text: str):
-    """The character-at-a-time lexer the pattern lexer replaced, as field
-    tuples.  Kept as the reference for ASCII input."""
-    tokens = []
-    errors = []
-    pos = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def emit(kind, start, start_line, start_col, end):
-        tokens.append((kind, text[start:end], start_line, start_col, start, end))
-
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            pos += 1
-            col += 1
-            continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        start, start_line, start_col = pos, line, col
-        if ch.isalpha():
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            col += pos - start
-            emit(IDENT, start, start_line, start_col, pos)
-            continue
-        if ch.isdigit():
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            col += pos - start
-            emit(INT, start, start_line, start_col, pos)
-            continue
-        if ch == "-" and pos + 1 < n and text[pos + 1] == ">":
-            pos += 2
-            col += 2
-            emit(PUNCT, start, start_line, start_col, pos)
-            continue
-        if ch == "_":
-            pos += 1
-            col += 1
-            if pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                    pos += 1
-                col += pos - start - 1
-                errors.append(Diagnostic(
-                    "names may not begin with '_'",
-                    start_line, start_col, start, pos,
-                ))
-                continue
-            emit(PUNCT, start, start_line, start_col, pos)
-            continue
-        if ch in "{}()[],;:=_":
-            pos += 1
-            col += 1
-            emit(PUNCT, start, start_line, start_col, pos)
-            continue
-        pos += 1
-        col += 1
-        errors.append(Diagnostic(
-            f"unexpected character {ch!r}",
-            start_line, start_col, start, pos,
-        ))
-
-    tokens.append((EOF, "", line, col, n, n))
-    return tokens, errors
-
-
 def lexed(text: str):
-    tokens, errors = tokenize(text)
-    return [tuple(token) for token in tokens], errors
+    """The lexer's flat lists as the reference's field tuples, each
+    position found by the lexer's own position function."""
+    texts, starts, errors = tokenize(text)
+    assert len(texts) == len(starts)
+    position = Lines(text).position
+    return [(token_kind(t), t, *position(start), start, start + len(t))
+            for t, start in zip(texts, starts)], errors
 
 
 # Mostly the characters tokens, comments and line breaks are made of, plus
@@ -568,6 +500,23 @@ class TestLexer:
     def test_matches_the_reference_on_the_teaching_corpus(self, teaching_text):
         assert lexed(teaching_text) == reference_tokenize(teaching_text)
 
+    @settings(max_examples=300, deadline=200)
+    @given(st.text(alphabet=st.one_of(
+        st.characters(max_codepoint=127),
+        st.sampled_from("\u00e9\u00b2\u00a0\u2003\u2028\u0085#->_x"),
+    ), max_size=60))
+    def test_tokens_and_errors_slice_the_text(self, text):
+        texts, starts, errors = tokenize(text)
+        assert (texts[-1], starts[-1]) == ("", len(text))
+        assert starts == sorted(set(starts))
+        for t, start in zip(texts, starts):
+            assert text[start:start + len(t)] == t
+        for d in errors:
+            assert d.start < d.end <= len(text)
+            assert d.start not in starts
+            assert (d.line, d.col) == (text.count("\n", 0, d.start) + 1,
+                                       d.start - text.rfind("\n", 0, d.start))
+
     def test_non_ascii_letter_is_reported_at_its_own_column(self):
         source = "sort N : symbolic;\ndomain D : N = { Caf\u00e9 };"
         (diagnostic,) = parse(source).errors
@@ -608,8 +557,73 @@ class TestLexer:
         ("#", 1, 1),
     ])
     def test_end_of_input_position(self, source, line, col):
-        eof = tokenize(source)[0][-1]
-        assert (eof.kind, eof.line, eof.col) == (EOF, line, col)
+        kind, _, eof_line, eof_col, *_ = lexed(source)[0][-1]
+        assert (kind, eof_line, eof_col) == (EOF, line, col)
+
+
+class TestPinnedFrontEnd:
+    """Diagnostics, spans and atoms of damaged demo texts, byte for byte as
+    recorded by ``front_end_pins.py`` before the lexer worked on flat
+    lists."""
+
+    def test_damaged_demo_texts_give_the_recorded_output(self, teaching_text):
+        record = json.loads(PINS.read_text(encoding="utf-8"))
+        assert len(record) > 1000
+        differing = [
+            entry["case"] for entry in record
+            if observe(damaged(teaching_text, entry["case"]))
+            != {k: v for k, v in entry.items() if k != "case"}
+        ]
+        assert differing == []
+
+
+class TestAtomSharing:
+    def statement_atoms(self, source):
+        unit = parse(source)
+        assert not unit.errors
+        return unit.statements
+
+    def test_equal_lexemes_give_one_atom(self):
+        domain, relation = self.statement_atoms(
+            "domain D : S = { a, b, 7 };\n"
+            "relation R (x : S, y : N) = { (a, 7), (b, 7), (a, 07) };")
+        rows = relation.rows
+        assert rows[0][0] is domain.atoms[0] and rows[2][0] is domain.atoms[0]
+        assert rows[1][0] is domain.atoms[1]
+        assert all(row[1] is domain.atoms[2] for row in rows)
+
+    def test_7_and_007_give_one_atom(self):
+        (domain,) = self.statement_atoms("domain D : N = { 007, 7 };")
+        first, second = domain.atoms
+        assert first is second
+        assert (first.text, first.kind) == ("7", "numeric")
+
+    def test_filter_constants_share_the_atoms(self):
+        domain, filter_decl = self.statement_atoms(
+            "domain D : S = { a, 3 };\n"
+            "filter F (i, x) = x = a or member R (i, 003, a);")
+        eq, member = filter_decl.body.left, filter_decl.body.right
+        assert eq.right.atom is domain.atoms[0]
+        assert member.pattern[1].atom is domain.atoms[1]
+        assert member.pattern[2].atom is domain.atoms[0]
+
+    def test_each_parse_builds_its_own_atoms(self):
+        source = "domain D : S = { a };"
+        (first,) = self.statement_atoms(source)
+        (second,) = self.statement_atoms(source)
+        assert first.atoms[0] == second.atoms[0]
+        assert first.atoms[0] is not second.atoms[0]
+
+    def test_a_bad_atom_is_reported_at_each_occurrence(self):
+        source = ("domain D : S = { a, ->, a };\n"
+                  "domain E : S = { -> };\n"
+                  "relation R (x : S) = { (b), (->) };")
+        unit = parse(source)
+        assert [(d.line, d.col, d.message, d.expected) for d in unit.errors] == [
+            (line, source.splitlines()[line - 1].index("->") + 1,
+             "found '->'", ("atom",))
+            for line in (1, 2, 3)
+        ]
 
 
 class TestNestingDepth:
