@@ -248,11 +248,12 @@ def _cmd_oracle_diff(args, result) -> int:
     state = result.exchange.state
     po = get_potential(state, args.po)
     relation, index_attr, target_attr = oracle_route(po, state.relations)
+    extensions = oracle_index(relation, index_attr, target_attr)
     rows = []
     all_equal = True
     for index in po.index_domain.sorted_elements():
         indexed = derive_actual(state, po, index).elements
-        oracle = oracle_index(relation, index_attr, index, target_attr)
+        oracle = extensions.get(index, frozenset())
         equal = indexed == oracle
         all_equal = all_equal and equal
         rows.append((

@@ -264,7 +264,8 @@ class Atom:
                     f"numeric atom {text!r} is not a base-10 integer"
                 )
             # Canonical form: no leading zeros, so "007" and "7" are one atom.
-            text = str(int(text))
+            # Stripped as text: int() refuses more than 4300 digits.
+            text = text.lstrip("0") or "0"
         elif text[0].isdigit():
             raise ReservedCharacter(
                 f"symbolic atom {text!r} may not begin with a digit"
@@ -303,9 +304,10 @@ class Atom:
         return int(self.text)
 
     def order_key(self):
-        # Numeric atoms order by integer value, symbolic ones byte-wise.
+        # Numeric atoms order by integer value, symbolic ones byte-wise.  A
+        # canonical numeral with more digits is the larger number.
         if self.kind == NUMERIC:
-            return (0, int(self.text), "")
+            return (0, len(self.text), self.text)
         return (1, 0, self.text)
 
     def __str__(self):

@@ -61,6 +61,10 @@ class SchemaMismatch(DodlError):
     pass
 
 
+class JoinTooLarge(DodlError):
+    """A join would build more rows than :data:`relational.JOIN_ROW_LIMIT`."""
+
+
 class UnknownConcept(DodlError):
     pass
 

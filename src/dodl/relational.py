@@ -2,7 +2,8 @@
 
 This layer is deliberately independent of the diagram engine: the oracle
 answers the same question as event indexing by select-then-project over a
-named relation, so the two routes can be compared against each other.
+named relation, for every index in one scan, so the two routes can be
+compared against each other.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     DefinitionError,
     DodlError,
     EvalTypeError,
+    JoinTooLarge,
     NoSharedAttributes,
     SchemaMismatch,
     SortMismatch,
@@ -37,6 +39,12 @@ from .errors import (
 )
 
 Row = tuple[Atom, ...]
+
+# The most rows one join may build.  A chain of joins multiplies rows, so a
+# short query over small relations could otherwise run without bound; the
+# largest join of the tests, the generated workspaces and the benchmark
+# workloads builds about 1,050 rows.
+JOIN_ROW_LIMIT = 100_000
 
 
 @record
@@ -110,10 +118,6 @@ class Relation:
     def sorted_tuples(self) -> list[Row]:
         return sorted(self.tuples, key=lambda row: tuple(a.order_key() for a in row))
 
-    def same_contents(self, other: "Relation") -> bool:
-        """Equality up to the derived result name."""
-        return self.attributes == other.attributes and self.tuples == other.tuples
-
 
 # ---------------------------------------------------------------------------
 # Row predicates
@@ -174,6 +178,8 @@ def join(r: Relation, s: Relation) -> Relation:
     """Natural join on all shared attribute names.
 
     Result schema is r's attributes followed by s's non-shared ones.
+    Raises :class:`JoinTooLarge` once the result passes ``JOIN_ROW_LIMIT``
+    rows.
     """
     shared = [a for a in r.attribute_names if a in s.attribute_names]
     if not shared:
@@ -197,11 +203,18 @@ def join(r: Relation, s: Relation) -> Relation:
     for right in s.tuples:
         key = tuple(right[i] for i in s_pos)
         buckets.setdefault(key, []).append(tuple(right[i] for i in s_rest))
-    # Probe: each tuple of r meets only the bucket of its own key.
+    # Probe: each tuple of r meets only the bucket of its own key.  Distinct
+    # left tuples and distinct remainders give distinct rows, so the set's
+    # size counts the output.
     rows = set()
     for left in r.tuples:
         for rest in buckets.get(tuple(left[i] for i in r_pos), ()):
             rows.add(left + rest)
+        if len(rows) > JOIN_ROW_LIMIT:
+            raise JoinTooLarge(
+                f"join of {r.name!r} and {s.name!r} has more than "
+                f"{JOIN_ROW_LIMIT} rows"
+            )
     return Relation(f"join_{r.name}_{s.name}", schema, frozenset(rows))
 
 
@@ -223,16 +236,22 @@ def difference(r: Relation, s: Relation) -> Relation:
 
 
 def oracle_index(
-    r: Relation, index_attr: str, index_value: Atom, target_attr: str
-) -> frozenset[Atom]:
-    """The plain-relational route to an extension.
+    r: Relation, index_attr: str, target_attr: str
+) -> dict[Atom, frozenset[Atom]]:
+    """The plain-relational route to every extension at once.
 
-    Definitionally project(select(r, index_attr = index_value), [target_attr])
-    read back as an atom set.
+    Maps each value ``v`` of ``index_attr`` in ``r`` to
+    project(select(r, index_attr = v), [target_attr]) read back as an atom
+    set, from one scan of the tuples; a value with no tuple has no entry.
+    Both attributes are resolved on ``r`` before the scan, so an unknown
+    one raises even when ``r`` is empty.
     """
-    narrowed = select(r, Eq(Var(index_attr), Const(index_value)))
-    column = project(narrowed, [target_attr])
-    return frozenset(row[0] for row in column.tuples)
+    index_pos = r.index_of(index_attr)
+    target_pos = r.index_of(target_attr)
+    groups: dict[Atom, set[Atom]] = {}
+    for row in r.tuples:
+        groups.setdefault(row[index_pos], set()).add(row[target_pos])
+    return {index: frozenset(group) for index, group in groups.items()}
 
 
 def oracle_route(
@@ -382,9 +401,8 @@ def eval_query(expr: RelExpr, relations: Mapping[str, Relation]) -> QueryResult:
                           _as_relation(eval_query(expr.right, relations)))
     if isinstance(expr, OracleExpr):
         relation = _as_relation(eval_query(expr.source, relations))
-        return oracle_index(
-            relation, expr.index_attr, expr.index_value, expr.target_attr
-        )
+        extensions = oracle_index(relation, expr.index_attr, expr.target_attr)
+        return extensions.get(expr.index_value, frozenset())
     raise EvalTypeError(f"unknown query node {expr!r}")
 
 

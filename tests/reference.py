@@ -9,6 +9,8 @@ library dataclass, the meaning ``core.Record`` promises to keep.
 :func:`reference_parser` builds the CLI's argument parser eagerly, every
 subcommand parser up front, as plain argparse does.
 :func:`reference_tokenize` lexes one character at a time into field tuples.
+:func:`reference_oracle_index` answers the relational oracle for one index
+by select then project, one scan of the relation per index.
 """
 
 import argparse
@@ -50,6 +52,7 @@ from dodl.errors import (
 )
 from dodl.lang.lexer import EOF, IDENT, INT, PUNCT
 from dodl.lang.syntax import Diagnostic
+from dodl.relational import project, select
 
 
 def lookup(bindings, name):
@@ -334,3 +337,16 @@ def reference_tokenize(text: str):
 
     tokens.append((EOF, "", line, col, n, n))
     return tokens, errors
+
+
+def reference_oracle_index(relation, index_attr, index_value, target_attr):
+    """project(select(relation, index_attr = index_value), [target_attr])
+    read back as an atom set."""
+    narrowed = select(relation, Eq(Var(index_attr), Const(index_value)))
+    column = project(narrowed, [target_attr])
+    return frozenset(row[0] for row in column.tuples)
+
+
+def same_contents(r, s) -> bool:
+    """Relation equality up to the derived result name."""
+    return r.attributes == s.attributes and r.tuples == s.tuples

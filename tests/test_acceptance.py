@@ -35,7 +35,7 @@ from dodl.lang import dump, load_files, load_texts
 from dodl.meta import Concept, ConceptRegistry
 from dodl.relational import oracle_index, project, select, union
 from dodl.diagrams import TruePred
-from reference import reference_filter
+from reference import reference_filter, same_contents
 from wsgen import gen_indexed_case, gen_workspace
 
 PASS = "ACCEPTANCE PASS"
@@ -67,10 +67,10 @@ def test_criterion_1_teaching_corpus_indexing_exact(capsys):
 def test_criterion_2_indexing_equals_relational_oracle():
     started = time.monotonic()
     ws = load_teaching()
-    relation = ws.relations["Relationship1"]
+    extensions = oracle_index(ws.relations["Relationship1"], "Course", "Name")
     for index in ws.potentials["Tch"].index_domain.sorted_elements():
         _, ao = trigger(ws, "Tch", index)
-        assert ao.elements == oracle_index(relation, "Course", index, "Name")
+        assert ao.elements == extensions.get(index, frozenset())
 
     rng = random.Random(2024)
     cases = 0
@@ -82,9 +82,10 @@ def test_criterion_2_indexing_equals_relational_oracle():
         rel = case_ws.relations["R"]
         index_attr = rel.attribute_names[index_pos]
         target_attr = rel.attribute_names[candidate_pos]
+        extensions = oracle_index(rel, index_attr, target_attr)
         for index in po.index_domain.sorted_elements():
             _, ao = trigger(case_ws, po_name, index)
-            oracle = oracle_index(rel, index_attr, index, target_attr)
+            oracle = extensions.get(index, frozenset())
             assert ao.elements == oracle
             brute = {row[candidate_pos] for row in raw_rows
                      if row[index_pos] == index.text}
@@ -270,20 +271,20 @@ def test_criterion_8_relational_algebra_laws():
     laws = 0
     for _ in range(100):
         r = random_relation(rng)
-        assert select(r, TruePred()).same_contents(r)
+        assert same_contents(select(r, TruePred()), r)
         names = list(r.attribute_names)
         outer = rng.sample(names, rng.randint(1, len(names)))
         inner = rng.sample(outer, rng.randint(1, len(outer)))
-        assert project(project(r, outer), inner) \
-            .same_contents(project(r, inner))
+        assert same_contents(project(project(r, outer), inner),
+                             project(r, inner))
         laws += 2
     for _ in range(100):
         shared = random_relation(rng, "Schema").attributes
         r2 = random_relation(rng, "R", shared)
         s2 = random_relation(rng, "S", shared)
         pred = random_row_predicate(rng, r2)
-        assert select(union(r2, s2), pred).same_contents(
-            union(select(r2, pred), select(s2, pred)))
+        assert same_contents(select(union(r2, s2), pred),
+                             union(select(r2, pred), select(s2, pred)))
         laws += 1
     elapsed = time.monotonic() - started
     assert elapsed < 5.0

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from dodl.cli import main
 from dodl.lang import dump
 from dodl.relational import Relation
 from reference import reference_parser
+from wsgen import gen_workspace
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -199,6 +201,26 @@ class TestOracleDiff:
         assert len(rows) == 2
         assert all(row.endswith("DIFFER") for row in rows)
 
+    # Rows where R holds a candidate outside the carrier: the indexing route
+    # drops it and the oracle, which does not restrict to the carrier, keeps it.
+    @pytest.mark.parametrize("seed, po, differ", [
+        (56, "P2", ["5\t{ }\t{ 17 }\tDIFFER"]),
+        (91, "P1", ["Chi\t{ }\t{ Lambda, Rho }\tDIFFER"]),
+        (138, "P0", ["22\t{ }\t{ 12 }\tDIFFER"]),
+        (289, "P0", ["1\t{ }\t{ Zeta }\tDIFFER",
+                     "2\t{ }\t{ Zeta }\tDIFFER"]),
+    ])
+    def test_differ_rows_on_generated_workspaces(self, capsys, tmp_path,
+                                                 seed, po, differ):
+        ws = gen_workspace(random.Random(seed))
+        (tmp_path / "ws.dodl").write_text(dump(ws), encoding="utf-8")
+        code, out, err = run_cli(capsys, "--workspace", str(tmp_path),
+                                 "--format", "tsv", "oracle-diff", po)
+        assert (code, err) == (1, "")
+        rows = out.splitlines()
+        assert [row for row in rows if row.endswith("DIFFER")] == differ
+        assert len(rows) == len(ws.potentials[po].index_domain.elements)
+
 
 class TestQuery:
     def test_oracle_query(self, capsys, teaching_dir):
@@ -207,6 +229,27 @@ class TestQuery:
                                "oracle(Relationship1, Course = Logic, Name)")
         assert code == 0
         assert out == "{ Johnes, Smith }\n"
+
+    @pytest.mark.parametrize("course, out", [("Logic", "{ Logic }\n"),
+                                             ("Algebra", "{ }\n")])
+    def test_oracle_query_with_the_index_as_target(self, capsys, teaching_dir,
+                                                   course, out):
+        code, got, _ = run_cli(
+            capsys, "--workspace", str(teaching_dir), "query",
+            f"oracle(Relationship1, Course = {course}, Course)")
+        assert (code, got) == (0, out)
+
+    @pytest.mark.parametrize("expr, source", [
+        ("oracle(select Relationship1 where Course = Algebra, Nope = Logic, "
+         "Name)", "sel_Relationship1"),
+        ("oracle(Relationship1, Course = Logic, Nope)", "Relationship1"),
+    ])
+    def test_oracle_query_names_an_unknown_attribute_of_its_source(
+            self, capsys, teaching_dir, expr, source):
+        code, out, err = run_cli(capsys, "--workspace", str(teaching_dir),
+                                 "query", expr)
+        assert (code, out) == (1, "")
+        assert err == f"error: relation {source!r} has no attribute 'Nope'\n"
 
     def test_select_project(self, capsys, teaching_dir):
         code, out, _ = run_cli(
@@ -250,6 +293,33 @@ class TestQuery:
         code, _, err = run_cli(capsys, "--workspace", str(teaching_dir),
                                "query", "Nowhere")
         assert code == 1
+
+    def test_a_join_chain_past_the_row_limit_fails_in_time(self, capsys,
+                                                          tmp_path):
+        # Eight relations of ten rows share one value of B, so each join
+        # multiplies the rows by ten: 10**8 rows without the bound.
+        lines = ["sort S : symbolic;"]
+        for i in range(8):
+            rows = ", ".join(f"(a{j}, b)" for j in range(10))
+            lines.append(f"relation R{i} (A{i} : S, B : S) = {{ {rows} }};")
+        chain = "R0"
+        for i in range(1, 8):
+            chain = f"join({chain}, R{i})"
+        query = f"project ({chain}) [B]"
+        source = tmp_path / "chain.dodl"
+        source.write_text("\n".join(lines) + f"\nquery {query};\n",
+                          encoding="utf-8")
+        message = ("join of 'join_join_join_join_R0_R1_R2_R3_R4' and 'R5' "
+                   "has more than 100000 rows")
+        with deadline(10):
+            code, _, err = run_cli(capsys, "load", str(source))
+        assert code == 1
+        assert err == f"{source}:10:1: {message}\n"
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with deadline(10):
+            code, out, err = run_cli(capsys, "--workspace", str(tmp_path),
+                                     "query", query)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestScriptEvolve:
@@ -340,6 +410,16 @@ class TestLoad:
         assert code == 1
         assert "bad.dodl:2:" in err and "bad.dodl:4:" in err
         assert "Traceback" not in err
+
+    def test_a_numeral_past_the_int_conversion_limit(self, capsys, tmp_path):
+        long = "1" * 5000
+        text = f"sort N : numeric;\ndomain D : N = {{ {long}, 7 }};\n"
+        (tmp_path / "long.dodl").write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "load", str(tmp_path / "long.dodl"))
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, "--workspace", str(tmp_path), "dump")
+        assert (code, err) == (0, "")
+        assert f"domain D : N = {{ 7, {long} }};" in out
 
     def test_deep_nesting_is_a_diagnostic_not_a_traceback(self, tmp_path):
         deep = tmp_path / "deep.dodl"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dodl.core import (
     NUMERIC,
@@ -74,6 +76,21 @@ class TestAtom:
     def test_order_numeric_by_value_symbolic_bytewise(self):
         assert number(2).order_key() < number(10).order_key()
         assert symbol("Doe").order_key() < symbol("Smith").order_key()
+
+    @given(st.lists(st.text("0123456789", min_size=1, max_size=40),
+                    min_size=1, max_size=8))
+    def test_numerals_keep_the_integer_text_and_order(self, numerals):
+        atoms = [Atom(text, NUMERIC) for text in numerals]
+        assert [a.text for a in atoms] == [str(int(t)) for t in numerals]
+        assert [a.text for a in sorted(atoms, key=Atom.order_key)] == \
+            [str(n) for n in sorted(int(t) for t in numerals)]
+
+    def test_a_numeral_past_the_int_conversion_limit(self):
+        long = Atom("0" + "1" * 5000, NUMERIC)
+        assert long.text == "1" * 5000
+        assert Atom("0000", NUMERIC).text == "0"
+        assert sorted([long, number(7)], key=Atom.order_key) == [number(7), long]
+        assert number(7).order_key() < long.order_key() < symbol("A").order_key()
 
 
 class TestDomain:

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from conftest import TEACHING_ROWS
+from reference import reference_oracle_index, same_contents
+from wsgen import gen_workspace
 from dodl.core import NUMERIC, SYMBOLIC, Sort, number, symbol
 from dodl.diagrams import (
     And,
@@ -19,12 +21,14 @@ from dodl.diagrams import (
 from dodl.errors import (
     DodlError,
     EvalTypeError,
+    JoinTooLarge,
     NoSharedAttributes,
     SchemaMismatch,
     SortMismatch,
     UnknownAttribute,
     UnknownRelation,
 )
+from dodl import relational
 from dodl.relational import (
     DifferenceExpr,
     JoinExpr,
@@ -87,7 +91,7 @@ class TestRelation:
 
     def test_oracle_and_select_leave_the_probe_index_unbuilt(self):
         r = assignments()
-        oracle_index(r, "Course", symbol("Logic"), "Name")
+        oracle_index(r, "Course", "Name")
         select(r, Eq(Var("Hours"), Const(number(20))))
         assert r._probes == {}
 
@@ -107,7 +111,7 @@ class TestSelect:
 
     def test_true_keeps_everything(self):
         result = select(assignments(), TruePred())
-        assert result.same_contents(assignments())
+        assert same_contents(result, assignments())
 
     def test_numeric_equality(self):
         result = select(assignments(), Eq(Var("Hours"), Const(number(30))))
@@ -137,7 +141,7 @@ class TestProject:
 
     def test_all_attributes_is_identity(self):
         r = assignments()
-        assert project(r, list(r.attribute_names)).same_contents(r)
+        assert same_contents(project(r, list(r.attribute_names)), r)
 
     def test_unknown_attribute(self):
         with pytest.raises(UnknownAttribute):
@@ -164,7 +168,7 @@ class TestJoin:
 
     def test_self_join_is_identity(self):
         r = assignments()
-        assert join(r, r).same_contents(r)
+        assert same_contents(join(r, r), r)
 
     def test_disjoint_schemas_rejected(self):
         r = Relation("R", (("A", NAME),), frozenset())
@@ -185,7 +189,7 @@ class TestUnionDifference:
         logic = select(r, Eq(Var("Course"), Const(symbol("Logic"))))
         informatics = select(r, Eq(Var("Course"), Const(symbol("Informatics"))))
         assert len(logic.tuples) == 2 and len(informatics.tuples) == 2
-        assert union(logic, informatics).same_contents(r)
+        assert same_contents(union(logic, informatics), r)
 
     def test_difference_with_self_is_empty(self):
         r = assignments()
@@ -196,7 +200,7 @@ class TestUnionDifference:
     def test_difference_with_empty_is_identity(self):
         r = assignments()
         empty = Relation("Empty", r.attributes, frozenset())
-        assert difference(r, empty).same_contents(r)
+        assert same_contents(difference(r, empty), r)
 
     def test_schema_mismatch(self):
         r = assignments()
@@ -207,20 +211,80 @@ class TestUnionDifference:
 
 class TestOracleIndex:
     def test_logic_teachers(self):
-        result = oracle_index(assignments(), "Course", symbol("Logic"), "Name")
+        result = oracle_index(assignments(), "Course", "Name")[symbol("Logic")]
         assert result == frozenset({symbol("Johnes"), symbol("Smith")})
 
     def test_informatics_teachers(self):
-        result = oracle_index(assignments(), "Course", symbol("Informatics"), "Name")
+        result = oracle_index(assignments(), "Course", "Name")[symbol("Informatics")]
         assert result == frozenset({symbol("Doe"), symbol("Jackson")})
 
     def test_absent_index_value_gives_empty_set(self):
-        assert oracle_index(assignments(), "Course", symbol("Algebra"), "Name") \
-            == frozenset()
+        extensions = oracle_index(assignments(), "Course", "Name")
+        assert symbol("Algebra") not in extensions
+        assert extensions.get(symbol("Algebra"), frozenset()) == frozenset()
 
     def test_unknown_attribute(self):
         with pytest.raises(UnknownAttribute):
-            oracle_index(assignments(), "Nope", symbol("Logic"), "Name")
+            oracle_index(assignments(), "Nope", "Name")
+
+    @pytest.mark.parametrize("index_attr, target_attr",
+                             [("Nope", "Name"), ("Course", "Nope")])
+    def test_unknown_attribute_names_the_source_even_when_empty(
+            self, index_attr, target_attr):
+        for rows in (assignments().tuples, frozenset()):
+            r = Relation("Relationship1", assignments().attributes, rows)
+            with pytest.raises(UnknownAttribute) as raised:
+                oracle_index(r, index_attr, target_attr)
+            assert str(raised.value) == \
+                "relation 'Relationship1' has no attribute 'Nope'"
+
+    def test_index_attribute_as_target(self):
+        extensions = oracle_index(assignments(), "Course", "Course")
+        assert extensions == {symbol("Logic"): frozenset({symbol("Logic")}),
+                              symbol("Informatics"):
+                                  frozenset({symbol("Informatics")})}
+        assert extensions.get(symbol("Algebra"), frozenset()) == frozenset()
+
+    def test_one_entry_per_index_value_of_the_relation(self):
+        r = assignments()
+        extensions = oracle_index(r, "Hours", "Name")
+        assert set(extensions) == {number(20), number(30)}
+        for hours, names in extensions.items():
+            assert names == reference_oracle_index(r, "Hours", hours, "Name")
+
+
+def oracle_cases(seed: int):
+    """(relation, index attribute, target attribute, indexes) for every
+    potential of wsgen seed ``seed`` that has a relational twin; the indexes
+    are the index domain's atoms plus one atom absent from it and from the
+    relation."""
+    ws = gen_workspace(random.Random(seed))
+    for name in sorted(ws.potentials):
+        po = ws.potentials[name]
+        try:
+            relation, index_attr, target_attr = oracle_route(po, ws.relations)
+        except DodlError:
+            continue
+        indexes = po.index_domain.sorted_elements()
+        column = {row[relation.index_of(index_attr)] for row in relation.tuples}
+        absent = (number(10 ** 9) if po.index_domain.sort.kind == NUMERIC
+                  else symbol("Absent"))
+        assert absent not in column and absent not in indexes
+        yield relation, index_attr, target_attr, indexes + [absent]
+
+
+class TestOracleOnGeneratedWorkspaces:
+    def test_every_entry_equals_select_then_project(self):
+        potentials = 0
+        for seed in range(300):
+            for relation, index_attr, target_attr, indexes in oracle_cases(seed):
+                extensions = oracle_index(relation, index_attr, target_attr)
+                for index in indexes:
+                    assert extensions.get(index, frozenset()) == \
+                        reference_oracle_index(relation, index_attr, index,
+                                               target_attr), (seed, index)
+                potentials += 1
+        assert potentials == 16
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +365,7 @@ class TestAlgebraLaws:
         rng = random.Random(7)
         for _ in range(60):
             r = random_relation(rng)
-            assert select(r, TruePred()).same_contents(r)
+            assert same_contents(select(r, TruePred()), r)
 
     def test_select_false_is_empty(self):
         rng = random.Random(8)
@@ -318,7 +382,7 @@ class TestAlgebraLaws:
             inner = rng.sample(outer, rng.randint(1, len(outer)))
             twice = project(project(r, outer), inner)
             once = project(r, inner)
-            assert twice.same_contents(once)
+            assert same_contents(twice, once)
 
     def test_select_distributes_over_union(self):
         rng = random.Random(10)
@@ -329,15 +393,16 @@ class TestAlgebraLaws:
             pred = random_row_predicate(rng, r)
             lhs = select(union(r, s), pred)
             rhs = union(select(r, pred), select(s, pred))
-            assert lhs.same_contents(rhs)
+            assert same_contents(lhs, rhs)
 
     def test_oracle_equals_its_expansion_and_brute_force(self):
         rng = random.Random(11)
         for _ in range(60):
             schema = (("K", NAME), ("V", NAME), ("W", HOURS))
             r = random_relation(rng, "R", schema)
+            extensions = oracle_index(r, "K", "V")
             for key in {row[0] for row in r.tuples} | {symbol("Absent")}:
-                via_oracle = oracle_index(r, "K", key, "V")
+                via_oracle = extensions.get(key, frozenset())
                 expansion = frozenset(
                     row[0] for row in project(
                         select(r, Eq(Var("K"), Const(key))), ["V"]
@@ -383,6 +448,19 @@ class TestAlgebraLaws:
             assert joined.name == "join_R_S"
             assert (joined.attributes, joined.tuples) == nested_loop(r, s)
 
+    def test_join_past_the_row_limit_raises(self, monkeypatch):
+        key = (("K", NAME),)
+        r = Relation("R", key + (("A", NAME),),
+                     frozenset((symbol("k"), symbol(w)) for w in WORDS[:4]))
+        s = Relation("S", key + (("B", NAME),),
+                     frozenset((symbol("k"), symbol(w)) for w in WORDS[:4]))
+        monkeypatch.setattr(relational, "JOIN_ROW_LIMIT", 16)
+        assert len(join(r, s).tuples) == 16
+        monkeypatch.setattr(relational, "JOIN_ROW_LIMIT", 15)
+        with pytest.raises(JoinTooLarge) as raised:
+            join(r, s)
+        assert str(raised.value) == "join of 'R' and 'S' has more than 15 rows"
+
     def test_operations_never_return_duplicates(self):
         rng = random.Random(12)
         for _ in range(40):
@@ -398,8 +476,8 @@ class TestQueryExpressions:
         return {"Relationship1": assignments()}
 
     def test_name_lookup(self):
-        assert eval_query(RelName("Relationship1"), self.registry()) \
-            .same_contents(assignments())
+        assert same_contents(eval_query(RelName("Relationship1"), self.registry()),
+                             assignments())
         with pytest.raises(UnknownRelation):
             eval_query(RelName("Nope"), self.registry())
 
@@ -431,13 +509,14 @@ class TestQueryExpressions:
                        Eq(TermIdent("Course"), TermIdent("Logic")))
         inf = Select(RelName("Relationship1"),
                      Eq(TermIdent("Course"), TermIdent("Informatics")))
-        assert eval_query(UnionExpr(logic, inf), reg) \
-            .same_contents(assignments())
-        assert eval_query(DifferenceExpr(RelName("Relationship1"), logic), reg) \
-            .same_contents(eval_query(inf, reg))
+        assert same_contents(eval_query(UnionExpr(logic, inf), reg),
+                             assignments())
+        assert same_contents(
+            eval_query(DifferenceExpr(RelName("Relationship1"), logic), reg),
+            eval_query(inf, reg))
         joined = eval_query(JoinExpr(RelName("Relationship1"),
                                      RelName("Relationship1")), reg)
-        assert joined.same_contents(assignments())
+        assert same_contents(joined, assignments())
 
     def test_atom_set_cannot_feed_an_operator(self):
         expr = Project(

@@ -102,3 +102,21 @@ def test_a_demo_pass_reaches_every_boundary(teaching_dir, capsys):
     assert capsys.readouterr().err == ""
     assert codes == [0] * len(calls)
     assert set(tracing.BOUNDARIES) - {span[2] for span in tracer.spans} == set()
+
+
+def test_a_demo_oracle_diff_scans_the_relation_once(teaching_dir, capsys):
+    """The oracle answers every index of one ``oracle-diff`` call from one
+    ``oracle_index`` call, whatever the number of indexes."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = dodl.cli.main(["--workspace", str(teaching_dir),
+                              "oracle-diff", "Tch"])
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().err == ""
+    assert code == 0
+    names = [span[2] for span in tracer.spans]
+    assert names.count("relational.oracle") == 1
+    assert names.count("evolver.derive") == 2
