@@ -46,7 +46,6 @@ from .diagrams import (
     check_commutes,
     compile_expr,
     enumerate_entry,
-    eval_expr,
     run_filter,
 )
 from .errors import DodlError

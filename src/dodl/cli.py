@@ -165,6 +165,8 @@ def _cmd_load(args) -> int:
         if not args.quiet:
             for note in result.notes:
                 print(f"note: {note}")
+        # A failed command statement leaves a diagnostic: no "ok:" then.
+        if not args.quiet and not result.diagnostics:
             workspace = result.exchange.state
             counts = (
                 f"{len(workspace.domains)} domain(s), "

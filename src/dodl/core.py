@@ -237,10 +237,11 @@ class Atom:
     hashed and compared in every tuple, probe and filter, where the record
     base's generic closures would cost about twice as much per call.  The
     methods keep the record meaning: equal text and kind,
-    ``hash((text, kind))``, immutable.
+    ``hash((text, kind))``, immutable.  The hash is computed once, in
+    ``__init__``, and kept in a third slot that is not a field.
     """
 
-    __slots__ = ("text", "kind")
+    __slots__ = ("text", "kind", "_hash")
 
     def __init__(self, text: str, kind: str):
         if kind not in KINDS:
@@ -272,6 +273,7 @@ class Atom:
             )
         _set_attribute(self, "text", text)
         _set_attribute(self, "kind", kind)
+        _set_attribute(self, "_hash", hash((text, kind)))
 
     def __eq__(self, other):
         if other.__class__ is Atom:
@@ -279,7 +281,7 @@ class Atom:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.text, self.kind))
+        return self._hash
 
     def __repr__(self):
         return f"Atom(text={self.text!r}, kind={self.kind!r})"

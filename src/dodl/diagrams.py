@@ -260,6 +260,12 @@ def format_value(value: Value) -> str:
 
 
 def value_order_key(value: Value):
+    # An entry pair of atoms, the shape of every pair-shaped diagram entry;
+    # the key is the one the general case below builds.
+    if value.__class__ is tuple and len(value) == 2:
+        first, second = value
+        if first.__class__ is Atom and second.__class__ is Atom:
+            return ("p", ("a", first.order_key()), ("a", second.order_key()))
     if isinstance(value, bool):
         return ("b", (0, int(value), ""))
     if isinstance(value, Atom):
@@ -336,12 +342,27 @@ def _compile_member(pred: Member, slot) -> Callable:
              if not isinstance(term, Wildcard)]
     positions = tuple(position for position, _ in bound)
     getters = tuple(getter for _, getter in bound)
+    # The relation is looked up on every call: the closure is kept on the
+    # filter and may run against another workspace.
+    if len(getters) == 2:
+        # Two bound positions, as in ``member R (idx, x, _)``: the key is
+        # built as a pair, its terms read left to right.
+        first, second = getters
+
+        def member(args, workspace):
+            relation = workspace.relations.get(name)
+            if relation is None:
+                raise not_defined("relation", name)
+            if arity != len(relation.attributes):
+                raise arity_mismatch(relation.name, arity, relation.arity)
+            return (first(args), second(args)) in relation.probe_index(positions)
+        return member
 
     def member(args, workspace):
         relation = workspace.relations.get(name)
         if relation is None:
             raise not_defined("relation", name)
-        if arity != relation.arity:
+        if arity != len(relation.attributes):
             raise arity_mismatch(relation.name, arity, relation.arity)
         key = tuple([value(args) for value in getters])
         return key in relation.probe_index(positions)
@@ -394,14 +415,28 @@ def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
             return (first(step_input, bound, workspace),
                     second(step_input, bound, workspace))
     elif isinstance(expr, (Fst, Snd)):
-        operand = compile_expr(expr.operand, scope)
         position, word = (0, "fst") if isinstance(expr, Fst) else (1, "snd")
+        inner = expr.operand
+        while isinstance(inner, IdArrow):
+            inner = inner.operand
+        if isinstance(inner, Input):
+            # fst(input) and snd(input) read the step input directly.
+            def run(step_input, bound, workspace):
+                if step_input is None:
+                    raise EvalTypeError("input is only available inside a diagram path")
+                if not (isinstance(step_input, tuple) and len(step_input) == 2):
+                    raise EvalTypeError(
+                        f"{word} of a non-pair value {format_value(step_input)}")
+                return step_input[position]
+        else:
+            operand = compile_expr(expr.operand, scope)
 
-        def run(step_input, bound, workspace):
-            value = operand(step_input, bound, workspace)
-            if not (isinstance(value, tuple) and len(value) == 2):
-                raise EvalTypeError(f"{word} of a non-pair value {format_value(value)}")
-            return value[position]
+            def run(step_input, bound, workspace):
+                value = operand(step_input, bound, workspace)
+                if not (isinstance(value, tuple) and len(value) == 2):
+                    raise EvalTypeError(
+                        f"{word} of a non-pair value {format_value(value)}")
+                return value[position]
     elif isinstance(expr, Subst):
         var = expr.var
         value_of = compile_expr(expr.value, scope)
@@ -460,7 +495,7 @@ def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
             arg = arg_of(step_input, bound, workspace)
             if isinstance(fn, FilterFn):
                 if not (isinstance(arg, tuple) and len(arg) == 2
-                        and all(isinstance(a, Atom) for a in arg)):
+                        and isinstance(arg[0], Atom) and isinstance(arg[1], Atom)):
                     raise EvalTypeError(
                         f"filter {fn.filter.name!r} applies to an (index, "
                         f"candidate) pair, got {format_value(arg)}")
@@ -478,11 +513,6 @@ def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
                 raise UnboundVariable(f"variable {expr.name!r} is not bound")
             raise EvalTypeError(f"unknown expression node {expr!r}")
     return run
-
-
-def eval_expr(expr: DiagramExpr, workspace, step_input: Value | None = None) -> Value:
-    """Evaluate a closed diagram expression once; see :func:`compile_expr`."""
-    return compile_expr(expr)(step_input, (), workspace)
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +581,12 @@ class CommutativityRow:
     agrees: bool = Field(hidden=True)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "agrees", self.error_a is None and self.error_b is None
-            and self.value_a == self.value_b
-        )
+        _set_agrees(self, self.error_a is None and self.error_b is None
+                    and self.value_a == self.value_b)
+
+
+# The slot's own setter, quicker than object.__setattr__ by name.
+_set_agrees = CommutativityRow.__dict__["agrees"].__set__
 
 
 @record

@@ -87,11 +87,6 @@ class Workspace:
         library[ao.name] = ao
         return self.replace(ao_library=library, stage=self.stage + 1)
 
-    def declarations_equal(self, other: "Workspace") -> bool:
-        """Equality of the declared registries, ignoring derivation state."""
-        return self.replace(ao_library={}, stage=0) == \
-            other.replace(ao_library={}, stage=0)
-
 
 # ---------------------------------------------------------------------------
 # Derivation
@@ -167,6 +162,48 @@ def apply_evolvent(state: Workspace, evolvent_name: str) -> Workspace:
         elif evolvent.kind == COMPOSED:
             pending.extend(reversed(evolvent.parts))
     return current
+
+
+# The most steps one evolvent may expand to.  apply_evolvent takes one step
+# for each evolvent it runs, composed and identity ones included, and one
+# for each trigger of the scripts it runs.  A short text of repeated
+# compositions could otherwise ask for exponentially many; the largest
+# evolvent of the tests, the generated workspaces and the benchmark
+# workloads takes 1,203 steps.
+EVOLVENT_STEP_LIMIT = 100_000
+
+
+def expanded_steps(evolvents: dict[str, Evolvent],
+                   scripts: dict[str, EventScript]) -> dict[str, int]:
+    """The steps :func:`apply_evolvent` takes for each evolvent, counted
+    only up to ``EVOLVENT_STEP_LIMIT + 1``.
+
+    The composition graph must be acyclic.  A compose graph is a
+    straight-line program, so one memoised pass counts its expansion
+    without expanding it (Lohrey, Groups Complex. Cryptol. 4(2), 2012); the
+    pass keeps its own stack.  A name that has no evolvent or script counts
+    one step, the one that raises.
+    """
+    cap = EVOLVENT_STEP_LIMIT + 1
+    steps: dict[str, int] = {}
+    for root in evolvents:
+        pending = [root]
+        while pending:
+            name = pending[-1]
+            if name in steps:
+                pending.pop()
+                continue
+            evolvent = evolvents.get(name)
+            parts = evolvent.parts if evolvent is not None else ()
+            missing = [part for part in parts if part not in steps]
+            if missing:
+                pending.extend(missing)
+                continue
+            pending.pop()
+            script = scripts.get(evolvent.script) if evolvent is not None else None
+            triggers = len(script.steps) if script is not None else 0
+            steps[name] = min(cap, 1 + triggers + sum(steps[part] for part in parts))
+    return steps
 
 
 # ---------------------------------------------------------------------------

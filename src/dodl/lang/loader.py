@@ -23,12 +23,14 @@ from ..diagrams import (
 )
 from ..errors import CycleDetected, DodlError, not_defined
 from ..evolver import (
+    EVOLVENT_STEP_LIMIT,
     EventScript,
     Evolvent,
     Exchange,
     Query,
     Trigger,
     Workspace,
+    expanded_steps,
 )
 from ..meta import Concept, ConceptRegistry, find_cycle
 from ..relational import Relation
@@ -352,6 +354,16 @@ class _Builder:
             self.complain(
                 anchor, "evolvent composition cycle: " + " -> ".join(cycle)
             )
+            return evolvents
+        # Each evolvent whose count first passes the limit is reported; the
+        # ones composed from it are not.
+        steps = expanded_steps(evolvents, scripts)
+        over = {name for name in self.decls[EvolventDecl]
+                if steps.get(name, 0) > EVOLVENT_STEP_LIMIT}
+        for name, decl in self.decls[EvolventDecl].items():
+            if name in over and over.isdisjoint(evolvents[name].parts):
+                self.complain(decl, f"evolvent {name!r} expands to more than "
+                                    f"{EVOLVENT_STEP_LIMIT} steps")
         return evolvents
 
     # -- commands ----------------------------------------------------------------

@@ -4,11 +4,14 @@ The interpreters of the filter and diagram languages walk the trees over a
 plain dict of variable bindings and answer each membership test by scanning
 the relation's tuples, sharing no code with ``diagrams.compile_predicate``
 and ``diagrams.compile_expr``, the evaluators they check.
+:func:`eval_expr` and :func:`declarations_equal` are shorthands the tests
+share; the library has no caller for them.
 :func:`reference_dataclass` rebuilds a record class's fields as a standard
 library dataclass, the meaning ``core.Record`` promises to keep.
 :func:`reference_parser` builds the CLI's argument parser eagerly, every
 subcommand parser up front, as plain argparse does.
 :func:`reference_tokenize` lexes one character at a time into field tuples.
+:func:`reference_expanded_steps` counts an evolvent's steps by expanding it.
 :func:`reference_oracle_index` answers the relational oracle for one index
 by select then project, one scan of the relation per index.
 """
@@ -38,6 +41,7 @@ from dodl.diagrams import (
     TruePred,
     Var,
     Wildcard,
+    compile_expr,
     format_value,
 )
 from dodl.errors import (
@@ -188,6 +192,19 @@ def reference_expr(expr, bindings, workspace, step_input=None):
     raise EvalTypeError(f"unknown expression node {expr!r}")
 
 
+def eval_expr(expr, workspace, step_input=None):
+    """Evaluate a closed diagram expression once by the compiled route,
+    ``compile_expr``; not a reference, a shorthand for the tests."""
+    return compile_expr(expr)(step_input, (), workspace)
+
+
+def declarations_equal(workspace, other) -> bool:
+    """Equality of two workspaces' declared registries, ignoring the
+    derivation state (the actual objects and the stage)."""
+    return workspace.replace(ao_library={}, stage=0) == \
+        other.replace(ao_library={}, stage=0)
+
+
 def reference_path(steps, entry, workspace):
     """Fold the reference walk over one path's steps from an entry value."""
     value = entry
@@ -204,13 +221,31 @@ def outcome(evaluate):
         return type(exc), str(exc)
 
 
+def reference_expanded_steps(evolvents, scripts, name, limit):
+    """The steps ``apply_evolvent`` takes for ``name``, by expanding it the
+    way it runs: one per evolvent popped, one per trigger of each script
+    named, one for a name that names nothing.  Stops once past ``limit``
+    and returns ``limit + 1``."""
+    count = 0
+    pending = [name]
+    while pending and count <= limit:
+        evolvent = evolvents.get(pending.pop())
+        count += 1
+        if evolvent is not None:
+            script = scripts.get(evolvent.script)
+            count += len(script.steps) if script is not None else 0
+            pending.extend(reversed(evolvent.parts))
+    return min(count, limit + 1)
+
+
 def reference_dataclass(cls):
     """A frozen dataclass with the fields of the record class ``cls`` and
     none of its methods, each hidden field out of ``__init__``, eq, hash
-    and repr.  A class with no field list (the hand-written ``Atom``) gives
-    its slots as plain fields."""
+    and repr.  The hand-written ``Atom`` has no field list: its fields,
+    ``text`` and ``kind``, are named here as plain fields (its third slot
+    keeps the hash and is not a field)."""
     specs = []
-    for f in cls.fields if hasattr(cls, "fields") else cls.__slots__:
+    for f in cls.fields if hasattr(cls, "fields") else ("text", "kind"):
         if isinstance(f, str):
             specs.append((f, object))
             continue

@@ -26,7 +26,6 @@ from dodl.diagrams import (
     Var,
     check_commutes,
     enumerate_entry,
-    eval_expr,
     run_filter,
 )
 from dodl.errors import CycleDetected
@@ -35,7 +34,7 @@ from dodl.lang import dump, load_files, load_texts
 from dodl.meta import Concept, ConceptRegistry
 from dodl.relational import oracle_index, project, select, union
 from dodl.diagrams import TruePred
-from reference import reference_filter, same_contents
+from reference import eval_expr, reference_filter, same_contents
 from wsgen import gen_indexed_case, gen_workspace
 
 PASS = "ACCEPTANCE PASS"

@@ -359,6 +359,21 @@ class TestScriptEvolve:
                                "Tch_Logic = { Johnes, Smith }\n"
                                "stage 2\n")
 
+    def test_evolve_a_compose_ladder_ends_in_a_diagnostic(self, teaching_dir):
+        # E21 would run 2^24 - 1 steps; E14, at 2^17 - 1, is the first
+        # past the limit, and the load stops there.
+        ladder = teaching_dir / "ladder.dodl"
+        ladder.write_text(
+            "evolvent E0 = compose(Assign, Assign);\n"
+            + "".join(f"evolvent E{i} = compose(E{i - 1}, E{i - 1});\n"
+                      for i in range(1, 22)),
+            encoding="utf-8")
+        proc = run_module("--workspace", str(teaching_dir), "evolve", "E21",
+                          timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"{ladder}:15:1: evolvent 'E14' expands to more than "
+                   f"100000 steps\n")
+
 
 class TestDumpAndAudit:
     def test_dump_matches_the_library(self, capsys, teaching_dir, teaching_ws):
@@ -467,6 +482,22 @@ class TestLoad:
         assert code == 0
         assert "Tch_Logic = { Johnes, Smith }" in out
         assert "Fig4: 8/8 inputs commute" in out
+
+    def test_a_failed_statement_prints_no_ok_line(self, capsys, teaching_dir):
+        extra = teaching_dir / "zrun.dodl"
+        extra.write_text("trigger Tch Logic;\nquery project Relationship1 [Nope];\n",
+                         encoding="utf-8")
+        code, out, err = run_cli(capsys, "load",
+                                 str(teaching_dir / "teaching.dodl"), str(extra))
+        assert (code, out, err) == (
+            1, "Tch_Logic = { Johnes, Smith }\n",
+            f"{extra}:2:1: relation 'Relationship1' has no attribute 'Nope'\n")
+        extra.write_text("trigger Tch Logic;\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "load",
+                                 str(teaching_dir / "teaching.dodl"), str(extra))
+        assert (code, out, err) == (
+            0, "Tch_Logic = { Johnes, Smith }\nok: 3 domain(s), 1 relation(s), "
+               "1 potential object(s), 3 concept(s); stage 1\n", "")
 
 
 def unreadable_case(kind, root):

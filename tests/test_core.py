@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,6 +94,19 @@ class TestAtom:
         assert Atom("0000", NUMERIC).text == "0"
         assert sorted([long, number(7)], key=Atom.order_key) == [number(7), long]
         assert number(7).order_key() < long.order_key() < symbol("A").order_key()
+
+    def test_the_kept_hash_is_the_record_hash_and_is_frozen(self):
+        for atom in (symbol("Doe"), number(7), Atom("007", NUMERIC)):
+            assert hash(atom) == hash((atom.text, atom.kind))
+            assert hash(copy.copy(atom)) == hash(pickle.loads(pickle.dumps(atom))) \
+                == hash(atom)
+            assert "_hash" not in repr(atom)
+            for name in ("text", "kind", "_hash"):
+                with pytest.raises(AttributeError):
+                    setattr(atom, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(atom, name)
+            assert hash(atom) == hash((atom.text, atom.kind))
 
 
 class TestDomain:

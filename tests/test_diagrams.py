@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import dodl.diagrams as diagrams
 from conftest import COURSES, TEACHERS, teaches
-from dodl.core import symbol
+from dodl.core import number, symbol
 from dodl.diagrams import (
     And,
     Apply,
@@ -36,7 +36,6 @@ from dodl.diagrams import (
     compile_expr,
     compile_predicate,
     enumerate_entry,
-    eval_expr,
     run_filter,
     value_order_key,
 )
@@ -52,6 +51,7 @@ from dodl.errors import (
 from dodl.evolver import Workspace
 from dodl.relational import Relation
 from reference import (
+    eval_expr,
     lookup,
     outcome,
     reference_expr,
@@ -298,6 +298,28 @@ def error_variants(ws, rng):
     yield ws.replace(relations={**ws.relations, name: wider})
 
 
+def two_position_filters(rng, ws, count=8):
+    """Filters whose body is one membership pattern that binds exactly two
+    positions, the shape whose probe key is built as a pair.  Each bound
+    position holds the index variable, the candidate variable or a
+    constant, and the rest are wildcards; the relation is unknown, or has
+    the pattern's arity, or one more or one less."""
+    atoms = sorted({a for r in ws.relations.values() for row in r.tuples for a in row}
+                   | set().union(*(d.elements for d in ws.domains.values())),
+                   key=lambda a: a.order_key()) or [symbol("Alone")]
+    filters = []
+    for n in range(count):
+        name = rng.choice(sorted(ws.relations) + ["Ghost"])
+        arity = ws.relations[name].arity if name in ws.relations else 3
+        arity = max(2, arity + rng.choice([0, 0, -1, 1]))
+        pattern = [Wildcard()] * arity
+        for position in rng.sample(range(arity), 2):
+            pattern[position] = rng.choice(
+                [Var("i"), Var("x"), Const(rng.choice(atoms))])
+        filters.append(Filter(f"Two{n}", "i", "x", Member(name, tuple(pattern))))
+    return filters
+
+
 class TestCompiledFilter:
     @settings(max_examples=100, deadline=1000)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -307,8 +329,9 @@ class TestCompiledFilter:
         indexes = ws.domains["D1"].sorted_elements()
         candidates = sorted(set().union(*(d.elements for d in ws.domains.values())),
                             key=lambda a: a.order_key())
+        filters = [*ws.filters.values(), *two_position_filters(rng, ws)]
         for variant in error_variants(ws, rng):
-            for f in ws.filters.values():
+            for f in filters:
                 for i in indexes:
                     for c in candidates:
                         assert outcome(lambda: run_filter(f, i, c, variant)) == \
@@ -370,7 +393,10 @@ def random_expr(rng, ws, depth, scope=()):
     Leaves and nodes are drawn so that every error of the evaluator shows
     up often: ``fst`` of an atom, ``apply`` of a non-function, unbound
     variables, ``subst`` of a pair, a shift to an index outside its domain,
-    unknown filters and potential objects, and an unknown node.  ``scope``
+    unknown filters and potential objects, and an unknown node.  The
+    shapes compiled apart are drawn often too: ``fst`` and ``snd`` of
+    ``input`` (also through ``id``), and a filter applied to a pair that
+    may hold a non-atom.  ``scope``
     holds the variables the enclosing ``subst`` nodes bind; a ``var`` or a
     ``subst`` picks one of them half the time, so shadowed bindings are
     read often.
@@ -392,6 +418,15 @@ def random_expr(rng, ws, depth, scope=()):
         var = variable()
         return Subst(var, random_expr(rng, ws, depth - 1, scope + (var,)), value)
 
+    def pair_part():
+        return rng.choice([
+            lambda: Const(rng.choice(atoms)),
+            Input,
+            lambda: Fst(Input()),
+            lambda: Pair(Const(rng.choice(atoms)), Const(rng.choice(atoms))),
+            lambda: FilterRef(filter_name()),
+        ])()
+
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.01:
             return Wildcard()  # not a diagram expression
@@ -401,6 +436,8 @@ def random_expr(rng, ws, depth, scope=()):
             Input,
             Input,
             lambda: FilterRef(filter_name()),
+            lambda: rng.choice([Fst, Snd])(Input()),
+            lambda: rng.choice([Fst, Snd])(IdArrow(Input())),
         ])()
     sub = lambda: random_expr(rng, ws, depth - 1, scope)  # noqa: E731
     return rng.choice([
@@ -413,18 +450,21 @@ def random_expr(rng, ws, depth, scope=()):
         lambda: Apply(sub(), sub()),
         lambda: Apply(FilterRef(filter_name()),
                       Pair(Const(rng.choice(atoms)), sub())),
+        lambda: Apply(FilterRef(filter_name()), Pair(pair_part(), pair_part())),
         lambda: Apply(IndexShift(po_name(), sub()), sub()),
         lambda: IndexShift(po_name(), Const(rng.choice(atoms))),
     ])()
 
 
 def random_input(rng, ws):
-    """A step input: none (outside a path), an atom, a truth value or a pair."""
+    """A step input: none (outside a path), an atom, a truth value, a pair
+    or a triple."""
     atoms = sorted(set().union(*(d.elements for d in ws.domains.values())),
                    key=lambda a: a.order_key()) or [symbol("Alone")]
     single = lambda: rng.choice(atoms + [True, False])  # noqa: E731
     return rng.choice([None, single(), (single(), single()),
-                       (rng.choice(atoms), rng.choice(atoms))])
+                       (rng.choice(atoms), rng.choice(atoms)),
+                       (single(), single(), single())])
 
 
 def reference_cell(path, entry, workspace):
@@ -587,6 +627,20 @@ class TestCheckCommutes:
         report = check_commutes(spec, reversed(inputs), teaching_ws)
         texts = [(row.input[0].text, row.input[1].text) for row in report.rows]
         assert texts == sorted(texts)
+
+    @settings(max_examples=300)
+    @given(st.recursive(
+        st.booleans() | symbolic_atoms | st.integers(0, 10**6).map(number),
+        lambda inner: st.tuples(inner, inner) | st.tuples(inner, inner, inner),
+        max_leaves=5))
+    def test_the_order_key_of_a_pair_of_atoms_is_the_general_one(self, value):
+        def general(v):
+            if isinstance(v, bool):
+                return ("b", (0, int(v), ""))
+            if isinstance(v, tuple):
+                return ("p",) + tuple(general(x) for x in v)
+            return ("a", v.order_key())
+        assert value_order_key(value) == general(value)
 
     def test_paths_compile_once_per_call(self, teaching_ws, monkeypatch):
         compiled = []

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,15 @@ from hypothesis import strategies as st
 from dodl.core import number
 from dodl.diagrams import And, Not, Or
 from dodl.errors import DodlError
+from dodl.evolver import EVOLVENT_STEP_LIMIT, EventScript, Evolvent, expanded_steps
 from dodl.lang import build, dump, load_texts, parse, parse_query, validate
 from dodl.lang.lexer import EOF, Lines, token_kind, tokenize
 from dodl.lang.parser import MAX_DEPTH
 from dodl.lang.syntax import Diagnostic, DomainDecl, QueryCmd, TriggerCmd
+from dodl.meta import find_cycle
 from dodl.relational import OracleExpr, Project, Select
 from front_end_pins import PINS, damaged, observe
-from reference import reference_tokenize
+from reference import reference_expanded_steps, reference_tokenize
 
 
 class TestParse:
@@ -489,6 +492,68 @@ class TestGraphWalks:
                             if text.startswith(f"evolvent {expected[0]} "))
             assert found == [("evolvent composition cycle: "
                               + " -> ".join(expected), line)]
+
+
+def ladder(rungs: int) -> str:
+    """E0 = identity, then each E_i composed of two E_(i-1): E_i expands
+    to 2^(i+1) - 1 steps."""
+    return "evolvent E0 = identity;\n" + "".join(
+        f"evolvent E{i} = compose(E{i - 1}, E{i - 1});\n" for i in range(1, rungs))
+
+
+class TestEvolventSteps:
+    """An evolvent that would expand past ``EVOLVENT_STEP_LIMIT`` steps is a
+    load diagnostic at its declaration, found without expanding it."""
+
+    def test_a_ladder_is_refused_where_it_passes_the_limit(self):
+        started = time.monotonic()
+        result = load_texts([("ladder.dodl", ladder(200))])
+        assert time.monotonic() - started < 1.0
+        # E_i expands to 2^(i+1) - 1 steps; E16 is the first past 100,000.
+        assert [(d.message, d.line, d.col, d.path) for d in result.diagnostics] == \
+            [(f"evolvent 'E16' expands to more than {EVOLVENT_STEP_LIMIT} steps",
+              17, 1, "ladder.dodl")]
+
+    def test_the_limit_is_inclusive_and_counts_script_triggers(self, teaching_text):
+        # A = script S of 270 triggers: 271 steps; X = compose(A x 369):
+        # 1 + 369 * 271 = 100,000 steps; compose(X) one more.
+        assert 1 + 369 * 271 == EVOLVENT_STEP_LIMIT
+        source = ("script S = [ " + ", ".join(["(Tch, Logic)"] * 270) + " ];\n"
+                  "evolvent A = script S;\n"
+                  "evolvent X = compose(" + ", ".join(["A"] * 369) + ");\n")
+        result = load_texts([(None, teaching_text), ("x.dodl", source)])
+        assert result.ok, [d.render() for d in result.diagnostics[:3]]
+        result = load_texts([(None, teaching_text),
+                             ("x.dodl", source + "evolvent Y = compose(X);\n")])
+        assert [(d.message, d.line) for d in result.diagnostics] == \
+            [(f"evolvent 'Y' expands to more than {EVOLVENT_STEP_LIMIT} steps", 4)]
+
+    def test_a_ladder_under_the_limit_and_the_demo_load(self, teaching_text):
+        result = load_texts([(None, teaching_text), (None, ladder(14))])
+        assert result.ok, [d.render() for d in result.diagnostics[:3]]
+        assert expanded_steps(result.workspace.evolvents,
+                              result.workspace.scripts)["AssignTwice"] == 7
+
+    @settings(max_examples=300, deadline=None)
+    @given(evolvent_graphs, st.integers(0, 3), st.integers(0, 6))
+    def test_counts_equal_the_expansion(self, graph, triggers, limit):
+        built = {name: Evolvent(name, "identity") if parts is None else
+                 Evolvent(name, "composed", parts=tuple(parts))
+                 for name, parts in zip(EVOLVENTS, graph)}
+        built["V0"] = Evolvent("V0", "script", script="S")
+        built["V1"] = Evolvent("V1", "script", script="Gone")
+        if find_cycle(sorted(built), lambda n: built[n].parts if n in built else ()):
+            return
+        scripts = {"S": EventScript("S", (("P", number(1)),) * triggers)}
+        steps = expanded_steps(built, scripts)
+        for name in built:
+            assert steps[name] == reference_expanded_steps(
+                built, scripts, name, EVOLVENT_STEP_LIMIT)
+        with patch("dodl.evolver.EVOLVENT_STEP_LIMIT", limit):
+            capped = expanded_steps(built, scripts)
+        for name in built:
+            assert capped[name] == reference_expanded_steps(
+                built, scripts, name, limit)
 
 
 class TestLexer:

@@ -26,12 +26,11 @@ from dodl.diagrams import (
     IndexShift,
     check_commutes,
     enumerate_entry,
-    eval_expr,
 )
 from dodl.evolver import Exchange, GetAO, GetConcept, GetPO, Query, Trigger
 from dodl.lang import load_texts, parse, parse_query
 from dodl.meta import ConceptRegistry
-from reference import reference_dataclass
+from reference import eval_expr, reference_dataclass
 
 # The demo plus one statement for each syntax form the demo lacks.
 EXTRA = """
@@ -110,7 +109,7 @@ SAMPLES = samples()
 
 def shown(cls):
     if cls is Atom:
-        return list(Atom.__slots__)
+        return ["text", "kind"]
     return [f.name for f in cls.fields if not f.hidden]
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dodl.lang import dump, load_texts, parse, validate
+from reference import declarations_equal
 from wsgen import gen_workspace
 
 
@@ -32,7 +33,7 @@ class TestTeachingCorpus:
         text = dump(teaching_ws)
         result = load_texts([(None, text)])
         assert result.ok
-        assert result.workspace.declarations_equal(teaching_ws)
+        assert declarations_equal(result.workspace, teaching_ws)
 
     def test_concepts_dump_parents_first(self, teaching_ws):
         text = dump(teaching_ws)
@@ -92,7 +93,7 @@ class TestRandomWorkspaces:
         result = load_texts([(None, first)])
         assert result.ok, (seed, [d.render() for d in result.diagnostics])
         assert dump(result.workspace) == first, seed
-        assert result.workspace.declarations_equal(workspace), seed
+        assert declarations_equal(result.workspace, workspace), seed
 
     @pytest.mark.parametrize("seed", range(0, 30, 3))
     def test_shuffled_statements_dump_identically(self, seed):

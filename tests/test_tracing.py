@@ -120,3 +120,21 @@ def test_a_demo_oracle_diff_scans_the_relation_once(teaching_dir, capsys):
     names = [span[2] for span in tracer.spans]
     assert names.count("relational.oracle") == 1
     assert names.count("evolver.derive") == 2
+
+
+def test_a_demo_check_runs_the_filter_twice_per_entry(teaching_dir, capsys):
+    """``check Fig4`` runs both paths at each of its 8 entries, and each
+    path ends in one filter call: 16 ``diagrams.filter`` spans, none
+    skipped and none answered from a cache."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = dodl.cli.main(["--workspace", str(teaching_dir), "check", "Fig4"])
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == "8/8 inputs commute\n"
+    assert code == 0
+    names = [span[2] for span in tracer.spans]
+    assert names.count("diagrams.check") == 1
+    assert names.count("diagrams.filter") == 16
