@@ -228,13 +228,6 @@ def expr_free_vars(expr: DiagramExpr, bound: frozenset[str] = frozenset()) -> fr
 
 
 @record
-class FilterFn:
-    """A filter used as a function value; applies to an (index, candidate) pair."""
-
-    filter: Filter
-
-
-@record
 class ShiftFn:
     """A potential object curried by an index; applies to a candidate atom."""
 
@@ -242,7 +235,9 @@ class ShiftFn:
     index: Atom
 
 
-Value = Union[Atom, bool, tuple, FilterFn, ShiftFn]
+# A filter is its own function value: it applies to an (index, candidate)
+# pair.
+Value = Union[Atom, bool, tuple, Filter, ShiftFn]
 
 
 def format_value(value: Value) -> str:
@@ -252,8 +247,8 @@ def format_value(value: Value) -> str:
         return value.text
     if isinstance(value, tuple):
         return "(" + ", ".join(format_value(v) for v in value) + ")"
-    if isinstance(value, FilterFn):
-        return f"filter {value.filter.name}"
+    if isinstance(value, Filter):
+        return f"filter {value.name}"
     if isinstance(value, ShiftFn):
         return f"shift {value.po.name}[{value.index.text}]"
     raise EvalTypeError(f"cannot format value {value!r}")
@@ -450,23 +445,17 @@ def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
             return target(step_input, bound + (value,), workspace)
     elif isinstance(expr, FilterRef):
         name = expr.name
-        # The last value built, kept while the lookup finds the same
-        # filter object, so a run over many entries builds one FilterFn.
-        last = None
 
         def run(step_input, bound, workspace):
-            nonlocal last
             f = workspace.filters.get(name)
             if f is None:
                 raise not_defined("filter", name)
-            if last is None or last.filter is not f:
-                last = FilterFn(f)
-            return last
+            return f
     elif isinstance(expr, IndexShift):
         po_name = expr.po_name
         index_of = compile_expr(expr.index, scope)
-        # As for FilterRef: reused while the potential object is the same
-        # object and the index is equal, which passed the checks before.
+        # The last value built, reused while the potential object is the
+        # same object and the index is equal, which passed the checks before.
         last = None
 
         def run(step_input, bound, workspace):
@@ -493,13 +482,13 @@ def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
         def run(step_input, bound, workspace):
             fn = fn_of(step_input, bound, workspace)
             arg = arg_of(step_input, bound, workspace)
-            if isinstance(fn, FilterFn):
+            if isinstance(fn, Filter):
                 if not (isinstance(arg, tuple) and len(arg) == 2
                         and isinstance(arg[0], Atom) and isinstance(arg[1], Atom)):
                     raise EvalTypeError(
-                        f"filter {fn.filter.name!r} applies to an (index, "
+                        f"filter {fn.name!r} applies to an (index, "
                         f"candidate) pair, got {format_value(arg)}")
-                return run_filter(fn.filter, arg[0], arg[1], workspace)
+                return run_filter(fn, arg[0], arg[1], workspace)
             if isinstance(fn, ShiftFn):
                 if not isinstance(arg, Atom):
                     raise EvalTypeError(
@@ -577,16 +566,8 @@ class CommutativityRow:
     value_b: Value | None
     error_a: str | None
     error_b: str | None
-    # Both paths gave a value and the values are equal; set once, here.
-    agrees: bool = Field(hidden=True)
-
-    def __post_init__(self):
-        _set_agrees(self, self.error_a is None and self.error_b is None
-                    and self.value_a == self.value_b)
-
-
-# The slot's own setter, quicker than object.__setattr__ by name.
-_set_agrees = CommutativityRow.__dict__["agrees"].__set__
+    # Both paths gave a value and the values are equal.
+    agrees: bool
 
 
 @record
@@ -631,5 +612,7 @@ def check_commutes(spec: DiagramSpec, inputs, workspace) -> CommutativityReport:
             value_b = eval_path(path_b, entry, workspace)
         except DodlError as exc:
             error_b = f"{type(exc).__name__}: {exc}"
-        rows.append(CommutativityRow(entry, value_a, value_b, error_a, error_b))
+        agrees = error_a is None and error_b is None and value_a == value_b
+        rows.append(CommutativityRow(entry, value_a, value_b, error_a, error_b,
+                                     agrees))
     return CommutativityReport(spec.name, tuple(rows))

@@ -78,10 +78,6 @@ class Workspace:
     ao_library: dict[str, ActualObject] = Field(default_factory=dict)
     stage: int = 0
 
-    @staticmethod
-    def empty() -> "Workspace":
-        return Workspace()
-
     def with_actual(self, ao: ActualObject) -> "Workspace":
         library = dict(self.ao_library)
         library[ao.name] = ao

@@ -3,8 +3,8 @@
 Declarations may reference names declared later (or in another file of the
 same batch); the loader collects every name first and resolves afterwards,
 which is also what makes the canonical dump reloadable in block order.
-Command statements run last, in textual order, through a System Exchange,
-so their effects land in the audit log.
+Command statements run last, in textual order; trigger and query
+statements go through a System Exchange, so they land in the audit log.
 """
 
 from __future__ import annotations
@@ -56,19 +56,19 @@ from .syntax import (
     TriggerCmd,
 )
 
-# Each namespace of declared names: its declaration, the word messages use
-# for it, and the Workspace field that holds what it declares.
-_NAMESPACES = (
-    (SortDecl, "sort", "sorts"),
-    (DomainDecl, "domain", "domains"),
-    (RelationDecl, "relation", "relations"),
-    (FilterDecl, "filter", "filters"),
-    (PotentialDecl, "potential object", "potentials"),
-    (ConceptDecl, "concept", "concepts"),
-    (DiagramDecl, "diagram", "diagrams"),
-    (ScriptDecl, "script", "scripts"),
-    (EvolventDecl, "evolvent", "evolvents"),
-)
+# Each namespace of declared names: its declaration and the word messages
+# use for it.
+_NAMESPACES = {
+    SortDecl: "sort",
+    DomainDecl: "domain",
+    RelationDecl: "relation",
+    FilterDecl: "filter",
+    PotentialDecl: "potential object",
+    ConceptDecl: "concept",
+    DiagramDecl: "diagram",
+    ScriptDecl: "script",
+    EvolventDecl: "evolvent",
+}
 
 
 @record
@@ -91,14 +91,11 @@ class LoadResult:
 
 
 class _Builder:
-    def __init__(self, units: list[SourceUnit], base: Workspace | None):
+    def __init__(self, units: list[SourceUnit]):
         self.units = units
-        self.base = base or Workspace.empty()
         self.diagnostics: list[Diagnostic] = []
         self.notes: list[str] = []
-        self.decls: dict[type, dict[str, object]] = {
-            cls: {} for cls, _, _ in _NAMESPACES
-        }
+        self.decls: dict[type, dict[str, object]] = {cls: {} for cls in _NAMESPACES}
 
     # -- helpers -------------------------------------------------------------
 
@@ -132,27 +129,25 @@ class _Builder:
     # -- pass 1: collect names -------------------------------------------------
 
     def collect(self):
-        namespace = {cls: (kind, field) for cls, kind, field in _NAMESPACES}
         for unit in self.units:
             for stmt in unit.statements:
                 cls = type(stmt)
-                if cls not in namespace:
+                if cls not in _NAMESPACES:
                     continue
-                kind, field = namespace[cls]
                 name = stmt.name.name
-                if name in self.decls[cls] or name in getattr(self.base, field):
-                    self.complain(stmt, f"{kind} {name!r} is already defined")
+                if name in self.decls[cls]:
+                    self.complain(stmt, f"{_NAMESPACES[cls]} {name!r} is already defined")
                 else:
                     self.decls[cls][name] = stmt
 
     # -- pass 2: resolve and build ----------------------------------------------
 
     def build_workspace(self) -> Workspace | None:
-        sorts = dict(self.base.sorts)
+        sorts = {}
         for name, decl in self.decls[SortDecl].items():
             sorts[name] = Sort(name, decl.kind)
 
-        domains = dict(self.base.domains)
+        domains = {}
         for name, decl in self.decls[DomainDecl].items():
             if not self.resolve(decl.sort, sorts, "sort"):
                 continue
@@ -168,7 +163,7 @@ class _Builder:
                 )
             domains[name] = domain
 
-        relations = dict(self.base.relations)
+        relations = {}
         for name, decl in self.decls[RelationDecl].items():
             found = [self.resolve(ref, sorts, "sort") for _, ref in decl.attributes]
             if not all(found):
@@ -186,7 +181,7 @@ class _Builder:
                 )
             relations[name] = relation
 
-        filters = dict(self.base.filters)
+        filters = {}
         for name, decl in self.decls[FilterDecl].items():
             ok = True
             for ref, arity in decl.member_refs:
@@ -205,7 +200,7 @@ class _Builder:
             except DodlError as exc:
                 self.complain(decl, str(exc))
 
-        potentials = dict(self.base.potentials)
+        potentials = {}
         for name, decl in self.decls[PotentialDecl].items():
             found = [
                 self.resolve(decl.carrier, domains, "domain"),
@@ -241,15 +236,11 @@ class _Builder:
             diagrams=diagrams,
             scripts=scripts,
             evolvents=evolvents,
-            ao_library=dict(self.base.ao_library),
-            stage=self.base.stage,
         )
 
     def _build_concepts(self) -> ConceptRegistry:
         registry = ConceptRegistry()
-        for name in self.base.concepts.names():
-            registry.add(self.base.concepts.get(name))
-        declared = set(self.decls[ConceptDecl]) | set(self.base.concepts.names())
+        declared = self.decls[ConceptDecl]
         for name, decl in self.decls[ConceptDecl].items():
             for parent in decl.parents:
                 self.resolve(parent, declared, "concept")
@@ -281,7 +272,7 @@ class _Builder:
         return registry
 
     def _build_diagrams(self, domains, filters, potentials) -> dict[str, DiagramSpec]:
-        diagrams = dict(self.base.diagrams)
+        diagrams = {}
         for name, decl in self.decls[DiagramDecl].items():
             found = [
                 self.resolve(part, domains, "domain")
@@ -314,7 +305,7 @@ class _Builder:
         return diagrams
 
     def _build_scripts(self, potentials) -> dict[str, EventScript]:
-        scripts = dict(self.base.scripts)
+        scripts = {}
         for name, decl in self.decls[ScriptDecl].items():
             found = [self.resolve_event(po_ref, index, potentials)
                      for po_ref, index in decl.steps]
@@ -324,8 +315,8 @@ class _Builder:
         return scripts
 
     def _build_evolvents(self, scripts) -> dict[str, Evolvent]:
-        evolvents = dict(self.base.evolvents)
-        declared = set(self.decls[EvolventDecl]) | set(evolvents)
+        evolvents = {}
+        declared = self.decls[EvolventDecl]
         for name, decl in self.decls[EvolventDecl].items():
             if decl.kind == "identity":
                 evolvents[name] = Evolvent(name, "identity")
@@ -346,14 +337,9 @@ class _Builder:
             lambda name: evolvents[name].parts if name in evolvents else (),
         )
         if cycle is not None:
-            decl = self.decls[EvolventDecl].get(cycle[0])
-            anchor = decl if decl is not None else next(
-                d for d in self.decls[EvolventDecl].values()
-                if d.name.name in cycle
-            )
-            self.complain(
-                anchor, "evolvent composition cycle: " + " -> ".join(cycle)
-            )
+            # Each evolvent built here was declared here.
+            self.complain(self.decls[EvolventDecl][cycle[0]],
+                          "evolvent composition cycle: " + " -> ".join(cycle))
             return evolvents
         # Each evolvent whose count first passes the limit is reported; the
         # ones composed from it are not.
@@ -365,6 +351,15 @@ class _Builder:
                 self.complain(decl, f"evolvent {name!r} expands to more than "
                                     f"{EVOLVENT_STEP_LIMIT} steps")
         return evolvents
+
+    def check(self) -> Workspace | None:
+        """Collect, build, then check the command statements statically:
+        the workspace, or None once any of it gave a diagnostic."""
+        self.collect()
+        workspace = self.build_workspace()
+        if workspace is not None:
+            self.validate_commands(workspace)
+        return None if self.diagnostics else workspace
 
     # -- commands ----------------------------------------------------------------
 
@@ -419,7 +414,7 @@ class _Builder:
                         self.resolve(ref, workspace.relations, "relation")
 
 
-def build(units: list[SourceUnit], base: Workspace | None = None) -> LoadResult:
+def build(units: list[SourceUnit]) -> LoadResult:
     """Validate a batch of units and build the workspace they describe.
 
     Syntax errors suppress the semantic passes.  Command statements run
@@ -430,14 +425,9 @@ def build(units: list[SourceUnit], base: Workspace | None = None) -> LoadResult:
     if syntax_errors:
         return LoadResult(None, syntax_errors)
 
-    builder = _Builder(units, base)
-    builder.collect()
-    workspace = builder.build_workspace()
+    builder = _Builder(units)
+    workspace = builder.check()
     if workspace is None:
-        return LoadResult(None, builder.diagnostics, builder.notes)
-
-    builder.validate_commands(workspace)
-    if builder.diagnostics:
         return LoadResult(None, builder.diagnostics, builder.notes)
 
     exchange = Exchange(workspace)
@@ -445,29 +435,25 @@ def build(units: list[SourceUnit], base: Workspace | None = None) -> LoadResult:
     return LoadResult(exchange, builder.diagnostics, builder.notes, outputs)
 
 
-def validate(unit: SourceUnit, workspace: Workspace | None = None) -> list[Diagnostic]:
+def validate(unit: SourceUnit) -> list[Diagnostic]:
     """Name resolution, arity, sort and acyclicity checks for one unit.
 
-    An empty list means the unit would load against ``workspace``.
-    Command statements are dry-run checked but not executed.
+    An empty list means the unit would load.  Command statements are
+    checked as :func:`build` checks them, but not run.
     """
     if unit.errors:
         return list(unit.errors)
-    builder = _Builder([unit], workspace)
-    builder.collect()
-    built = builder.build_workspace()
-    if built is not None:
-        builder.validate_commands(built)
+    builder = _Builder([unit])
+    builder.check()
     return builder.diagnostics
 
 
-def load_texts(named_texts: list[tuple[str | None, str]],
-               base: Workspace | None = None) -> LoadResult:
+def load_texts(named_texts: list[tuple[str | None, str]]) -> LoadResult:
     units = [parse(text, path) for path, text in named_texts]
-    return build(units, base)
+    return build(units)
 
 
-def load_files(paths: list[str | Path], base: Workspace | None = None) -> LoadResult:
+def load_files(paths: list[str | Path]) -> LoadResult:
     """Load source files as :func:`load_texts` loads texts.
 
     A file that cannot be read (missing, a directory, a FIFO, not readable,
@@ -488,7 +474,7 @@ def load_files(paths: list[str | Path], base: Workspace | None = None) -> LoadRe
             # The whole file is decoded at once, so the error's offsets are
             # offsets into the file, and every byte before it decoded.
             prefix = exc.object[:exc.start].decode("utf-8")
-            units.append(SourceUnit(name, "", (), (Diagnostic(
+            units.append(SourceUnit((), (Diagnostic(
                 f"not UTF-8 text: {exc.reason}", prefix.count("\n") + 1,
                 len(prefix) - prefix.rfind("\n"), exc.start, exc.end,
                 path=name),)))
@@ -500,9 +486,9 @@ def load_files(paths: list[str | Path], base: Workspace | None = None) -> LoadRe
             units.append(_unreadable(name, str(exc)))
         else:
             units.append(parse(text, name))
-    return build(units, base)
+    return build(units)
 
 
 def _unreadable(path: str, reason: str) -> SourceUnit:
-    return SourceUnit(path, "", (), (Diagnostic(
+    return SourceUnit((), (Diagnostic(
         f"cannot read file: {reason}", 1, 1, 0, 0, path=path),))

@@ -120,7 +120,6 @@ class Parser:
     punctuation is a word, so a token's text alone tells what it is."""
 
     def __init__(self, text: str, path: str | None = None):
-        self.text = text
         self.path = path
         self.texts, self.starts, lex_errors = tokenize(text, path)
         self.pos = 0
@@ -241,8 +240,7 @@ class Parser:
                     str(exc), first, max(self.end(first), self.starts[self.pos]),
                 ))
                 self.synchronize()
-        return SourceUnit(self.path, self.text,
-                          tuple(statements), tuple(self.errors[:MAX_ERRORS]))
+        return SourceUnit(tuple(statements), tuple(self.errors[:MAX_ERRORS]))
 
     def synchronize(self):
         """Step past the next ';', or to the end of input."""

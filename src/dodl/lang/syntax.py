@@ -179,7 +179,5 @@ Statement = Union[Declaration, Command]
 class SourceUnit:
     """One parsed source: its statements plus any syntax diagnostics."""
 
-    path: str | None
-    text: str
     statements: tuple[Statement, ...]
     errors: tuple[Diagnostic, ...] = ()

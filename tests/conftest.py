@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import signal
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,22 @@ TEACHING_ROWS = [
 ]
 COURSES = ["Informatics", "Logic"]
 TEACHERS = ["Doe", "Jackson", "Johnes", "Smith"]
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the block once ``seconds`` pass, even in a blocked system call.
+    The failure is no OSError, so no handler of file errors takes it."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def teaches(course: str, name: str) -> bool:

@@ -26,7 +26,7 @@ from dodl.diagrams import (
     Const,
     Eq,
     FalsePred,
-    FilterFn,
+    Filter,
     FilterRef,
     Fst,
     IdArrow,
@@ -153,7 +153,7 @@ def reference_expr(expr, bindings, workspace, step_input=None):
         f = workspace.filters.get(expr.name)
         if f is None:
             raise UnknownFilter(f"filter {expr.name!r} is not defined")
-        return FilterFn(f)
+        return f
     if isinstance(expr, IndexShift):
         po = workspace.potentials.get(expr.po_name)
         if po is None:
@@ -173,14 +173,14 @@ def reference_expr(expr, bindings, workspace, step_input=None):
     if isinstance(expr, Apply):
         fn = reference_expr(expr.fn, bindings, workspace, step_input)
         arg = reference_expr(expr.arg, bindings, workspace, step_input)
-        if isinstance(fn, FilterFn):
+        if isinstance(fn, Filter):
             if not (isinstance(arg, tuple) and len(arg) == 2
                     and all(isinstance(a, Atom) for a in arg)):
                 raise EvalTypeError(
-                    f"filter {fn.filter.name!r} applies to an (index, candidate) "
+                    f"filter {fn.name!r} applies to an (index, candidate) "
                     f"pair, got {format_value(arg)}"
                 )
-            return reference_filter(fn.filter, arg[0], arg[1], workspace)
+            return reference_filter(fn, arg[0], arg[1], workspace)
         if isinstance(fn, ShiftFn):
             if not isinstance(arg, Atom):
                 raise EvalTypeError(

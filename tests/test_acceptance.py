@@ -200,7 +200,7 @@ def test_criterion_5_inheritance_suite():
 def test_criterion_6_projection_and_substitution_laws():
     started = time.monotonic()
     rng = random.Random(6)
-    empty_ws = Workspace.empty()
+    empty_ws = Workspace()
     words = ["Ash", "Beech", "Cedar", "Dawn", "Elder", "Fern"]
     for _ in range(200):
         a, b = symbol(rng.choice(words)), symbol(rng.choice(words))

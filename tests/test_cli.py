@@ -1,8 +1,7 @@
 import argparse
-import contextlib
+import json
 import os
 import random
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +10,8 @@ import pytest
 
 import dodl
 from argv_corpus import ARGV_CASES, expand, run_main
-from conftest import TEACHING
+from cli_pins import PINS, calls, pin, source_directory, sources
+from conftest import TEACHING, deadline
 from dodl.cli import main
 from dodl.lang import dump
 from dodl.relational import Relation
@@ -34,22 +34,6 @@ def run_python(*argv, timeout: float | None = None) -> subprocess.CompletedProce
         capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
     )
-
-
-@contextlib.contextmanager
-def deadline(seconds: float):
-    """Fail the block once ``seconds`` pass, even in a blocked system call.
-    The failure is no OSError, so no handler of file errors takes it."""
-    def expire(signum, frame):
-        raise AssertionError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def run_module(*argv, timeout: float | None = None) -> subprocess.CompletedProcess:
@@ -643,6 +627,21 @@ class TestDeterminism:
         second = run_cli(capsys, "--workspace", str(teaching_dir),
                          "oracle-diff", "Tch")
         assert first == second
+
+    def test_every_command_gives_the_recorded_output(self):
+        # The record written by cli_pins.py: every command with every name
+        # it takes, on the demo and on wsgen seeds 0-149.
+        records = json.loads(PINS.read_text(encoding="utf-8"))
+        texts = {source: (name, text) for source, name, text in sources()}
+        assert [record["source"] for record in records] == list(texts)
+        for record in records:
+            name, text = texts[record["source"]]
+            assert name == record["file"]
+            assert [argv for argv, _ in record["calls"]] == calls(name, text)
+            with source_directory(name, text):
+                differing = [argv for argv, pinned in record["calls"]
+                             if pin(argv) != pinned]
+            assert differing == [], record["source"]
 
 
 class TestEntryPoint:

@@ -146,7 +146,7 @@ class TestEvalExpr:
 
     @given(symbolic_atoms, symbolic_atoms)
     def test_projection_laws(self, a, b):
-        ws = Workspace.empty()
+        ws = Workspace()
         pair = Pair(Const(a), Const(b))
         assert eval_expr(Fst(pair), ws) == a
         assert eval_expr(Snd(pair), ws) == b
@@ -180,7 +180,7 @@ class TestSubstScope:
 
     @given(symbolic_atoms, symbolic_atoms, st.sampled_from(["x", "y", "seed"]))
     def test_a_binding_never_escapes_its_target(self, a, b, var):
-        ws = Workspace.empty()
+        ws = Workspace()
         inner = Subst(var, Var(var), Const(b))
         expr = Subst("seed", Pair(inner, Var("seed")), Const(a))
         assert eval_expr(expr, ws) == (b, a)
@@ -506,17 +506,20 @@ class TestCompiledExpr:
                 assert [row.input for row in report.rows] == \
                     sorted(inputs, key=value_order_key)
                 for row in report.rows:
-                    assert (row.value_a, row.error_a) == \
-                        reference_cell(spec.path_a, row.input, variant)
-                    assert (row.value_b, row.error_b) == \
-                        reference_cell(spec.path_b, row.input, variant)
+                    value_a, error_a = reference_cell(spec.path_a, row.input, variant)
+                    value_b, error_b = reference_cell(spec.path_b, row.input, variant)
+                    assert (row.value_a, row.error_a) == (value_a, error_a)
+                    assert (row.value_b, row.error_b) == (value_b, error_b)
+                    assert row.agrees == (error_a is None and error_b is None
+                                          and value_a == value_b)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_one_compiled_tree_over_changing_workspaces(self, seed):
-        # A compiled step keeps the function value it built last; running
-        # one tree over two workspaces in turn checks that the value never
-        # outlives the filter, potential object or index it was built from.
+        # A compiled shift step keeps the function value it built last;
+        # running one tree over two workspaces in turn checks that the value
+        # never outlives the potential object or index it was built from,
+        # and that a filter step finds each workspace's own filter.
         rng = random.Random(seed)
         workspaces = (gen_workspace(rng), gen_workspace(rng))
         for _ in range(10):

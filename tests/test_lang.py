@@ -11,7 +11,7 @@ from dodl.core import number
 from dodl.diagrams import And, Not, Or
 from dodl.errors import DodlError
 from dodl.evolver import EVOLVENT_STEP_LIMIT, EventScript, Evolvent, expanded_steps
-from dodl.lang import build, dump, load_texts, parse, parse_query, validate
+from dodl.lang import dump, load_texts, parse, parse_query, validate
 from dodl.lang.lexer import EOF, Lines, token_kind, tokenize
 from dodl.lang.parser import MAX_DEPTH
 from dodl.lang.syntax import Diagnostic, DomainDecl, QueryCmd, TriggerCmd
@@ -341,20 +341,6 @@ class TestLoad:
         result = load_texts([(None, source)])
         assert result.ok
         assert any("duplicate tuple" in n for n in result.notes)
-
-    def test_load_against_base_workspace(self, teaching_ws):
-        unit = parse("potential Tch carrier Teach index Course filter TchFilter;")
-        diagnostics = validate(unit, teaching_ws)
-        assert any("already defined" in d.message for d in diagnostics)
-        more = parse(
-            "filter AnyPair (i, x) = true;\n"
-            "potential All carrier Teach index Course filter AnyPair;\n"
-        )
-        assert validate(more, teaching_ws) == []
-        result = build([more], teaching_ws)
-        assert result.ok
-        assert "All" in result.workspace.potentials
-        assert "Tch" in result.workspace.potentials
 
     def test_syntax_errors_block_the_build(self):
         result = load_texts([(None, "sort A :;")])

@@ -5,6 +5,10 @@ one name reference in it to a name nothing declares, and splits what is
 left over one or two files.  Loading must end in a result or diagnostics
 inside the files it read, and when the text loads, every CLI command on it
 must exit 0 or 1 without reaching the internal-error net.
+
+A cost property gives small texts whose commands could run long, compose
+ladders and join chains: loading each, and running its costly command,
+must end within a wall-clock bound.
 """
 
 import contextlib
@@ -13,10 +17,10 @@ import random
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TEACHING
+from conftest import TEACHING, deadline
 from dodl.cli import main
 from dodl.core import Record
 from dodl.lang import LoadResult, dump, load_texts, parse
@@ -131,3 +135,68 @@ def test_damaged_workspaces_load_or_diagnose(files):
             code, err = run_cli("--workspace", directory, *call)
             assert code in (0, 1), (call, err)
             assert "internal error" not in err, (call, err)
+
+
+# Wall-clock bound, in seconds, on each load and each command of the cost
+# property, kept by a timer signal, not a thread.  The largest ladder that
+# loads evolves in about 0.6 s.
+COST_BOUND = 2.0
+
+
+def compose_ladder(depth: int) -> tuple[str, list[str]]:
+    """The demo plus E0 = compose(Assign, Assign) and E_i = compose(E_(i-1),
+    E_(i-1)) up to E_depth, which runs 2^(depth+2) triggers; and the command
+    that evolves the top."""
+    ladder = "evolvent E0 = compose(Assign, Assign);\n" + "".join(
+        f"evolvent E{i} = compose(E{i - 1}, E{i - 1});\n"
+        for i in range(1, depth + 1))
+    text = TEACHING.read_text(encoding="utf-8") + ladder
+    return text, ["evolve", f"E{depth}"]
+
+
+def join_chain(relations: list[list[tuple[int, int]]]) -> tuple[str, list[str]]:
+    """Relations R_i (B, A_i) with the given rows, all sharing B, and a
+    query statement of the projection on B of their left-deep join; and
+    the command that runs that query."""
+    decls = "".join(
+        f"relation R{i} (B : N, A{i} : N) = {{ "
+        + ", ".join(f"({b}, {a})" for b, a in rows) + " };\n"
+        for i, rows in enumerate(relations))
+    expr = "R0"
+    for i in range(1, len(relations)):
+        expr = f"join({expr}, R{i})"
+    expr = f"project ({expr}) [B]"
+    return f"sort N : numeric;\n{decls}query {expr};\n", ["query", expr]
+
+
+@st.composite
+def costly_texts(draw):
+    if draw(st.booleans()):
+        return compose_ladder(draw(st.integers(0, 16)))
+    rows = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 11)),
+                    min_size=1, max_size=12, unique=True)
+    return join_chain(draw(st.lists(rows, min_size=2, max_size=8)))
+
+
+# E13 is the largest ladder that loads and E16 the top of the range;
+# four relations of twelve rows on one B value join to 20,736 rows, and
+# eight to 12^8, past the join row limit.
+@settings(max_examples=16, deadline=None)
+@example(compose_ladder(13))
+@example(compose_ladder(16))
+@example(join_chain([[(0, a) for a in range(12)]] * 4))
+@example(join_chain([[(0, a) for a in range(12)]] * 8))
+@given(costly_texts())
+def test_costly_texts_end_within_the_bound(case):
+    text, command = case
+    with deadline(COST_BOUND):
+        result = load_texts([("cost.dodl", text)])
+    assert isinstance(result, LoadResult)
+    if not result.ok:
+        return
+    with tempfile.TemporaryDirectory() as directory:
+        (Path(directory) / "cost.dodl").write_text(text, encoding="utf-8")
+        with deadline(COST_BOUND):
+            code, err = run_cli("--workspace", directory, *command)
+    assert code in (0, 1), (command, err)
+    assert "internal error" not in err, (command, err)

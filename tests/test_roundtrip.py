@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,3 +109,29 @@ class TestRandomWorkspaces:
         rng = random.Random(seed + 1000)
         rng.shuffle(lines)
         assert reload_dump("\n".join(lines) + "\n") == canonical, seed
+
+
+DUMP_DIGEST = """
+import hashlib, random
+from dodl.lang import dump
+from wsgen import gen_workspace
+digest = hashlib.sha256()
+for seed in range(300):
+    digest.update(dump(gen_workspace(random.Random(seed))).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_generated_workspaces_do_not_depend_on_the_hash_seed():
+    # String hashes, and so the iteration order of a set of atoms, change
+    # with PYTHONHASHSEED; a seed's workspace must not.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    digests = [
+        subprocess.run([sys.executable, "-c", DUMP_DIGEST], capture_output=True,
+                       text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": path,
+                            "PYTHONHASHSEED": hash_seed}).stdout
+        for hash_seed in ("1", "2")
+    ]
+    assert digests[0] == digests[1] != ""

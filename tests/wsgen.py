@@ -218,7 +218,7 @@ def gen_workspace(rng: random.Random) -> Workspace:
         exit_shape = Shape(
             ("bool",) if rng.random() < 0.5 else (rng.choice(domain_names),)
         )
-        const_atom = next(iter(domains[nonempty[0]].elements))
+        const_atom = domains[nonempty[0]].sorted_elements()[0]
         path_a, path_b = _diagram_paths(
             rng, is_pair, filters, potentials, const_atom
         )
