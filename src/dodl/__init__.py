@@ -6,6 +6,10 @@ derives an actual object: the carrier elements that pass the filter at that
 index.  Every derivation has a plain relational twin (select-then-project)
 it can be checked against, and filters can be restated as commutative
 diagrams whose two evaluation paths are compared pointwise.
+
+``import dodl`` loads what loading and deriving need.  The diagram checker,
+the printer and the relational algebra each load on first use of one of
+their names below.
 """
 
 from .core import (
@@ -16,13 +20,13 @@ from .core import (
     PotentialObject,
     Sort,
     actual_name,
+    deferred as _deferred,
     number,
     symbol,
 )
 from .diagrams import (
     And,
     Apply,
-    CommutativityReport,
     Const,
     DiagramSpec,
     Eq,
@@ -43,9 +47,6 @@ from .diagrams import (
     TruePred,
     Var,
     Wildcard,
-    check_commutes,
-    compile_expr,
-    enumerate_entry,
     run_filter,
 )
 from .errors import DodlError
@@ -64,18 +65,16 @@ from .evolver import (
     run_script,
     trigger,
 )
-from .lang import build, dump, load_files, load_texts, parse, parse_query, validate
+from .lang import build, load_files, load_texts, parse, parse_query, validate
 from .meta import Concept, ConceptRegistry
-from .relational import (
-    Relation,
-    difference,
-    eval_query,
-    join,
-    oracle_index,
-    oracle_route,
-    project,
-    select,
-    union,
-)
+from .relation import Relation
 
 __version__ = "0.1.0"
+
+__getattr__, __dir__ = _deferred(__name__, {
+    **dict.fromkeys(("CommutativityReport", "check_commutes", "compile_expr",
+                     "enumerate_entry"), ".checker"),
+    "dump": ".lang.printer",
+    **dict.fromkeys(("difference", "eval_query", "join", "oracle_index",
+                     "oracle_route", "project", "select", "union"), ".relational"),
+})

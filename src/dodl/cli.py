@@ -7,7 +7,9 @@ failed check or an internal fault, 2 usage error.
 
 Each call builds the top-level argument parser and only the parser of the
 subcommand it runs (see :class:`_DeferredParser`); argparse set-up was
-otherwise a large share of a call on a small workspace.
+otherwise a large share of a call on a small workspace.  In the same way,
+the checker, the printer and the relational algebra are imported only by
+the commands that run them: every call pays to compile what it imports.
 """
 
 from __future__ import annotations
@@ -16,12 +18,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import Atom
-from .diagrams import (
-    check_commutes,
-    enumerate_entry,
-    format_value,
-)
+from .core import Atom, deferred
+from .diagrams import format_atom_set, format_value
 from .errors import DodlError, not_defined
 from .evolver import (
     Query,
@@ -32,9 +30,19 @@ from .evolver import (
     run_script,
     trigger,
 )
-from .lang import dump, load_files, parse_query
-from .lang.printer import format_atom_set, format_query_result
-from .relational import oracle_index, oracle_route
+from .lang import load_files, parse_query
+
+# Names that load with their engine on first use.  Handlers read them
+# through this module when they run, so a wrapper set on one is what runs.
+__getattr__, __dir__ = deferred(__name__, {
+    "check_commutes": ".checker",
+    "enumerate_entry": ".checker",
+    "dump": ".lang.printer",
+    "format_query_result": ".lang.printer",
+    "oracle_index": ".relational",
+    "oracle_route": ".relational",
+})
+_this = sys.modules[__name__]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -225,7 +233,7 @@ def _cmd_check(args, result) -> int:
     spec = state.diagrams.get(args.diagram)
     if spec is None:
         raise not_defined("diagram", args.diagram)
-    report = check_commutes(spec, enumerate_entry(spec, state), state)
+    report = _this.check_commutes(spec, _this.enumerate_entry(spec, state), state)
     if args.format == "tsv":
         for row in report.rows:
             print("\t".join((
@@ -249,8 +257,8 @@ def _cmd_check(args, result) -> int:
 def _cmd_oracle_diff(args, result) -> int:
     state = result.exchange.state
     po = get_potential(state, args.po)
-    relation, index_attr, target_attr = oracle_route(po, state.relations)
-    extensions = oracle_index(relation, index_attr, target_attr)
+    relation, index_attr, target_attr = _this.oracle_route(po, state.relations)
+    extensions = _this.oracle_index(relation, index_attr, target_attr)
     rows = []
     all_equal = True
     for index in po.index_domain.sorted_elements():
@@ -287,12 +295,12 @@ def _cmd_query(args, result) -> int:
     if not response.ok:
         print(f"error: {response.message}", file=sys.stderr)
         return 1
-    print(format_query_result(response.value, args.format))
+    print(_this.format_query_result(response.value, args.format))
     return 0
 
 
 def _cmd_dump(args, result) -> int:
-    sys.stdout.write(dump(result.exchange.state))
+    sys.stdout.write(_this.dump(result.exchange.state))
     return 0
 
 

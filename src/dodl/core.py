@@ -6,6 +6,8 @@ Everything here is immutable after construction. Derivation state lives in
 
 from __future__ import annotations
 
+import importlib
+import sys
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
@@ -421,3 +423,28 @@ class ActualObject:
 
     def sorted_elements(self) -> list[Atom]:
         return sorted(self.elements, key=Atom.order_key)
+
+
+def deferred(module_name: str, sources: dict[str, str]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for module ``module_name``.
+
+    ``sources`` maps each deferred name to its defining module, relative to
+    the package.  The first read imports it and stores it in the module's
+    globals, so a wrapper set there later is what callers get.  The module's
+    own code reads it through the module object: a bare global read never
+    reaches ``__getattr__``.
+    """
+    module = sys.modules[module_name]
+
+    def __getattr__(name):
+        source = sources.get(name)
+        if source is None:
+            raise AttributeError(f"module {module_name!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(source, module.__package__), name)
+        setattr(module, name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(module)) | set(sources))
+
+    return __getattr__, __dir__

@@ -7,6 +7,7 @@ serialize through an :class:`Exchange`, which also keeps the audit log.
 
 from __future__ import annotations
 
+import sys
 from typing import Union
 
 from .core import (
@@ -18,6 +19,7 @@ from .core import (
     PotentialObject,
     Sort,
     actual_name,
+    deferred,
     record,
 )
 from .diagrams import DiagramSpec, Filter, run_filter
@@ -29,7 +31,12 @@ from .errors import (
     not_defined,
 )
 from .meta import ConceptRegistry
-from .relational import Relation, RelExpr, eval_query
+from .relation import Relation, RelExpr
+
+# The relational algebra loads on the first query; Exchange reads
+# eval_query through this module, so a wrapper set on it is what runs.
+__getattr__, __dir__ = deferred(__name__, {"eval_query": ".relational"})
+_this = sys.modules[__name__]
 
 IDENTITY = "identity"
 SCRIPT = "script"
@@ -306,7 +313,7 @@ class Exchange:
         if isinstance(request, Trigger):
             self.state, ao = trigger(self.state, request.po_name, request.index)
             return Response(True, ao)
-        result = eval_query(request.expr, self.state.relations)
+        result = _this.eval_query(request.expr, self.state.relations)
         return Response(True, result)
 
     @staticmethod

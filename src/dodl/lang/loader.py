@@ -5,6 +5,9 @@ same batch); the loader collects every name first and resolves afterwards,
 which is also what makes the canonical dump reloadable in block order.
 Command statements run last, in textual order; trigger and query
 statements go through a System Exchange, so they land in the audit log.
+A check, dump or query statement imports the checker, the printer or
+(through the exchange) the relational algebra when it runs, so a text
+without such statements loads without them.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from ..diagrams import (
     Filter,
     Shape,
     arity_mismatch,
-    check_commutes,
-    enumerate_entry,
     expr_free_vars,
+    format_atom_set,
 )
 from ..errors import CycleDetected, DodlError, not_defined
 from ..evolver import (
@@ -33,9 +35,8 @@ from ..evolver import (
     expanded_steps,
 )
 from ..meta import Concept, ConceptRegistry, find_cycle
-from ..relational import Relation
+from ..relation import Relation
 from .parser import parse
-from .printer import dump, format_atom_set, format_query_result
 from .syntax import (
     CheckCmd,
     ConceptDecl,
@@ -383,8 +384,12 @@ class _Builder:
                     if not response.ok:
                         self.complain(stmt, response.message or "query failed")
                     else:
+                        from .printer import format_query_result
+
                         outputs.append(format_query_result(response.value))
                 elif isinstance(stmt, CheckCmd):
+                    from ..checker import check_commutes, enumerate_entry
+
                     spec = exchange.state.diagrams[stmt.diagram.name]
                     report = check_commutes(
                         spec, enumerate_entry(spec, exchange.state),
@@ -398,6 +403,8 @@ class _Builder:
                             f"({report.summary()})",
                         )
                 elif isinstance(stmt, DumpCmd):
+                    from .printer import dump
+
                     outputs.append(dump(exchange.state).rstrip("\n"))
         return outputs
 

@@ -49,7 +49,7 @@ from ..diagrams import (
     Wildcard,
 )
 from ..errors import DodlError
-from ..relational import (
+from ..relation import (
     DifferenceExpr,
     JoinExpr,
     OracleExpr,

@@ -6,6 +6,9 @@ names sort lexicographically within a block, except concepts, which come in
 topological order (parents first) with lexicographic ties so inheritance
 reads top-down.  Atoms and tuples sort numerically or byte-wise per kind.
 Loading a dump and dumping again reproduces the same bytes.
+
+Only ``dump``, query output and audit targets load this module;
+``format_atom_set`` is defined in :mod:`dodl.diagrams` and re-exported.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ from ..diagrams import (
     TruePred,
     Var,
     Wildcard,
+    format_atom_set,
 )
 from ..evolver import EventScript, Evolvent, Workspace
 from ..meta import Concept, ConceptRegistry
-from ..relational import (
+from ..relation import (
     DifferenceExpr,
     JoinExpr,
     OracleExpr,
@@ -52,13 +56,6 @@ from ..relational import (
     TermIdent,
     UnionExpr,
 )
-
-
-def format_atom_set(atoms) -> str:
-    ordered = sorted(atoms, key=Atom.order_key)
-    if not ordered:
-        return "{ }"
-    return "{ " + ", ".join(a.text for a in ordered) + " }"
 
 
 def format_row(row) -> str:

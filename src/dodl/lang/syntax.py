@@ -6,7 +6,7 @@ from typing import Union
 
 from ..core import Atom, record
 from ..diagrams import DiagramExpr, Predicate
-from ..relational import RelExpr
+from ..relation import RelExpr
 
 
 @record

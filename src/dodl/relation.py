@@ -1,0 +1,149 @@
+"""Relations and the query syntax over them: what loading a workspace needs.
+
+A :class:`Relation` is a named, typed set of tuples, and the query nodes are
+what the parser builds from a relational expression.  The algebra that
+evaluates them, and the indexing oracle, are in :mod:`dodl.relational`,
+which a call imports only when it runs a query or the oracle.
+"""
+
+from __future__ import annotations
+
+from typing import Union
+
+from .core import Atom, Field, Sort, record
+from .diagrams import Predicate
+from .errors import DefinitionError, SortMismatch, UnknownAttribute
+
+Row = tuple[Atom, ...]
+
+
+@record
+class Relation:
+    """A named relation with an ordered schema and set-semantics tuples."""
+
+    name: str
+    attributes: tuple[tuple[str, Sort], ...]
+    tuples: frozenset[Row]
+    # positions -> keys; filled by probe_index, invisible to eq, hash and repr.
+    _probes: dict[tuple[int, ...], frozenset[Row]] = Field(
+        default_factory=dict, hidden=True
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "attributes", tuple(self.attributes))
+        object.__setattr__(
+            self, "tuples", frozenset(tuple(row) for row in self.tuples)
+        )
+        names = [a for a, _ in self.attributes]
+        if len(set(names)) != len(names):
+            raise DefinitionError(
+                f"relation {self.name!r} repeats an attribute name"
+            )
+        for row in self.tuples:
+            if len(row) != self.arity:
+                raise DefinitionError(
+                    f"relation {self.name!r}: tuple {row} has arity "
+                    f"{len(row)}, schema has {self.arity}"
+                )
+            for cell, (attr, sort) in zip(row, self.attributes):
+                if cell.kind != sort.kind:
+                    raise SortMismatch(
+                        f"relation {self.name!r}: {cell.text!r} is {cell.kind} "
+                        f"but attribute {attr!r} has {sort.kind} sort "
+                        f"{sort.name!r}"
+                    )
+
+    @property
+    def arity(self) -> int:
+        return len(self.attributes)
+
+    @property
+    def attribute_names(self) -> tuple[str, ...]:
+        return tuple(a for a, _ in self.attributes)
+
+    def index_of(self, attr: str) -> int:
+        for i, (name, _) in enumerate(self.attributes):
+            if name == attr:
+                return i
+        raise UnknownAttribute(
+            f"relation {self.name!r} has no attribute {attr!r}"
+        )
+
+    def probe_index(self, positions: tuple[int, ...]) -> frozenset[Row]:
+        """The tuples projected onto ``positions``, built on first use.
+
+        A pattern binding exactly those positions matches some tuple iff
+        its bound values, in position order, are in the returned set. Only
+        the indexing route reads it: ``select`` and ``oracle_index`` scan
+        ``tuples``, so the oracle shares no index with what it checks.
+        """
+        keys = self._probes.get(positions)
+        if keys is None:
+            keys = frozenset(
+                tuple(row[i] for i in positions) for row in self.tuples
+            )
+            self._probes[positions] = keys
+        return keys
+
+    def sorted_tuples(self) -> list[Row]:
+        return sorted(self.tuples, key=lambda row: tuple(a.order_key() for a in row))
+
+
+# ---------------------------------------------------------------------------
+# Query expressions (the surface the shell and System Exchange evaluate)
+
+
+@record
+class TermIdent:
+    """An identifier in a query predicate, resolved per relation at run time:
+    an attribute of the selected relation if one matches, else a constant."""
+
+    name: str
+
+
+@record
+class RelName:
+    name: str
+
+
+@record
+class Select:
+    source: "RelExpr"
+    pred: Predicate
+
+
+@record
+class Project:
+    source: "RelExpr"
+    attrs: tuple[str, ...]
+
+
+@record
+class JoinExpr:
+    left: "RelExpr"
+    right: "RelExpr"
+
+
+@record
+class UnionExpr:
+    left: "RelExpr"
+    right: "RelExpr"
+
+
+@record
+class DifferenceExpr:
+    left: "RelExpr"
+    right: "RelExpr"
+
+
+@record
+class OracleExpr:
+    source: "RelExpr"
+    index_attr: str
+    index_value: Atom
+    target_attr: str
+
+
+RelExpr = Union[
+    RelName, Select, Project, JoinExpr, UnionExpr, DifferenceExpr, OracleExpr
+]

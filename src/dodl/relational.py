@@ -1,16 +1,17 @@
-"""Plain relations, a minimal algebra over them, and the indexing oracle.
+"""A minimal algebra over relations, query evaluation and the indexing oracle.
 
 This layer is deliberately independent of the diagram engine: the oracle
 answers the same question as event indexing by select-then-project over a
 named relation, for every index in one scan, so the two routes can be
-compared against each other.
+compared against each other.  The relation record and the query nodes are
+in :mod:`dodl.relation`, which loading needs; they are re-exported here.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Union
 
-from .core import Atom, Field, PotentialObject, Sort, record, symbol
+from .core import Atom, PotentialObject, symbol
 from .diagrams import (
     And,
     Const,
@@ -27,96 +28,33 @@ from .diagrams import (
     arity_mismatch,
 )
 from .errors import (
-    DefinitionError,
     DodlError,
     EvalTypeError,
     JoinTooLarge,
     NoSharedAttributes,
     SchemaMismatch,
     SortMismatch,
-    UnknownAttribute,
     not_defined,
 )
-
-Row = tuple[Atom, ...]
+from .relation import (
+    DifferenceExpr,
+    JoinExpr,
+    OracleExpr,
+    Project,
+    RelExpr,
+    Relation,
+    RelName,
+    Row,
+    Select,
+    TermIdent,
+    UnionExpr,
+)
 
 # The most rows one join may build.  A chain of joins multiplies rows, so a
 # short query over small relations could otherwise run without bound; the
 # largest join of the tests, the generated workspaces and the benchmark
 # workloads builds about 1,050 rows.
 JOIN_ROW_LIMIT = 100_000
-
-
-@record
-class Relation:
-    """A named relation with an ordered schema and set-semantics tuples."""
-
-    name: str
-    attributes: tuple[tuple[str, Sort], ...]
-    tuples: frozenset[Row]
-    # positions -> keys; filled by probe_index, invisible to eq, hash and repr.
-    _probes: dict[tuple[int, ...], frozenset[Row]] = Field(
-        default_factory=dict, hidden=True
-    )
-
-    def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(
-            self, "tuples", frozenset(tuple(row) for row in self.tuples)
-        )
-        names = [a for a, _ in self.attributes]
-        if len(set(names)) != len(names):
-            raise DefinitionError(
-                f"relation {self.name!r} repeats an attribute name"
-            )
-        for row in self.tuples:
-            if len(row) != self.arity:
-                raise DefinitionError(
-                    f"relation {self.name!r}: tuple {row} has arity "
-                    f"{len(row)}, schema has {self.arity}"
-                )
-            for cell, (attr, sort) in zip(row, self.attributes):
-                if cell.kind != sort.kind:
-                    raise SortMismatch(
-                        f"relation {self.name!r}: {cell.text!r} is {cell.kind} "
-                        f"but attribute {attr!r} has {sort.kind} sort "
-                        f"{sort.name!r}"
-                    )
-
-    @property
-    def arity(self) -> int:
-        return len(self.attributes)
-
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.attributes)
-
-    def index_of(self, attr: str) -> int:
-        for i, (name, _) in enumerate(self.attributes):
-            if name == attr:
-                return i
-        raise UnknownAttribute(
-            f"relation {self.name!r} has no attribute {attr!r}"
-        )
-
-    def probe_index(self, positions: tuple[int, ...]) -> frozenset[Row]:
-        """The tuples projected onto ``positions``, built on first use.
-
-        A pattern binding exactly those positions matches some tuple iff
-        its bound values, in position order, are in the returned set. Only
-        the indexing route reads it: ``select`` and ``oracle_index`` scan
-        ``tuples``, so the oracle shares no index with what it checks.
-        """
-        keys = self._probes.get(positions)
-        if keys is None:
-            keys = frozenset(
-                tuple(row[i] for i in positions) for row in self.tuples
-            )
-            self._probes[positions] = keys
-        return keys
-
-    def sorted_tuples(self) -> list[Row]:
-        return sorted(self.tuples, key=lambda row: tuple(a.order_key() for a in row))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +116,8 @@ def join(r: Relation, s: Relation) -> Relation:
     """Natural join on all shared attribute names.
 
     Result schema is r's attributes followed by s's non-shared ones.
-    Raises :class:`JoinTooLarge` once the result passes ``JOIN_ROW_LIMIT``
-    rows.
+    Raises :class:`JoinTooLarge`, before building any row, when the result
+    would pass ``JOIN_ROW_LIMIT`` rows.
     """
     shared = [a for a in r.attribute_names if a in s.attribute_names]
     if not shared:
@@ -204,18 +142,17 @@ def join(r: Relation, s: Relation) -> Relation:
         key = tuple(right[i] for i in s_pos)
         buckets.setdefault(key, []).append(tuple(right[i] for i in s_rest))
     # Probe: each tuple of r meets only the bucket of its own key.  Distinct
-    # left tuples and distinct remainders give distinct rows, so the set's
-    # size counts the output.
-    rows = set()
-    for left in r.tuples:
-        for rest in buckets.get(tuple(left[i] for i in r_pos), ()):
-            rows.add(left + rest)
-        if len(rows) > JOIN_ROW_LIMIT:
-            raise JoinTooLarge(
-                f"join of {r.name!r} and {s.name!r} has more than "
-                f"{JOIN_ROW_LIMIT} rows"
-            )
-    return Relation(f"join_{r.name}_{s.name}", schema, frozenset(rows))
+    # left tuples and distinct remainders give distinct rows, so the output
+    # is counted exactly before any row is built.
+    matches = [(left, buckets.get(tuple(left[i] for i in r_pos), ()))
+               for left in r.tuples]
+    if sum(len(bucket) for _, bucket in matches) > JOIN_ROW_LIMIT:
+        raise JoinTooLarge(
+            f"join of {r.name!r} and {s.name!r} has more than "
+            f"{JOIN_ROW_LIMIT} rows"
+        )
+    rows = frozenset(left + rest for left, bucket in matches for rest in bucket)
+    return Relation(f"join_{r.name}_{s.name}", schema, rows)
 
 
 def _require_same_schema(r: Relation, s: Relation):
@@ -292,63 +229,7 @@ def oracle_route(
 
 
 # ---------------------------------------------------------------------------
-# Query expressions (the surface the shell and System Exchange evaluate)
-
-
-@record
-class TermIdent:
-    """An identifier in a query predicate, resolved per relation at run time:
-    an attribute of the selected relation if one matches, else a constant."""
-
-    name: str
-
-
-@record
-class RelName:
-    name: str
-
-
-@record
-class Select:
-    source: "RelExpr"
-    pred: Predicate
-
-
-@record
-class Project:
-    source: "RelExpr"
-    attrs: tuple[str, ...]
-
-
-@record
-class JoinExpr:
-    left: "RelExpr"
-    right: "RelExpr"
-
-
-@record
-class UnionExpr:
-    left: "RelExpr"
-    right: "RelExpr"
-
-
-@record
-class DifferenceExpr:
-    left: "RelExpr"
-    right: "RelExpr"
-
-
-@record
-class OracleExpr:
-    source: "RelExpr"
-    index_attr: str
-    index_value: Atom
-    target_attr: str
-
-
-RelExpr = Union[
-    RelName, Select, Project, JoinExpr, UnionExpr, DifferenceExpr, OracleExpr
-]
+# Query evaluation
 
 QueryResult = Union[Relation, frozenset]
 

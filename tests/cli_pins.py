@@ -79,7 +79,12 @@ def pin(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    observed = json.dumps([argv, code, out.getvalue(), err.getvalue()])
+    return digest(argv, code, out.getvalue(), err.getvalue())
+
+
+def digest(argv: list[str], code: int, stdout: str, stderr: str) -> str:
+    """The pin of a call that gave ``code``, ``stdout`` and ``stderr``."""
+    observed = json.dumps([argv, code, stdout, stderr])
     return hashlib.sha256(observed.encode()).hexdigest()[:16]
 
 

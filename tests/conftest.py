@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import contextlib
+import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dodl
 from dodl.lang import load_files
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +41,17 @@ def deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def run_python(*argv, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """A child interpreter that imports the package under test."""
+    src = str(Path(dodl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def teaches(course: str, name: str) -> bool:

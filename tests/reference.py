@@ -3,7 +3,7 @@
 The interpreters of the filter and diagram languages walk the trees over a
 plain dict of variable bindings and answer each membership test by scanning
 the relation's tuples, sharing no code with ``diagrams.compile_predicate``
-and ``diagrams.compile_expr``, the evaluators they check.
+and ``checker.compile_expr``, the evaluators they check.
 :func:`eval_expr` and :func:`declarations_equal` are shorthands the tests
 share; the library has no caller for them.
 :func:`reference_dataclass` rebuilds a record class's fields as a standard
@@ -19,6 +19,7 @@ by select then project, one scan of the relation per index.
 import argparse
 import dataclasses
 
+from dodl.checker import compile_expr
 from dodl.core import MISSING, Atom
 from dodl.diagrams import (
     And,
@@ -41,7 +42,6 @@ from dodl.diagrams import (
     TruePred,
     Var,
     Wildcard,
-    compile_expr,
     format_value,
 )
 from dodl.errors import (

@@ -9,6 +9,7 @@ import random
 import time
 
 from conftest import TEACHING, teaches
+from dodl.checker import check_commutes, enumerate_entry
 from dodl.cli import main
 from dodl.core import symbol
 from dodl.diagrams import (
@@ -24,8 +25,6 @@ from dodl.diagrams import (
     Snd,
     Subst,
     Var,
-    check_commutes,
-    enumerate_entry,
     run_filter,
 )
 from dodl.errors import CycleDetected

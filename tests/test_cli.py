@@ -3,15 +3,13 @@ import json
 import os
 import random
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import dodl
 from argv_corpus import ARGV_CASES, expand, run_main
-from cli_pins import PINS, calls, pin, source_directory, sources
-from conftest import TEACHING, deadline
+from cli_pins import PINS, calls, digest, pin, source_directory, sources
+from conftest import TEACHING, deadline, run_python
 from dodl.cli import main
 from dodl.lang import dump
 from dodl.relational import Relation
@@ -23,17 +21,6 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_python(*argv, timeout: float | None = None) -> subprocess.CompletedProcess:
-    """A child interpreter that imports the package under test."""
-    src = str(Path(dodl.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path},
-    )
 
 
 def run_module(*argv, timeout: float | None = None) -> subprocess.CompletedProcess:
@@ -644,6 +631,30 @@ class TestDeterminism:
             assert differing == [], record["source"]
 
 
+# The modules that only check, dump, query and oracle-diff run, with what
+# each of those commands loads; every other command loads none of them.
+ENGINES = ("dodl.checker", "dodl.lang.printer", "dodl.relational", "heapq")
+LOADS = {
+    "check": ("dodl.checker",),
+    "dump": ("dodl.lang.printer", "heapq"),
+    "oracle-diff": ("dodl.relational",),
+    "query": ("dodl.lang.printer", "dodl.relational", "heapq"),
+}
+COMMANDS = ("load", "index", "functor", "script", "evolve", "check",
+            "oracle-diff", "query", "dump", "audit")
+# Runs dodl as ``python -m dodl`` does, then appends the ENGINES it loaded
+# to stderr after LOADED_MARK.
+LOADED_MARK = "\nloaded engines: "
+LOADED_PROBE = f"""\
+import runpy, sys
+try:
+    runpy.run_module("dodl", run_name="__main__", alter_sys=True)
+finally:
+    loaded = sorted(set({ENGINES!r}) & set(sys.modules))
+    sys.stderr.write({LOADED_MARK!r} + repr(loaded))
+"""
+
+
 class TestEntryPoint:
     def test_module_invocation(self, teaching_dir):
         proc = run_module("--workspace", str(teaching_dir),
@@ -657,3 +668,17 @@ class TestEntryPoint:
         proc = run_python("-c", "import sys, dodl.cli; "
                           "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_each_command_loads_only_the_engines_it_runs(self):
+        # Each demo call of the pinned record, as ``python -m dodl`` in a
+        # fresh interpreter: it prints its pinned bytes, and of ENGINES it
+        # loads what its command runs and nothing else.
+        record = json.loads(PINS.read_text(encoding="utf-8"))[0]
+        assert record["source"] == "demo"
+        with source_directory(record["file"], TEACHING.read_text(encoding="utf-8")):
+            for argv, pinned in record["calls"]:
+                proc = run_python("-c", LOADED_PROBE, *argv)
+                stderr, _, loaded = proc.stderr.rpartition(LOADED_MARK)
+                assert digest(argv, proc.returncode, proc.stdout, stderr) == pinned, argv
+                command = next(word for word in argv if word in COMMANDS)
+                assert loaded == repr(sorted(LOADS.get(command, ()))), argv

@@ -4,13 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dodl.diagrams as diagrams
+import dodl.checker as checker
 from conftest import COURSES, TEACHERS, teaches
+from dodl.checker import (
+    CommutativityReport,
+    check_commutes,
+    compile_expr,
+    enumerate_entry,
+    value_order_key,
+)
 from dodl.core import number, symbol
 from dodl.diagrams import (
     And,
     Apply,
-    CommutativityReport,
     Const,
     DiagramSpec,
     Eq,
@@ -32,12 +38,8 @@ from dodl.diagrams import (
     TruePred,
     Var,
     Wildcard,
-    check_commutes,
-    compile_expr,
     compile_predicate,
-    enumerate_entry,
     run_filter,
-    value_order_key,
 )
 from dodl.errors import (
     ArityMismatch,
@@ -647,13 +649,13 @@ class TestCheckCommutes:
 
     def test_paths_compile_once_per_call(self, teaching_ws, monkeypatch):
         compiled = []
-        original = diagrams.compile_expr
+        original = checker.compile_expr
 
         def counting(expr, scope=()):
             compiled.append(expr)
             return original(expr, scope)
 
-        monkeypatch.setattr(diagrams, "compile_expr", counting)
+        monkeypatch.setattr(checker, "compile_expr", counting)
         spec = teaching_ws.diagrams["Fig4"]
         check_commutes(spec, [], teaching_ws)
         per_call = len(compiled)

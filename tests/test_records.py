@@ -20,13 +20,8 @@ from hypothesis import strategies as st
 from conftest import TEACHING
 from dodl import core
 from dodl.core import MISSING, Atom, Field, Record, symbol
-from dodl.diagrams import (
-    Const,
-    FilterRef,
-    IndexShift,
-    check_commutes,
-    enumerate_entry,
-)
+from dodl.checker import check_commutes, enumerate_entry
+from dodl.diagrams import Const, FilterRef, IndexShift
 from dodl.evolver import Exchange, GetAO, GetConcept, GetPO, Query, Trigger
 from dodl.lang import load_texts, parse, parse_query
 from dodl.meta import ConceptRegistry

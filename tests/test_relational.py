@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -460,6 +461,41 @@ class TestAlgebraLaws:
         with pytest.raises(JoinTooLarge) as raised:
             join(r, s)
         assert str(raised.value) == "join of 'R' and 'S' has more than 15 rows"
+
+    def test_the_row_limit_counts_every_key_of_the_join(self, monkeypatch):
+        # Keys k1 and k2 give 3 * 2 + 2 * 4 = 14 rows; k3 matches nothing
+        # and k4 is only on the right.
+        key = (("K", NAME),)
+        left = {"k1": WORDS[:3], "k2": WORDS[3:5], "k3": WORDS[5:6]}
+        right = {"k1": WORDS[:2], "k2": WORDS[2:6], "k4": WORDS[:5]}
+        r = Relation("R", key + (("A", NAME),), frozenset(
+            (symbol(k), symbol(w)) for k, words in left.items() for w in words))
+        s = Relation("S", key + (("B", NAME),), frozenset(
+            (symbol(k), symbol(w)) for k, words in right.items() for w in words))
+        monkeypatch.setattr(relational, "JOIN_ROW_LIMIT", 14)
+        assert len(join(r, s).tuples) == 14
+        monkeypatch.setattr(relational, "JOIN_ROW_LIMIT", 13)
+        with pytest.raises(JoinTooLarge) as raised:
+            join(r, s)
+        assert str(raised.value) == "join of 'R' and 'S' has more than 13 rows"
+
+    def test_a_refused_join_builds_no_rows(self):
+        # 400 x 400 rows on one key is 160,000, past the real limit.  The
+        # refusal comes from the count, so it allocates about what the
+        # inputs take, not the limit's 100,000 rows (about 10 MB).
+        key = (("K", NAME),)
+        r = Relation("R", key + (("A", HOURS),),
+                     frozenset((symbol("k"), number(i)) for i in range(400)))
+        s = Relation("S", key + (("B", HOURS),),
+                     frozenset((symbol("k"), number(i)) for i in range(400)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(JoinTooLarge):
+                join(r, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_operations_never_return_duplicates(self):
         rng = random.Random(12)

@@ -7,11 +7,14 @@ names against the package under test.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import dodl.cli
+from conftest import run_python
+from dodl.checker import compile_expr
 from dodl.core import symbol
-from dodl.diagrams import Apply, Const, FilterRef, Input, Pair, compile_expr
+from dodl.diagrams import Apply, Const, FilterRef, Input, Pair
 from dodl.evolver import derive_actual
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -102,6 +105,36 @@ def test_a_demo_pass_reaches_every_boundary(teaching_dir, capsys):
     assert capsys.readouterr().err == ""
     assert codes == [0] * len(calls)
     assert set(tracing.BOUNDARIES) - {span[2] for span in tracer.spans} == set()
+
+
+def test_a_fresh_interpreter_traces_the_deferred_engines(teaching_dir):
+    """The in-process tests run after other tests have imported every
+    module.  In a fresh interpreter, the tracer is what first reads the
+    names that load on first use, and each must still be found and
+    wrapped where the commands read it."""
+    calls = [["check", "Fig4"], ["dump"],
+             ["query", "project (select Relationship1 where Course = Logic) [Name]"],
+             ["oracle-diff", "Tch"]]
+    script = f"""\
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracing", {str(TRACING)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+import dodl.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [dodl.cli.main(["--workspace", sys.argv[1], *argv]) for argv in {calls!r}]
+print(json.dumps({{"missing": sorted(tracer.missing), "codes": codes,
+                  "spans": sorted({{span[2] for span in tracer.spans}})}}))
+"""
+    proc = run_python("-c", script, str(teaching_dir))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout)
+    assert result["missing"] == []
+    assert result["codes"] == [0] * len(calls)
+    assert {"diagrams.check", "diagrams.filter", "printer.dump", "printer.format",
+            "relational.query", "relational.oracle"} <= set(result["spans"])
 
 
 def test_a_demo_oracle_diff_scans_the_relation_once(teaching_dir, capsys):
