@@ -148,25 +148,28 @@ def _dispatch(args) -> int:
     return handler(args, result)
 
 
+def _load(files):
+    """Load ``files``, printing each diagnostic to stderr."""
+    result = load_files(files)
+    for diagnostic in result.diagnostics:
+        print(diagnostic.render(), file=sys.stderr)
+    return result
+
+
 def _load_workspace(args):
     directory = Path(args.workspace)
     if not directory.is_dir():
         print(f"error: workspace {args.workspace!r} is not a directory",
               file=sys.stderr)
         return None
-    files = sorted(directory.glob("*.dodl"))
-    result = load_files(files)
-    for diagnostic in result.diagnostics:
-        print(diagnostic.render(), file=sys.stderr)
+    result = _load(sorted(directory.glob("*.dodl")))
     if result.diagnostics or result.exchange is None:
         return None
     return result
 
 
 def _cmd_load(args) -> int:
-    result = load_files(args.files)
-    for diagnostic in result.diagnostics:
-        print(diagnostic.render(), file=sys.stderr)
+    result = _load(args.files)
     if result.exchange is not None:
         for block in result.outputs:
             print(block)
@@ -186,46 +189,48 @@ def _cmd_load(args) -> int:
     return 1 if result.diagnostics else 0
 
 
-def _cmd_index(args, result) -> int:
-    state = result.exchange.state
-    _, ao = trigger(state, args.po, Atom.parse(args.atom))
+def _print_actual(ao):
     print(f"{ao.name} = {format_atom_set(ao.elements)}")
+
+
+def _cmd_index(args, result) -> int:
+    _, ao = trigger(result.exchange.state, args.po, Atom.parse(args.atom))
+    _print_actual(ao)
     return 0
 
 
 def _cmd_functor(args, result) -> int:
-    state = result.exchange.state
-    mapping = materialize_functor(state, args.po)
-    if args.format == "tsv":
-        for index, ao in mapping.items():
+    mapping = materialize_functor(result.exchange.state, args.po)
+    for index, ao in mapping.items():
+        if args.format == "tsv":
             elements = ",".join(a.text for a in ao.sorted_elements())
             print(f"{index.text}\t{elements}")
-    else:
-        for ao in mapping.values():
-            print(f"{ao.name} = {format_atom_set(ao.elements)}")
+        else:
+            _print_actual(ao)
     return 0
 
 
-def _print_library(state):
+def _print_library(args, state):
     for name in sorted(state.ao_library):
-        ao = state.ao_library[name]
-        print(f"{ao.name} = {format_atom_set(ao.elements)}")
+        _print_actual(state.ao_library[name])
+    if not args.quiet:
+        print(f"stage {state.stage}")
 
 
 def _cmd_script(args, result) -> int:
-    state = run_script(result.exchange.state, args.name)
-    _print_library(state)
-    if not args.quiet:
-        print(f"stage {state.stage}")
+    _print_library(args, run_script(result.exchange.state, args.name))
     return 0
 
 
 def _cmd_evolve(args, result) -> int:
-    state = apply_evolvent(result.exchange.state, args.name)
-    _print_library(state)
-    if not args.quiet:
-        print(f"stage {state.stage}")
+    _print_library(args, apply_evolvent(result.exchange.state, args.name))
     return 0
+
+
+def _outcomes(row) -> tuple[str, str]:
+    """A check row's results on path_a and path_b: each value or error."""
+    return (row.error_a or format_value(row.value_a),
+            row.error_b or format_value(row.value_b))
 
 
 def _cmd_check(args, result) -> int:
@@ -236,21 +241,14 @@ def _cmd_check(args, result) -> int:
     report = _this.check_commutes(spec, _this.enumerate_entry(spec, state), state)
     if args.format == "tsv":
         for row in report.rows:
-            print("\t".join((
-                format_value(row.input),
-                row.error_a or format_value(row.value_a),
-                row.error_b or format_value(row.value_b),
-                "EQUAL" if row.agrees else "DIFFER",
-            )))
+            print("\t".join((format_value(row.input), *_outcomes(row),
+                             "EQUAL" if row.agrees else "DIFFER")))
     else:
         print(report.summary())
-        if not report.commutes:
-            for row in report.rows:
-                if not row.agrees:
-                    a = row.error_a or format_value(row.value_a)
-                    b = row.error_b or format_value(row.value_b)
-                    print(f"  {format_value(row.input)}: "
-                          f"path_a={a} path_b={b}")
+        for row in report.rows:
+            if not row.agrees:
+                a, b = _outcomes(row)
+                print(f"  {format_value(row.input)}: path_a={a} path_b={b}")
     return 0 if report.commutes else 1
 
 

@@ -181,17 +181,9 @@ def _add_methods(cls, fields):
         return bound
 
     # The loop over the setters costs more than the stores themselves, so
-    # records of one or two fields and nothing else to do, such as the
-    # values a diagram check builds for every entry, get it unrolled.
-    plain = not made and post_init is None
-    if plain and count == 1:
-        (set_first,) = setters
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 1:
-                args = bind(args, kwargs)
-            set_first(self, args[0])
-    elif plain and count == 2:
+    # records of two fields and nothing else to do get it unrolled: the
+    # parser builds a ``Ref`` for every name it reads.
+    if not made and post_init is None and count == 2:
         set_first, set_second = setters
 
         def __init__(self, *args, **kwargs):
@@ -347,13 +339,16 @@ class Domain:
     elements: frozenset[Atom]
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", frozenset(self.elements))
-        for atom in self.elements:
+        # Checked in the order given, then frozen: the atom a fault names
+        # does not depend on the iteration order of a set.
+        elements = tuple(self.elements)
+        for atom in elements:
             if atom.kind != self.sort.kind:
                 raise SortMismatch(
                     f"atom {atom.text!r} is {atom.kind} but domain "
                     f"{self.name!r} has {self.sort.kind} sort {self.sort.name!r}"
                 )
+        object.__setattr__(self, "elements", frozenset(elements))
 
     def sorted_elements(self) -> list[Atom]:
         return sorted(self.elements, key=Atom.order_key)

@@ -197,6 +197,24 @@ DiagramExpr = Union[
     Const, Var, Input, Pair, Fst, Snd, Subst, Apply, FilterRef, IndexShift, IdArrow
 ]
 
+# The argument kinds of a combinator: a nested expression, or a name.
+EXPR = "expression"
+VAR_NAME = "variable name"
+PO_NAME = "potential object name"
+
+# Each combinator's word -> its record and its argument kinds, which are the
+# record's fields in order.  ``word(arg, ...)`` is its one text form: the
+# parser reads it from this table and the printer writes it from it.
+COMBINATORS = {
+    "fst": (Fst, (EXPR,)),
+    "snd": (Snd, (EXPR,)),
+    "id": (IdArrow, (EXPR,)),
+    "pair": (Pair, (EXPR, EXPR)),
+    "apply": (Apply, (EXPR, EXPR)),
+    "subst": (Subst, (VAR_NAME, EXPR, EXPR)),
+    "shift": (IndexShift, (PO_NAME, EXPR)),
+}
+
 
 def expr_free_vars(expr: DiagramExpr, bound: frozenset[str] = frozenset()) -> frozenset[str]:
     """Variables an expression reads that no enclosing Subst binds."""

@@ -153,7 +153,7 @@ class _Builder:
             if not self.resolve(decl.sort, sorts, "sort"):
                 continue
             try:
-                domain = Domain(name, sorts[decl.sort.name], frozenset(decl.atoms))
+                domain = Domain(name, sorts[decl.sort.name], decl.atoms)
             except DodlError as exc:
                 self.complain(decl, str(exc))
                 continue
@@ -171,7 +171,7 @@ class _Builder:
                 continue
             schema = [(attr, sorts[ref.name]) for attr, ref in decl.attributes]
             try:
-                relation = Relation(name, tuple(schema), frozenset(decl.rows))
+                relation = Relation(name, schema, decl.rows)
             except DodlError as exc:
                 self.complain(decl, str(exc))
                 continue

@@ -26,39 +26,33 @@ import functools
 
 from ..core import NUMERIC, SYMBOLIC, Atom
 from ..diagrams import (
+    COMBINATORS,
+    EXPR,
+    PO_NAME,
     And,
-    Apply,
     Const,
     DiagramExpr,
     Eq,
     FalsePred,
     FilterRef,
-    Fst,
-    IdArrow,
-    IndexShift,
     Input,
     Member,
     Not,
     Or,
-    Pair,
     Predicate,
-    Snd,
-    Subst,
     TruePred,
     Var,
     Wildcard,
 )
 from ..errors import DodlError
 from ..relation import (
-    DifferenceExpr,
-    JoinExpr,
+    OPERATORS,
     OracleExpr,
     Project,
     RelExpr,
     RelName,
     Select,
     TermIdent,
-    UnionExpr,
 )
 from .lexer import IDENT, INT, Lines, describe, token_kind, tokenize
 from .syntax import (
@@ -435,52 +429,30 @@ class Parser:
             ref = self.name_ref("filter name")
             filter_refs.append(ref)
             return FilterRef(ref.name)
-        if word in ("fst", "snd", "id"):
-            self.expect("(")
-            operand = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect(")")
-            if word == "fst":
-                return Fst(operand)
-            if word == "snd":
-                return Snd(operand)
-            return IdArrow(operand)
-        if word == "pair":
-            self.expect("(")
-            left = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect(",")
-            right = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect(")")
-            return Pair(left, right)
-        if word == "apply":
-            self.expect("(")
-            fn = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect(",")
-            arg = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect(")")
-            return Apply(fn, arg)
-        if word == "subst":
-            self.expect("(")
-            var = self.expect_name("variable name")
-            self.expect(",")
-            target = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect(",")
-            value = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect(")")
-            return Subst(var, target, value)
-        if word == "shift":
-            self.expect("(")
-            ref = self.name_ref("potential object name")
-            shift_refs.append(ref)
-            self.expect(",")
-            index = self.parse_diagram_expr(filter_refs, shift_refs)
-            self.expect(")")
-            return IndexShift(ref.name, index)
-        raise self.error(
-            f"found {describe(word)}", at,
-            expected=("'input'", "'var'", "'const'", "'fst'", "'snd'",
-                      "'pair'", "'subst'", "'apply'", "'filter'", "'shift'",
-                      "'id'"),
-        )
+        spec = COMBINATORS.get(word)
+        if spec is None:
+            raise self.error(
+                f"found {describe(word)}", at,
+                expected=("'input'", "'var'", "'const'", "'fst'", "'snd'",
+                          "'pair'", "'subst'", "'apply'", "'filter'", "'shift'",
+                          "'id'"),
+            )
+        node, kinds = spec
+        self.expect("(")
+        args = []
+        for kind in kinds:
+            if args:
+                self.expect(",")
+            if kind == EXPR:
+                args.append(self.parse_diagram_expr(filter_refs, shift_refs))
+            elif kind == PO_NAME:
+                ref = self.name_ref(kind)
+                shift_refs.append(ref)
+                args.append(ref.name)
+            else:
+                args.append(self.expect_name(kind))
+        self.expect(")")
+        return node(*args)
 
     def _parse_script(self, first: int) -> ScriptDecl:
         name = self.name_ref("script name")
@@ -654,18 +626,14 @@ class Parser:
             attrs = self.comma_list(lambda: self.expect_name("attribute name"))
             self.expect("]")
             return Project(source, tuple(attrs))
-        if self.current in ("join", "union", "difference"):
-            word = self.advance()
+        if self.current in OPERATORS:
+            node = OPERATORS[self.advance()]
             self.expect("(")
             left = self.parse_relexpr(refs)
             self.expect(",")
             right = self.parse_relexpr(refs)
             self.expect(")")
-            if word == "join":
-                return JoinExpr(left, right)
-            if word == "union":
-                return UnionExpr(left, right)
-            return DifferenceExpr(left, right)
+            return node(left, right)
         if self.current == "oracle":
             self.advance()
             self.expect("(")

@@ -17,8 +17,9 @@ import heapq
 
 from ..core import Atom, Domain, PotentialObject, Sort
 from ..diagrams import (
+    COMBINATORS,
+    EXPR,
     And,
-    Apply,
     Const,
     DiagramExpr,
     DiagramSpec,
@@ -26,17 +27,11 @@ from ..diagrams import (
     FalsePred,
     Filter,
     FilterRef,
-    Fst,
-    IdArrow,
-    IndexShift,
     Input,
     Member,
     Not,
     Or,
-    Pair,
     Predicate,
-    Snd,
-    Subst,
     TruePred,
     Var,
     Wildcard,
@@ -45,8 +40,7 @@ from ..diagrams import (
 from ..evolver import EventScript, Evolvent, Workspace
 from ..meta import Concept, ConceptRegistry
 from ..relation import (
-    DifferenceExpr,
-    JoinExpr,
+    OPERATORS,
     OracleExpr,
     Project,
     RelExpr,
@@ -54,12 +48,16 @@ from ..relation import (
     RelName,
     Select,
     TermIdent,
-    UnionExpr,
+    format_row,
 )
 
+_COMBINATOR_WORDS = {node: (word, kinds) for word, (node, kinds) in COMBINATORS.items()}
+_OPERATOR_WORDS = {node: word for word, node in OPERATORS.items()}
 
-def format_row(row) -> str:
-    return "(" + ", ".join(a.text for a in row) + ")"
+
+def _values(node) -> list:
+    """A record's field values, in field order."""
+    return [getattr(node, f.name) for f in node.fields]
 
 
 def format_term(term) -> str:
@@ -100,24 +98,12 @@ def format_diagram_expr(expr: DiagramExpr) -> str:
         return f"const {expr.atom.text}"
     if isinstance(expr, FilterRef):
         return f"filter {expr.name}"
-    if isinstance(expr, Fst):
-        return f"fst({format_diagram_expr(expr.operand)})"
-    if isinstance(expr, Snd):
-        return f"snd({format_diagram_expr(expr.operand)})"
-    if isinstance(expr, IdArrow):
-        return f"id({format_diagram_expr(expr.operand)})"
-    if isinstance(expr, Pair):
-        return (f"pair({format_diagram_expr(expr.first)}, "
-                f"{format_diagram_expr(expr.second)})")
-    if isinstance(expr, Apply):
-        return (f"apply({format_diagram_expr(expr.fn)}, "
-                f"{format_diagram_expr(expr.arg)})")
-    if isinstance(expr, Subst):
-        return (f"subst({expr.var}, {format_diagram_expr(expr.target)}, "
-                f"{format_diagram_expr(expr.value)})")
-    if isinstance(expr, IndexShift):
-        return f"shift({expr.po_name}, {format_diagram_expr(expr.index)})"
-    raise ValueError(f"unknown expression node {expr!r}")
+    word, kinds = _COMBINATOR_WORDS.get(expr.__class__, (None, ()))
+    if word is None:
+        raise ValueError(f"unknown expression node {expr!r}")
+    args = (format_diagram_expr(value) if kind == EXPR else value
+            for kind, value in zip(kinds, _values(expr)))
+    return f"{word}({', '.join(args)})"
 
 
 def format_relexpr(expr: RelExpr) -> str:
@@ -129,17 +115,13 @@ def format_relexpr(expr: RelExpr) -> str:
     if isinstance(expr, Project):
         return (f"project {format_relexpr(expr.source)} "
                 f"[{', '.join(expr.attrs)}]")
-    if isinstance(expr, JoinExpr):
-        return f"join({format_relexpr(expr.left)}, {format_relexpr(expr.right)})"
-    if isinstance(expr, UnionExpr):
-        return f"union({format_relexpr(expr.left)}, {format_relexpr(expr.right)})"
-    if isinstance(expr, DifferenceExpr):
-        return (f"difference({format_relexpr(expr.left)}, "
-                f"{format_relexpr(expr.right)})")
     if isinstance(expr, OracleExpr):
         return (f"oracle({format_relexpr(expr.source)}, {expr.index_attr} = "
                 f"{expr.index_value.text}, {expr.target_attr})")
-    raise ValueError(f"unknown query node {expr!r}")
+    word = _OPERATOR_WORDS.get(expr.__class__)
+    if word is None:
+        raise ValueError(f"unknown query node {expr!r}")
+    return f"{word}({', '.join(format_relexpr(side) for side in _values(expr))})"
 
 
 def format_relation(relation: Relation, style: str = "text") -> str:

@@ -17,6 +17,10 @@ from .errors import DefinitionError, SortMismatch, UnknownAttribute
 Row = tuple[Atom, ...]
 
 
+def format_row(row: Row) -> str:
+    return "(" + ", ".join(a.text for a in row) + ")"
+
+
 @record
 class Relation:
     """A named relation with an ordered schema and set-semantics tuples."""
@@ -30,28 +34,30 @@ class Relation:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(
-            self, "tuples", frozenset(tuple(row) for row in self.tuples)
-        )
-        names = [a for a, _ in self.attributes]
+        attributes = tuple(self.attributes)
+        object.__setattr__(self, "attributes", attributes)
+        names = [a for a, _ in attributes]
         if len(set(names)) != len(names):
             raise DefinitionError(
                 f"relation {self.name!r} repeats an attribute name"
             )
-        for row in self.tuples:
-            if len(row) != self.arity:
+        # Checked in the order given, then frozen: the fault reported first
+        # does not depend on the iteration order of a set.
+        rows = [tuple(row) for row in self.tuples]
+        for row in rows:
+            if len(row) != len(attributes):
                 raise DefinitionError(
-                    f"relation {self.name!r}: tuple {row} has arity "
-                    f"{len(row)}, schema has {self.arity}"
+                    f"relation {self.name!r}: tuple {format_row(row)} has "
+                    f"arity {len(row)}, schema has {len(attributes)}"
                 )
-            for cell, (attr, sort) in zip(row, self.attributes):
+            for cell, (attr, sort) in zip(row, attributes):
                 if cell.kind != sort.kind:
                     raise SortMismatch(
                         f"relation {self.name!r}: {cell.text!r} is {cell.kind} "
                         f"but attribute {attr!r} has {sort.kind} sort "
                         f"{sort.name!r}"
                     )
+        object.__setattr__(self, "tuples", frozenset(rows))
 
     @property
     def arity(self) -> int:
@@ -147,3 +153,7 @@ class OracleExpr:
 RelExpr = Union[
     RelName, Select, Project, JoinExpr, UnionExpr, DifferenceExpr, OracleExpr
 ]
+
+# The binary operators: ``word(left, right)`` is each one's text form, which
+# the parser reads and the printer writes from this table.
+OPERATORS = {"join": JoinExpr, "union": UnionExpr, "difference": DifferenceExpr}

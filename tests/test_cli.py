@@ -201,6 +201,12 @@ class TestQuery:
         assert code == 0
         assert out == "{ Johnes, Smith }\n"
 
+    def test_oracle_query_tsv(self, capsys, teaching_dir):
+        assert run_cli(capsys, "--workspace", str(teaching_dir), "--format",
+                       "tsv", "query",
+                       "oracle(Relationship1, Course = Logic, Name)") == (
+            0, "Johnes\nSmith\n", "")
+
     @pytest.mark.parametrize("course, out", [("Logic", "{ Logic }\n"),
                                              ("Algebra", "{ }\n")])
     def test_oracle_query_with_the_index_as_target(self, capsys, teaching_dir,
@@ -366,6 +372,10 @@ class TestDumpAndAudit:
         assert out == ""
 
 
+# The sorts of the build faults below.
+BUILD_SORTS = "sort N : numeric;\nsort S : symbolic;\n"
+
+
 class TestLoad:
     def test_valid_files(self, capsys, teaching_dir):
         code, out, err = run_cli(capsys, "load",
@@ -469,6 +479,54 @@ class TestLoad:
         assert (code, out, err) == (
             0, "Tch_Logic = { Johnes, Smith }\nok: 3 domain(s), 1 relation(s), "
                "1 potential object(s), 3 concept(s); stage 1\n", "")
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("sort N : numeric;\ndomain D : N = { 1, abc, def };\n", 2,
+         "atom 'abc' is symbolic but domain 'D' has numeric sort 'N'"),
+        ("sort S : symbolic;\nrelation R (a : S, b : S, a : S) = { };\n", 2,
+         "relation 'R' repeats an attribute name"),
+        (BUILD_SORTS + "relation Q (a : N, b : S) = { (1, x, y), (x, 2) };\n", 3,
+         "relation 'Q': tuple (1, x, y) has arity 3, schema has 2"),
+        (BUILD_SORTS + "relation Q (a : N, b : S) = { (1, x), (x, y), (z, 2) };\n",
+         3, "relation 'Q': 'x' is symbolic but attribute 'a' has numeric "
+            "sort 'N'"),
+        ("filter F (x, x) = true;\n", 1,
+         "filter 'F' needs two distinct variables"),
+    ])
+    def test_a_value_the_build_refuses_is_named(self, capsys, tmp_path, text,
+                                                line, message):
+        bad = tmp_path / "bad.dodl"
+        bad.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "load", str(bad)) == (
+            1, "", f"{bad}:{line}:1: {message}\n")
+
+    def test_build_diagnostics_do_not_depend_on_the_hash_seed(self, tmp_path,
+                                                               monkeypatch):
+        # The first faulty atom and row in source order are named, whatever
+        # order a set of them iterates in.
+        bad = tmp_path / "bad.dodl"
+        bad.write_text(BUILD_SORTS + "relation Q (a : N, b : S) = "
+                       "{ (1, x, y), (x, 2), (3, z) };\n"
+                       "domain D : N = { abc, def, 1 };\n", encoding="utf-8")
+        expected = (f"{bad}:4:1: atom 'abc' is symbolic but domain 'D' has "
+                    f"numeric sort 'N'\n"
+                    f"{bad}:3:1: relation 'Q': tuple (1, x, y) has arity 3, "
+                    f"schema has 2\n")
+        for hash_seed in ("0", "1", "2", "3"):
+            monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+            proc = run_module("load", str(bad))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
+
+    def test_notes_name_dropped_duplicates_unless_quiet(self, capsys, tmp_path):
+        source = tmp_path / "dup.dodl"
+        source.write_text("sort S : symbolic;\ndomain D : S = { a, b, a, b };\n"
+                          "relation R (A : S) = { (a), (a) };\n", encoding="utf-8")
+        assert run_cli(capsys, "load", str(source)) == (0, (
+            "note: domain D: dropped 2 duplicate atom(s)\n"
+            "note: relation R: dropped 1 duplicate tuple(s)\n"
+            "ok: 1 domain(s), 1 relation(s), 0 potential object(s), "
+            "0 concept(s); stage 0\n"), "")
+        assert run_cli(capsys, "--quiet", "load", str(source)) == (0, "", "")
 
 
 def unreadable_case(kind, root):

@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TEACHING_ROWS
 from reference import reference_oracle_index, same_contents
@@ -30,6 +32,8 @@ from dodl.errors import (
     UnknownRelation,
 )
 from dodl import relational
+from dodl.lang import parse_query
+from dodl.lang.printer import format_relexpr
 from dodl.relational import (
     DifferenceExpr,
     JoinExpr,
@@ -562,3 +566,82 @@ class TestQueryExpressions:
         )
         with pytest.raises(EvalTypeError):
             eval_query(expr, self.registry())
+
+
+# Compound ``select ... where`` predicates over R (Course, Name, Hours),
+# checked against a brute-force evaluation over the raw rows.  A term is an
+# attribute, a numeral (one with leading zeros) or a name that is no
+# attribute, which reads as a symbolic constant.
+QUERY_ATTRIBUTES = ("Course", "Name", "Hours")
+QUERY_TERMS = QUERY_ATTRIBUTES + ("20", "030", "7", "Logic", "Smith", "Doe")
+QUERY_ROWS = st.frozensets(st.tuples(
+    st.sampled_from(["Logic", "Informatics", "Doe"]),
+    st.sampled_from(["Smith", "Doe", "Logic"]),
+    st.sampled_from(["7", "20", "30"]),
+), max_size=8)
+QUERY_PREDICATES = st.recursive(
+    st.one_of(
+        st.tuples(st.just("="), st.sampled_from(QUERY_TERMS),
+                  st.sampled_from(QUERY_TERMS)),
+        st.sampled_from([("true",), ("false",)]),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["and", "or"]), inner, inner),
+        st.tuples(st.sampled_from(["not", "()"]), inner),
+    ),
+    max_leaves=12,
+)
+# Binding strength; a parenthesised group and the leaves bind tightest.
+PREDICATE_STRENGTH = {"or": 1, "and": 2, "not": 3}
+
+
+def predicate_text(tree, outer: int = 0) -> str:
+    """The tree as query text, with the parentheses that its shape needs
+    and those its ``()`` nodes ask for: ``and`` and ``or`` chain to the
+    left."""
+    op = tree[0]
+    strength = PREDICATE_STRENGTH.get(op, 4)
+    if op in ("and", "or"):
+        text = (f"{predicate_text(tree[1], strength)} {op} "
+                f"{predicate_text(tree[2], strength + 1)}")
+    elif op == "not":
+        text = f"not {predicate_text(tree[1], strength)}"
+    elif op == "()":
+        text = f"({predicate_text(tree[1])})"
+    elif op == "=":
+        text = f"{tree[1]} = {tree[2]}"
+    else:
+        text = op
+    return f"({text})" if strength < outer else text
+
+
+def predicate_holds(tree, row: tuple[str, ...]) -> bool:
+    def value(term):
+        if term in QUERY_ATTRIBUTES:
+            return row[QUERY_ATTRIBUTES.index(term)]
+        return str(int(term)) if term.isdigit() else term
+
+    op = tree[0]
+    if op == "=":
+        return value(tree[1]) == value(tree[2])
+    if op == "and":
+        return predicate_holds(tree[1], row) and predicate_holds(tree[2], row)
+    if op == "or":
+        return predicate_holds(tree[1], row) or predicate_holds(tree[2], row)
+    if op == "not":
+        return not predicate_holds(tree[1], row)
+    if op == "()":
+        return predicate_holds(tree[1], row)
+    return op == "true"
+
+
+@settings(max_examples=300, deadline=None)
+@given(QUERY_ROWS, QUERY_PREDICATES)
+def test_compound_selects_equal_a_brute_force_scan(rows, tree):
+    relation = Relation("R", tuple(zip(QUERY_ATTRIBUTES, (COURSE, NAME, HOURS))),
+                        frozenset((symbol(c), symbol(n), number(int(h)))
+                                  for c, n, h in rows))
+    expr = parse_query(f"select R where {predicate_text(tree)}")
+    assert texts(eval_query(expr, {"R": relation})) == \
+        {row for row in rows if predicate_holds(tree, row)}
+    assert parse_query(format_relexpr(expr)) == expr

@@ -72,6 +72,11 @@ class TestEdgeShapes:
         assert "concept C { };" in first
         assert reload_dump(first) == first
 
+    def test_a_diagram_with_empty_paths_round_trips(self):
+        source = ("sort S : symbolic;\ndomain D : S = { a };\n"
+                  "diagram Same entry D path_a [ ] path_b [ ] exit D;\n")
+        assert reload_dump(source) == source
+
     def test_numeric_atoms_print_by_value_order(self):
         source = "sort N : numeric;\ndomain D : N = { 30, 7, 20 };\n"
         text = reload_dump(source)
