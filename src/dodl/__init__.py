@@ -54,9 +54,6 @@ from .evolver import (
     EventScript,
     Evolvent,
     Exchange,
-    GetAO,
-    GetConcept,
-    GetPO,
     Query,
     Trigger,
     Workspace,

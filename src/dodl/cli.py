@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .core import Atom, deferred
-from .diagrams import format_atom_set, format_value
+from .diagrams import format_actual, format_atom_set, format_value
 from .errors import DodlError, not_defined
 from .evolver import (
     Query,
@@ -189,13 +189,9 @@ def _cmd_load(args) -> int:
     return 1 if result.diagnostics else 0
 
 
-def _print_actual(ao):
-    print(f"{ao.name} = {format_atom_set(ao.elements)}")
-
-
 def _cmd_index(args, result) -> int:
     _, ao = trigger(result.exchange.state, args.po, Atom.parse(args.atom))
-    _print_actual(ao)
+    print(format_actual(ao))
     return 0
 
 
@@ -206,13 +202,13 @@ def _cmd_functor(args, result) -> int:
             elements = ",".join(a.text for a in ao.sorted_elements())
             print(f"{index.text}\t{elements}")
         else:
-            _print_actual(ao)
+            print(format_actual(ao))
     return 0
 
 
 def _print_library(args, state):
     for name in sorted(state.ao_library):
-        _print_actual(state.ao_library[name])
+        print(format_actual(state.ao_library[name]))
     if not args.quiet:
         print(f"stage {state.stage}")
 

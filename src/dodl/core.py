@@ -293,21 +293,12 @@ class Atom:
         kind = NUMERIC if text[:1].isdigit() else SYMBOLIC
         return Atom(text, kind)
 
-    @property
-    def value(self) -> int:
-        if self.kind != NUMERIC:
-            raise SortMismatch(f"atom {self.text!r} is not numeric")
-        return int(self.text)
-
     def order_key(self):
         # Numeric atoms order by integer value, symbolic ones byte-wise.  A
         # canonical numeral with more digits is the larger number.
         if self.kind == NUMERIC:
             return (0, len(self.text), self.text)
         return (1, 0, self.text)
-
-    def __str__(self):
-        return self.text
 
 
 def symbol(text: str) -> Atom:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Union
 
-from .core import Atom, Field, PotentialObject, record
+from .core import ActualObject, Atom, Field, PotentialObject, record
 from .errors import ArityMismatch, DefinitionError, EvalTypeError, not_defined
 
 # ---------------------------------------------------------------------------
@@ -266,11 +266,20 @@ def format_value(value: Value) -> str:
     raise EvalTypeError(f"cannot format value {value!r}")
 
 
+def format_list(items, brackets: str = "{}", separator: str = ", ") -> str:
+    """Non-empty texts between brackets: ``{ a, b }``, or ``{ }`` for none."""
+    opening, closing = brackets
+    inner = separator.join(items)
+    return f"{opening} {inner} {closing}" if inner else f"{opening} {closing}"
+
+
 def format_atom_set(atoms) -> str:
-    ordered = sorted(atoms, key=Atom.order_key)
-    if not ordered:
-        return "{ }"
-    return "{ " + ", ".join(a.text for a in ordered) + " }"
+    return format_list(a.text for a in sorted(atoms, key=Atom.order_key))
+
+
+def format_actual(ao: ActualObject) -> str:
+    """An actual object as ``name = { a, b }``."""
+    return f"{ao.name} = {format_atom_set(ao.elements)}"
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,6 @@ from .relation import Relation, RelExpr
 __getattr__, __dir__ = deferred(__name__, {"eval_query": ".relational"})
 _this = sys.modules[__name__]
 
-IDENTITY = "identity"
-SCRIPT = "script"
-COMPOSED = "composed"
-
-
 @record
 class EventScript:
     """An ordered list of (potential object, index) events."""
@@ -53,20 +48,17 @@ class EventScript:
 
 @record
 class Evolvent:
-    """A named workspace transition: a no-op, one script, or a chain."""
+    """A named workspace transition: one script, a chain of evolvents run
+    left to right, or, when it names neither, the identity."""
 
     name: str
-    kind: str
     script: str | None = None
     parts: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in (IDENTITY, SCRIPT, COMPOSED):
-            raise DefinitionError(f"unknown evolvent kind {self.kind!r}")
-        if self.kind == SCRIPT and not self.script:
-            raise DefinitionError(f"evolvent {self.name!r} names no script")
-        if self.kind == COMPOSED and not self.parts:
-            raise DefinitionError(f"evolvent {self.name!r} composes nothing")
+        if self.script is not None and self.parts:
+            raise DefinitionError(
+                f"evolvent {self.name!r} names both a script and a chain")
 
 
 @record
@@ -160,10 +152,9 @@ def apply_evolvent(state: Workspace, evolvent_name: str) -> Workspace:
         evolvent = state.evolvents.get(name)
         if evolvent is None:
             raise not_defined("evolvent", name)
-        if evolvent.kind == SCRIPT:
+        if evolvent.script is not None:
             current = run_script(current, evolvent.script)
-        elif evolvent.kind == COMPOSED:
-            pending.extend(reversed(evolvent.parts))
+        pending.extend(reversed(evolvent.parts))
     return current
 
 
@@ -214,21 +205,6 @@ def expanded_steps(evolvents: dict[str, Evolvent],
 
 
 @record
-class GetPO:
-    name: str
-
-
-@record
-class GetAO:
-    name: str
-
-
-@record
-class GetConcept:
-    name: str
-
-
-@record
 class Trigger:
     po_name: str
     index: Atom
@@ -239,7 +215,7 @@ class Query:
     expr: RelExpr
 
 
-Request = Union[GetPO, GetAO, GetConcept, Trigger, Query]
+Request = Union[Trigger, Query]
 
 
 @record
@@ -265,7 +241,8 @@ class Exchange:
     """Uniform request dispatcher over one evolving workspace.
 
     Every request/response pair lands in the audit log with the stage the
-    request ran at.  Missing objects yield NotFound responses, not errors.
+    request ran at.  A request that fails with a :class:`DodlError` yields
+    a response naming the error's kind, not an exception.
     """
 
     def __init__(self, state: Workspace):
@@ -273,59 +250,32 @@ class Exchange:
         self.audit: list[AuditEntry] = []
 
     def dispatch(self, request: Request) -> Response:
-        if not isinstance(request, (GetPO, GetAO, GetConcept, Trigger, Query)):
+        if isinstance(request, Trigger):
+            target = f"{request.po_name}[{request.index.text}]"
+        elif isinstance(request, Query):
+            from .lang.printer import format_relexpr
+
+            target = format_relexpr(request.expr)
+        else:
             raise UnknownRequestKind(
                 f"unknown request kind {type(request).__name__!r}"
             )
-        kind = type(request).__name__
         stage = self.state.stage
-        target = self._target(request)
         try:
-            response = self._handle(request)
+            if isinstance(request, Trigger):
+                self.state, value = trigger(self.state, request.po_name,
+                                            request.index)
+            else:
+                value = _this.eval_query(request.expr, self.state.relations)
+            response = Response(True, value)
         except DodlError as exc:
             response = Response(
                 False, error_kind=type(exc).__name__, message=str(exc)
             )
         outcome = "ok" if response.ok else response.error_kind
-        self.audit.append(AuditEntry(stage, kind, target, outcome))
+        self.audit.append(AuditEntry(stage, type(request).__name__, target,
+                                     outcome))
         return response
-
-    @staticmethod
-    def _target(request: Request) -> str:
-        if isinstance(request, Trigger):
-            return f"{request.po_name}[{request.index.text}]"
-        if isinstance(request, Query):
-            from .lang.printer import format_relexpr
-
-            return format_relexpr(request.expr)
-        return request.name
-
-    def _handle(self, request: Request) -> Response:
-        if isinstance(request, GetPO):
-            return self._lookup(self.state.potentials, request.name)
-        if isinstance(request, GetAO):
-            return self._lookup(self.state.ao_library, request.name)
-        if isinstance(request, GetConcept):
-            registry = self.state.concepts
-            if request.name in registry:
-                return Response(True, registry.get(request.name))
-            return self._not_found(request.name)
-        if isinstance(request, Trigger):
-            self.state, ao = trigger(self.state, request.po_name, request.index)
-            return Response(True, ao)
-        result = _this.eval_query(request.expr, self.state.relations)
-        return Response(True, result)
-
-    @staticmethod
-    def _lookup(registry, name) -> Response:
-        if name in registry:
-            return Response(True, registry[name])
-        return Exchange._not_found(name)
-
-    @staticmethod
-    def _not_found(name: str) -> Response:
-        return Response(False, error_kind="NotFound",
-                        message=f"{name!r} is not present")
 
     def audit_text(self) -> str:
         """One tab-separated line per exchange, in dispatch order."""

@@ -21,7 +21,7 @@ from ..diagrams import (
     Shape,
     arity_mismatch,
     expr_free_vars,
-    format_atom_set,
+    format_actual,
 )
 from ..errors import CycleDetected, DodlError, not_defined
 from ..evolver import (
@@ -319,20 +319,13 @@ class _Builder:
         evolvents = {}
         declared = self.decls[EvolventDecl]
         for name, decl in self.decls[EvolventDecl].items():
-            if decl.kind == "identity":
-                evolvents[name] = Evolvent(name, "identity")
-            elif decl.kind == "script":
-                if not self.resolve(decl.script, scripts, "script"):
-                    continue
-                evolvents[name] = Evolvent(name, "script", script=decl.script.name)
-            else:
-                found = [self.resolve(part, declared, "evolvent")
-                         for part in decl.parts]
-                if all(found):
-                    evolvents[name] = Evolvent(
-                        name, "composed",
-                        parts=tuple(p.name for p in decl.parts),
-                    )
+            if decl.script is not None:
+                if self.resolve(decl.script, scripts, "script"):
+                    evolvents[name] = Evolvent(name, script=decl.script.name)
+            elif all([self.resolve(part, declared, "evolvent")
+                      for part in decl.parts]):
+                evolvents[name] = Evolvent(
+                    name, parts=tuple(p.name for p in decl.parts))
         cycle = find_cycle(
             sorted(evolvents),
             lambda name: evolvents[name].parts if name in evolvents else (),
@@ -368,25 +361,19 @@ class _Builder:
         outputs = []
         for unit in self.units:
             for stmt in unit.statements:
-                if isinstance(stmt, TriggerCmd):
-                    response = exchange.dispatch(
-                        Trigger(stmt.po.name, stmt.index)
-                    )
-                    if not response.ok:
-                        self.complain(stmt, response.message or "trigger failed")
-                    else:
-                        ao = response.value
-                        outputs.append(
-                            f"{ao.name} = {format_atom_set(ao.elements)}"
-                        )
-                elif isinstance(stmt, QueryCmd):
-                    response = exchange.dispatch(Query(stmt.expr))
-                    if not response.ok:
-                        self.complain(stmt, response.message or "query failed")
+                if isinstance(stmt, (TriggerCmd, QueryCmd)):
+                    if isinstance(stmt, TriggerCmd):
+                        request = Trigger(stmt.po.name, stmt.index)
+                        show = format_actual
                     else:
                         from .printer import format_query_result
 
-                        outputs.append(format_query_result(response.value))
+                        request, show = Query(stmt.expr), format_query_result
+                    response = exchange.dispatch(request)
+                    if response.ok:
+                        outputs.append(show(response.value))
+                    else:
+                        self.complain(stmt, response.message)
                 elif isinstance(stmt, CheckCmd):
                     from ..checker import check_commutes, enumerate_entry
 

@@ -223,16 +223,9 @@ class Parser:
         while self.current:
             if len(self.errors) >= MAX_ERRORS:
                 break
-            first = self.pos
             try:
                 statements.append(self.parse_statement())
             except _SyncError:
-                self.synchronize()
-            except DodlError as exc:
-                # Malformed values (e.g. a bad atom) surface as diagnostics.
-                self.errors.append(self.diagnostic(
-                    str(exc), first, max(self.end(first), self.starts[self.pos]),
-                ))
                 self.synchronize()
         return SourceUnit(tuple(statements), tuple(self.errors[:MAX_ERRORS]))
 

@@ -36,6 +36,7 @@ from ..diagrams import (
     Var,
     Wildcard,
     format_atom_set,
+    format_list,
 )
 from ..evolver import EventScript, Evolvent, Workspace
 from ..meta import Concept, ConceptRegistry
@@ -154,8 +155,7 @@ def _domain_stmt(domain: Domain) -> str:
 
 def _relation_stmt(relation: Relation) -> str:
     attrs = ", ".join(f"{name} : {sort.name}" for name, sort in relation.attributes)
-    rows = relation.sorted_tuples()
-    body = "{ " + ", ".join(format_row(r) for r in rows) + " }" if rows else "{ }"
+    body = format_list(format_row(row) for row in relation.sorted_tuples())
     return f"relation {relation.name} ({attrs}) = {body};"
 
 
@@ -182,8 +182,7 @@ def _concept_stmt(concept: Concept) -> str:
         items.append(f"menu {label} -> {event};")
     if concept.encapsulated:
         items.append("encapsulated " + ", ".join(sorted(concept.encapsulated)) + ";")
-    body = "{ " + " ".join(items) + " }" if items else "{ }"
-    return f"{head} {body};"
+    return f"{head} {format_list(items, separator=' ')};"
 
 
 def _shape_text(parts: tuple[str, ...]) -> str:
@@ -193,9 +192,7 @@ def _shape_text(parts: tuple[str, ...]) -> str:
 
 
 def _path_text(steps) -> str:
-    if not steps:
-        return "[ ]"
-    return "[ " + ", ".join(format_diagram_expr(s) for s in steps) + " ]"
+    return format_list(map(format_diagram_expr, steps), "[]")
 
 
 def _diagram_stmt(spec: DiagramSpec) -> str:
@@ -206,22 +203,18 @@ def _diagram_stmt(spec: DiagramSpec) -> str:
 
 
 def _script_stmt(script: EventScript) -> str:
-    if script.steps:
-        steps = "[ " + ", ".join(
-            f"({po}, {index.text})" for po, index in script.steps
-        ) + " ]"
-    else:
-        steps = "[ ]"
+    steps = format_list((f"({po}, {index.text})" for po, index in script.steps),
+                        "[]")
     return f"script {script.name} = {steps};"
 
 
 def _evolvent_stmt(evolvent: Evolvent) -> str:
-    if evolvent.kind == "identity":
-        body = "identity"
-    elif evolvent.kind == "script":
+    if evolvent.script is not None:
         body = f"script {evolvent.script}"
-    else:
+    elif evolvent.parts:
         body = "compose(" + ", ".join(evolvent.parts) + ")"
+    else:
+        body = "identity"
     return f"evolvent {evolvent.name} = {body};"
 
 

@@ -11,6 +11,10 @@ time bound may fail under it.  At the end it lists, per file, each line
 inside a function, method, lambda or comprehension that never ran.  Module and class bodies run on import and are not
 listed, nor are the ``def`` lines.  Code run by a child interpreter (the
 tests that start ``python -m dodl``) is not seen.
+
+The report ends with the package's size in NBNC lines per module and in
+total: the lines that are not blank and do not start with ``#`` once
+their indentation is stripped.  Docstrings count.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ class LineTracer:
         root = PACKAGE.parents[1]
         total = missed = 0
         report = []
-        for path in sorted(PACKAGE.rglob("*.py")):
+        paths = sorted(PACKAGE.rglob("*.py"))
+        for path in paths:
             body = body_lines(path)
             unrun = sorted(body - self.hits.get(str(path), set()))
             total += len(body)
@@ -88,9 +93,14 @@ class LineTracer:
         terminalreporter.write_sep("-", "linecov")
         terminalreporter.write_line(
             f"{total - missed} of {total} function-body lines under "
-            f"{PACKAGE.relative_to(root)} ran; not run:")
+            f"{PACKAGE.relative_to(root)} ran" + ("; not run:" if missed else ""))
         for line in report:
             terminalreporter.write_line(line)
+        terminalreporter.write_sep("-", "NBNC lines")
+        sizes = {path.relative_to(root): nbnc(path) for path in paths}
+        for path, size in sizes.items():
+            terminalreporter.write_line(f"{size:6,} {path}")
+        terminalreporter.write_line(f"{sum(sizes.values()):6,} total")
 
 
 def body_lines(path: Path) -> set[int]:
@@ -104,6 +114,12 @@ def body_lines(path: Path) -> set[int]:
             lines |= {line for _, _, line in code.co_lines()
                       if line is not None and line != code.co_firstlineno}
     return lines
+
+
+def nbnc(path: Path) -> int:
+    """The lines of ``path`` that are neither blank nor a ``#`` comment."""
+    return sum(1 for line in path.read_text(encoding="utf-8").splitlines()
+               if line.strip() and not line.lstrip().startswith("#"))
 
 
 def line_ranges(lines: list[int]) -> str:

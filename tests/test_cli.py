@@ -492,6 +492,8 @@ class TestLoad:
             "sort 'N'"),
         ("filter F (x, x) = true;\n", 1,
          "filter 'F' needs two distinct variables"),
+        ("concept K { encapsulated nope; };\n", 1,
+         "concept 'K' encapsulates undefined attribute 'nope'"),
     ])
     def test_a_value_the_build_refuses_is_named(self, capsys, tmp_path, text,
                                                 line, message):

@@ -647,6 +647,14 @@ class TestCheckCommutes:
             return ("a", v.order_key())
         assert value_order_key(value) == general(value)
 
+    def test_function_values_order_by_their_text_after_atoms_and_truth(
+            self, teaching_ws):
+        tch = teaching_ws.filters["TchFilter"]
+        values = [(symbol("b"), symbol("a")), tch, True, symbol("a")]
+        assert sorted(values, key=value_order_key) == \
+            [symbol("a"), True, tch, (symbol("b"), symbol("a"))]
+        assert value_order_key(tch) == ("f", (1, 0, "filter TchFilter"))
+
     def test_paths_compile_once_per_call(self, teaching_ws, monkeypatch):
         compiled = []
         original = checker.compile_expr

@@ -26,9 +26,6 @@ from dodl.evolver import (
     EventScript,
     Evolvent,
     Exchange,
-    GetAO,
-    GetConcept,
-    GetPO,
     Query,
     Trigger,
     apply_evolvent,
@@ -37,7 +34,7 @@ from dodl.evolver import (
     run_script,
     trigger,
 )
-from dodl.relational import OracleExpr, RelName, Relation, oracle_index
+from dodl.relational import OracleExpr, Project, RelName, Relation, oracle_index
 from reference import reference_filter
 from wsgen import WORDS, gen_indexed_case, gen_workspace
 
@@ -210,13 +207,12 @@ class TestApplyEvolvent:
             scripts={**teaching_ws.scripts, "Bad": bad},
             evolvents={
                 **teaching_ws.evolvents,
-                "Fails": Evolvent("Fails", "script", script="Bad"),
-                "Inner": Evolvent("Inner", "composed", parts=("Assign", "Fails")),
-                "BadFirst": Evolvent("BadFirst", "composed",
-                                     parts=("Inner", "Missing")),
-                "MissingFirst": Evolvent("MissingFirst", "composed",
+                "Fails": Evolvent("Fails", script="Bad"),
+                "Inner": Evolvent("Inner", parts=("Assign", "Fails")),
+                "BadFirst": Evolvent("BadFirst", parts=("Inner", "Missing")),
+                "MissingFirst": Evolvent("MissingFirst",
                                          parts=("Assign", "Missing", "Inner")),
-                "Nested": Evolvent("Nested", "composed",
+                "Nested": Evolvent("Nested",
                                    parts=("Still", "AssignTwice", "Assign")),
             },
         )
@@ -228,10 +224,9 @@ class TestApplyEvolvent:
 
     def test_a_deep_composition_needs_no_recursion(self, teaching_ws):
         depth = 5000
-        chain = {f"Deep{i}": Evolvent(f"Deep{i}", "composed",
-                                      parts=(f"Deep{i - 1}",))
+        chain = {f"Deep{i}": Evolvent(f"Deep{i}", parts=(f"Deep{i - 1}",))
                  for i in range(1, depth)}
-        chain["Deep0"] = Evolvent("Deep0", "composed", parts=("Assign",))
+        chain["Deep0"] = Evolvent("Deep0", parts=("Assign",))
         ws = teaching_ws.replace(
             evolvents={**teaching_ws.evolvents, **chain})
         assert apply_evolvent(ws, f"Deep{depth - 1}") == \
@@ -322,25 +317,34 @@ class TestProbeMatchesScan:
 
 
 class TestExchange:
-    def test_get_actual_object_after_trigger(self, teaching_ws):
+    def test_a_trigger_returns_and_stores_the_derived_object(self, teaching_ws):
         exchange = Exchange(teaching_ws)
-        exchange.dispatch(Trigger("Tch", symbol("Logic")))
-        response = exchange.dispatch(GetAO("Tch_Logic"))
+        response = exchange.dispatch(Trigger("Tch", symbol("Logic")))
         assert response.ok
         assert response.value.elements == \
             frozenset({symbol("Johnes"), symbol("Smith")})
+        assert exchange.state.ao_library["Tch_Logic"] is response.value
+        assert exchange.state.stage == 1
 
-    def test_get_before_trigger_is_not_found_not_raised(self, teaching_ws):
+    def test_a_failing_trigger_is_audited_not_raised(self, teaching_ws):
         exchange = Exchange(teaching_ws)
-        response = exchange.dispatch(GetAO("Tch_Logic"))
+        response = exchange.dispatch(Trigger("Nope", symbol("Logic")))
         assert not response.ok
-        assert response.error_kind == "NotFound"
+        assert response.error_kind == "UnknownPotentialObject"
+        assert response.message == "potential object 'Nope' is not defined"
+        assert exchange.state is teaching_ws
+        assert exchange.audit_text() == \
+            "0\tTrigger\tNope[Logic]\tUnknownPotentialObject\n"
 
-    def test_get_potential_and_concept(self, teaching_ws):
+    def test_a_failing_query_is_audited_with_its_error_kind(self, teaching_ws):
         exchange = Exchange(teaching_ws)
-        assert exchange.dispatch(GetPO("Tch")).ok
-        assert exchange.dispatch(GetConcept("TeachingPost")).ok
-        assert not exchange.dispatch(GetConcept("Void")).ok
+        response = exchange.dispatch(
+            Query(Project(RelName("Relationship1"), ("Nope",))))
+        assert not response.ok
+        assert response.error_kind == "UnknownAttribute"
+        assert exchange.state is teaching_ws
+        assert exchange.audit_text() == \
+            "0\tQuery\tproject Relationship1 [Nope]\tUnknownAttribute\n"
 
     def test_trigger_errors_are_structured(self, teaching_ws):
         exchange = Exchange(teaching_ws)
@@ -361,17 +365,24 @@ class TestExchange:
 
     def test_unknown_request_kind_raises(self, teaching_ws):
         exchange = Exchange(teaching_ws)
-        with pytest.raises(UnknownRequestKind):
-            exchange.dispatch("just a string")
+        for request in ("just a string", RelName("Relationship1"),
+                        EventScript("S", (("Tch", symbol("Logic")),))):
+            with pytest.raises(UnknownRequestKind,
+                               match=f"'{type(request).__name__}'"):
+                exchange.dispatch(request)
+        assert exchange.audit == []
+        assert exchange.state is teaching_ws
 
     def test_audit_records_every_exchange_with_its_stage(self, teaching_ws):
         exchange = Exchange(teaching_ws)
-        exchange.dispatch(GetAO("Tch_Logic"))
+        exchange.dispatch(Query(RelName("Relationship1")))
         exchange.dispatch(Trigger("Tch", symbol("Logic")))
-        exchange.dispatch(GetAO("Tch_Logic"))
+        exchange.dispatch(Trigger("Tch", symbol("Algebra")))
+        exchange.dispatch(Query(RelName("Ghost")))
         lines = exchange.audit_text().splitlines()
         assert lines == [
-            "0\tGetAO\tTch_Logic\tNotFound",
+            "0\tQuery\tRelationship1\tok",
             "0\tTrigger\tTch[Logic]\tok",
-            "1\tGetAO\tTch_Logic\tok",
+            "1\tTrigger\tTch[Algebra]\tIndexNotInDomain",
+            "1\tQuery\tGhost\tUnknownRelation",
         ]

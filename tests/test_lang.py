@@ -208,6 +208,11 @@ class TestValidate:
         assert len(diagnostics) == 1
         assert source[diagnostics[0].start:diagnostics[0].end] == "Ghost"
 
+    def test_syntax_errors_stop_the_semantic_checks(self):
+        unit = parse("sort A : symbolic\ndomain D : Ghost = { X };\n")
+        assert unit.errors
+        assert validate(unit) == list(unit.errors)
+
     def test_duplicate_names_within_a_namespace(self):
         source = "sort A : symbolic;\nsort A : numeric;\n"
         diagnostics = validate(parse(source))
@@ -523,11 +528,11 @@ class TestEvolventSteps:
     @settings(max_examples=300, deadline=None)
     @given(evolvent_graphs, st.integers(0, 3), st.integers(0, 6))
     def test_counts_equal_the_expansion(self, graph, triggers, limit):
-        built = {name: Evolvent(name, "identity") if parts is None else
-                 Evolvent(name, "composed", parts=tuple(parts))
+        built = {name: Evolvent(name) if parts is None else
+                 Evolvent(name, parts=tuple(parts))
                  for name, parts in zip(EVOLVENTS, graph)}
-        built["V0"] = Evolvent("V0", "script", script="S")
-        built["V1"] = Evolvent("V1", "script", script="Gone")
+        built["V0"] = Evolvent("V0", script="S")
+        built["V1"] = Evolvent("V1", script="Gone")
         if find_cycle(sorted(built), lambda n: built[n].parts if n in built else ()):
             return
         scripts = {"S": EventScript("S", (("P", number(1)),) * triggers)}

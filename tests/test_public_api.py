@@ -26,9 +26,9 @@ DODL = {
     "dodl.checker": ["CommutativityReport", "check_commutes", "compile_expr",
                      "enumerate_entry"],
     "dodl.errors": ["DodlError"],
-    "dodl.evolver": ["EventScript", "Evolvent", "Exchange", "GetAO", "GetConcept",
-                     "GetPO", "Query", "Trigger", "Workspace", "apply_evolvent",
-                     "materialize_functor", "run_script", "trigger"],
+    "dodl.evolver": ["EventScript", "Evolvent", "Exchange", "Query", "Trigger",
+                     "Workspace", "apply_evolvent", "materialize_functor",
+                     "run_script", "trigger"],
     "dodl.lang.loader": ["build", "load_files", "load_texts", "validate"],
     "dodl.lang.parser": ["parse", "parse_query"],
     "dodl.lang.printer": ["dump"],

@@ -22,7 +22,7 @@ from dodl import core
 from dodl.core import MISSING, Atom, Field, Record, symbol
 from dodl.checker import check_commutes, enumerate_entry
 from dodl.diagrams import Const, FilterRef, IndexShift
-from dodl.evolver import Exchange, GetAO, GetConcept, GetPO, Query, Trigger
+from dodl.evolver import Exchange, Query, Trigger
 from dodl.lang import load_texts, parse, parse_query
 from dodl.meta import ConceptRegistry
 from reference import eval_expr, reference_dataclass
@@ -80,8 +80,8 @@ def samples():
     result = load_texts([("demo.dodl", text)])
     assert result.ok, [d.render() for d in result.diagnostics]
     ws = result.workspace
-    requests = [GetPO("Tch"), GetAO("Ghost"), GetConcept("LogicPost"),
-                Trigger("Tch", symbol("Informatics")),
+    requests = [Trigger("Tch", symbol("Informatics")),
+                Trigger("Tch", symbol("Algebra")),
                 Query(parse_query("Relationship1"))]
     responses = [result.exchange.dispatch(request) for request in requests]
     spec = ws.diagrams["Fig4"]

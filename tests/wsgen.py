@@ -248,13 +248,13 @@ def gen_workspace(rng: random.Random) -> Workspace:
                 rng.choice(sorted(evolvents))
                 for _ in range(rng.randint(1, 3))
             )
-            evolvents[name] = Evolvent(name, "composed", parts=parts)
+            evolvents[name] = Evolvent(name, parts=parts)
         elif roll > 0.33 and scripts:
             evolvents[name] = Evolvent(
-                name, "script", script=rng.choice(sorted(scripts))
+                name, script=rng.choice(sorted(scripts))
             )
         else:
-            evolvents[name] = Evolvent(name, "identity")
+            evolvents[name] = Evolvent(name)
 
     return Workspace(
         sorts=sorts,
