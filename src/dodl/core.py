@@ -43,9 +43,8 @@ MISSING = object()
 class Field:
     """One declared field of a :class:`Record`.
 
-    A hidden field is kept out of ``__init__``, eq, hash and repr: its
-    ``default``, its ``default_factory`` or the class's ``__post_init__``
-    gives it its value.
+    A hidden field is kept out of ``__init__``, eq, hash and repr, and
+    takes no default: the class's ``__post_init__`` gives it its value.
     """
 
     __slots__ = ("name", "default", "default_factory", "hidden")
@@ -129,6 +128,10 @@ def record(cls):
         spec = namespace.pop(field_name, MISSING)
         if not isinstance(spec, Field):
             spec = Field(default=spec)
+        elif spec.hidden and (spec.default is not MISSING
+                              or spec.default_factory is not None):
+            raise TypeError(f"record {name}: hidden field {field_name!r} takes "
+                            f"no default; __post_init__ sets it")
         spec.name = field_name
         fields.append(spec)
     namespace.pop("__dict__", None)
@@ -152,10 +155,6 @@ def _add_methods(cls, fields):
     # Each field is set through its slot's own setter, which is quicker
     # than object.__setattr__ by name and skips the refusing __setattr__.
     setters = tuple(cls.__dict__[name].__set__ for name in names)
-    # Hidden fields with a default; the others are left to __post_init__.
-    made = tuple((cls.__dict__[f.name].__set__, f.default, f.default_factory)
-                 for f in fields if f.hidden
-                 and (f.default is not MISSING or f.default_factory is not None))
     post_init = cls.__dict__.get("__post_init__")
     count = len(names)
     qualname = cls.__qualname__
@@ -183,7 +182,7 @@ def _add_methods(cls, fields):
     # The loop over the setters costs more than the stores themselves, so
     # records of two fields and nothing else to do get it unrolled: the
     # parser builds a ``Ref`` for every name it reads.
-    if not made and post_init is None and count == 2:
+    if post_init is None and count == 2:
         set_first, set_second = setters
 
         def __init__(self, *args, **kwargs):
@@ -198,8 +197,6 @@ def _add_methods(cls, fields):
                 args = bind(args, kwargs)
             for setter, value in zip(setters, args):
                 setter(self, value)
-            for setter, default, factory in made:
-                setter(self, default if factory is None else factory())
             if post_init is not None:
                 post_init(self)
 

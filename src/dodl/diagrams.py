@@ -86,21 +86,6 @@ class FalsePred:
 Predicate = Union[Member, Eq, And, Or, Not, TruePred, FalsePred]
 
 
-def predicate_vars(pred: Predicate) -> frozenset[str]:
-    """Free variables of a predicate."""
-    if isinstance(pred, Member):
-        return frozenset(t.name for t in pred.pattern if isinstance(t, Var))
-    if isinstance(pred, Eq):
-        return frozenset(
-            t.name for t in (pred.left, pred.right) if isinstance(t, Var)
-        )
-    if isinstance(pred, (And, Or)):
-        return predicate_vars(pred.left) | predicate_vars(pred.right)
-    if isinstance(pred, Not):
-        return predicate_vars(pred.operand)
-    return frozenset()
-
-
 @record
 class Filter:
     """A named two-variable predicate: (index, candidate) -> bool."""
@@ -109,20 +94,23 @@ class Filter:
     index_var: str
     candidate_var: str
     body: Predicate
-    # The body compiled by run_filter; invisible to eq, hash and repr.
-    _test: Callable | None = Field(default=None, hidden=True)
+    # The body compiled by __post_init__; invisible to eq, hash and repr.
+    _test: Callable = Field(hidden=True)
 
     def __post_init__(self):
         if self.index_var == self.candidate_var:
             raise DefinitionError(
                 f"filter {self.name!r} needs two distinct variables"
             )
-        extra = predicate_vars(self.body) - {self.index_var, self.candidate_var}
-        if extra:
+        undeclared = set()
+        test = compile_predicate(self.body, self.index_var, self.candidate_var,
+                                 undeclared)
+        if undeclared:
             raise DefinitionError(
                 f"filter {self.name!r} uses undeclared variables: "
-                + ", ".join(sorted(extra))
+                + ", ".join(sorted(undeclared))
             )
+        object.__setattr__(self, "_test", test)
 
 
 # ---------------------------------------------------------------------------
@@ -286,49 +274,57 @@ def format_actual(ao: ActualObject) -> str:
 # Evaluation
 
 
-def compile_predicate(pred: Predicate, slot: Callable[[str], Callable]) -> Callable:
-    """Compile a predicate once into a closure ``test(args, workspace) -> bool``.
+def compile_predicate(pred: Predicate, index_var: str, candidate_var: str,
+                      undeclared: set[str]) -> Callable:
+    """Compile a predicate once into ``test(index, candidate, workspace) -> bool``.
 
-    ``slot(name)`` returns the getter that reads variable ``name`` out of
-    ``args``.  The closure keeps the boolean semantics of a tree walk: it is
-    strict in both operands of ``and`` and ``or``, and every error (unknown
-    relation, arity mismatch, unbound variable, a wildcard outside a
-    pattern) is raised when its node runs, left to right, never here.
+    ``index_var`` reads the index and ``candidate_var`` the candidate; every
+    other variable is added to ``undeclared``, and the test may run only if
+    none was.  The closure keeps the boolean semantics of a tree walk: it is
+    strict in both operands of ``and`` and ``or``, and every other error
+    (unknown relation, arity mismatch, a wildcard outside a pattern) is
+    raised when its node runs, left to right, never here.
     """
     if isinstance(pred, TruePred):
-        return lambda args, workspace: True
+        return lambda index, candidate, workspace: True
     if isinstance(pred, FalsePred):
-        return lambda args, workspace: False
+        return lambda index, candidate, workspace: False
     if isinstance(pred, Not):
-        operand = compile_predicate(pred.operand, slot)
-        return lambda args, workspace: not operand(args, workspace)
+        operand = compile_predicate(pred.operand, index_var, candidate_var, undeclared)
+        return lambda index, candidate, workspace: not operand(
+            index, candidate, workspace)
     if isinstance(pred, (And, Or)):
-        left = compile_predicate(pred.left, slot)
-        right = compile_predicate(pred.right, slot)
+        left = compile_predicate(pred.left, index_var, candidate_var, undeclared)
+        right = compile_predicate(pred.right, index_var, candidate_var, undeclared)
         # Both operands are evaluated before they are combined.
         combine = operator.and_ if isinstance(pred, And) else operator.or_
-        return lambda args, workspace: combine(left(args, workspace),
-                                               right(args, workspace))
+        return lambda index, candidate, workspace: combine(
+            left(index, candidate, workspace), right(index, candidate, workspace))
     if isinstance(pred, Eq):
-        left_value = _compile_term(pred.left, slot)
-        right_value = _compile_term(pred.right, slot)
-        return lambda args, workspace: left_value(args) == right_value(args)
+        left_value = _compile_term(pred.left, index_var, candidate_var, undeclared)
+        right_value = _compile_term(pred.right, index_var, candidate_var, undeclared)
+        return lambda index, candidate, workspace: \
+            left_value(index, candidate) == right_value(index, candidate)
     if isinstance(pred, Member):
-        return _compile_member(pred, slot)
+        return _compile_member(pred, index_var, candidate_var, undeclared)
 
-    def unknown(args, workspace):
+    def unknown(index, candidate, workspace):
         raise EvalTypeError(f"unknown predicate node {pred!r}")
     return unknown
 
 
-def _compile_term(term: Term, slot) -> Callable:
+def _compile_term(term: Term, index_var, candidate_var, undeclared) -> Callable:
     if isinstance(term, Const):
         atom = term.atom
-        return lambda args: atom
+        return lambda index, candidate: atom
     if isinstance(term, Var):
-        return slot(term.name)
+        if term.name == index_var:
+            return lambda index, candidate: index
+        if term.name != candidate_var:
+            undeclared.add(term.name)
+        return lambda index, candidate: candidate
 
-    def wildcard(args):
+    def wildcard(index, candidate):
         raise EvalTypeError("a wildcard has no value outside a membership pattern")
     return wildcard
 
@@ -341,55 +337,51 @@ def arity_mismatch(relation: str, arity: int,
                          f"{relation!r} of arity {relation_arity}")
 
 
-def _compile_member(pred: Member, slot) -> Callable:
+def _compile_member(pred: Member, index_var, candidate_var, undeclared) -> Callable:
     name = pred.relation
     arity = len(pred.pattern)
-    bound = [(position, _compile_term(term, slot))
+    bound = [(position, _compile_term(term, index_var, candidate_var, undeclared))
              for position, term in enumerate(pred.pattern)
              if not isinstance(term, Wildcard)]
     positions = tuple(position for position, _ in bound)
     getters = tuple(getter for _, getter in bound)
-    # The relation is looked up on every call: the closure is kept on the
-    # filter and may run against another workspace.
-    if len(getters) == 2:
-        # Two bound positions, as in ``member R (idx, x, _)``: the key is
-        # built as a pair, its terms read left to right.
-        first, second = getters
+    # The relation last met and its tuples projected onto ``positions``: a
+    # pattern matches some tuple iff its bound values are among those keys.
+    # The pair is assigned in one step, so no thread pairs one relation
+    # with another's keys.
+    memo = (None, None)
 
-        def member(args, workspace):
-            relation = workspace.relations.get(name)
-            if relation is None:
-                raise not_defined("relation", name)
-            if arity != len(relation.attributes):
-                raise arity_mismatch(relation.name, arity, relation.arity)
-            return (first(args), second(args)) in relation.probe_index(positions)
-        return member
-
-    def member(args, workspace):
+    def keys_of(workspace):
+        # Looked up on every call: the filter may run against another
+        # workspace, whose relation gets its own keys.
+        nonlocal memo
         relation = workspace.relations.get(name)
         if relation is None:
             raise not_defined("relation", name)
         if arity != len(relation.attributes):
             raise arity_mismatch(relation.name, arity, relation.arity)
-        key = tuple([value(args) for value in getters])
-        return key in relation.probe_index(positions)
-    return member
+        held, keys = memo
+        if held is not relation:
+            keys = frozenset(tuple(row[i] for i in positions)
+                             for row in relation.tuples)
+            memo = relation, keys
+        return keys
+
+    if len(getters) == 2:
+        # Two bound positions, as in ``member R (idx, x, _)``: the key is
+        # built as a pair, its terms read left to right.
+        first, second = getters
+        return lambda index, candidate, workspace: (
+            (first(index, candidate), second(index, candidate))
+            in keys_of(workspace))
+    return lambda index, candidate, workspace: (
+        tuple([value(index, candidate) for value in getters])
+        in keys_of(workspace))
 
 
 def run_filter(f: Filter, index: Atom, candidate: Atom, workspace) -> bool:
-    """Test one candidate at one index.
-
-    Runs the filter's body, compiled on first use into a closure over the
-    pair ``(index, candidate)``: the index variable reads the first slot and
-    the candidate variable the second.
-    """
-    test = f._test
-    if test is None:
-        slots = {f.index_var: operator.itemgetter(0),
-                 f.candidate_var: operator.itemgetter(1)}
-        test = compile_predicate(f.body, slots.__getitem__)
-        object.__setattr__(f, "_test", test)
-    return test((index, candidate), workspace)
+    """Test one candidate at one index with the filter's compiled body."""
+    return f._test(index, candidate, workspace)
 
 
 # ---------------------------------------------------------------------------

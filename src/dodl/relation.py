@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .core import Atom, Field, Sort, record
+from .core import Atom, Sort, record
 from .diagrams import Predicate
 from .errors import DefinitionError, SortMismatch, UnknownAttribute
 
@@ -28,10 +28,6 @@ class Relation:
     name: str
     attributes: tuple[tuple[str, Sort], ...]
     tuples: frozenset[Row]
-    # positions -> keys; filled by probe_index, invisible to eq, hash and repr.
-    _probes: dict[tuple[int, ...], frozenset[Row]] = Field(
-        default_factory=dict, hidden=True
-    )
 
     def __post_init__(self):
         attributes = tuple(self.attributes)
@@ -74,22 +70,6 @@ class Relation:
         raise UnknownAttribute(
             f"relation {self.name!r} has no attribute {attr!r}"
         )
-
-    def probe_index(self, positions: tuple[int, ...]) -> frozenset[Row]:
-        """The tuples projected onto ``positions``, built on first use.
-
-        A pattern binding exactly those positions matches some tuple iff
-        its bound values, in position order, are in the returned set. Only
-        the indexing route reads it: ``select`` and ``oracle_index`` scan
-        ``tuples``, so the oracle shares no index with what it checks.
-        """
-        keys = self._probes.get(positions)
-        if keys is None:
-            keys = frozenset(
-                tuple(row[i] for i in positions) for row in self.tuples
-            )
-            self._probes[positions] = keys
-        return keys
 
     def sorted_tuples(self) -> list[Row]:
         return sorted(self.tuples, key=lambda row: tuple(a.order_key() for a in row))

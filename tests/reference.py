@@ -3,7 +3,11 @@
 The interpreters of the filter and diagram languages walk the trees over a
 plain dict of variable bindings and answer each membership test by scanning
 the relation's tuples, sharing no code with ``diagrams.compile_predicate``
-and ``checker.compile_expr``, the evaluators they check.
+and ``checker.compile_expr``, the evaluators they check.  They keep no
+keys and compile nothing, so a filter's compiled test, with the keys its
+``member`` nodes keep, is checked against a walk that reads each relation
+afresh; they raise an undeclared variable, which ``Filter`` refuses when
+it is made, only at run time.
 :func:`eval_expr` and :func:`declarations_equal` are shorthands the tests
 share; the library has no caller for them.
 :func:`reference_dataclass` rebuilds a record class's fields as a standard
@@ -238,12 +242,14 @@ def reference_expanded_steps(evolvents, scripts, name, limit):
     return min(count, limit + 1)
 
 
-def reference_dataclass(cls):
+def reference_dataclass(cls, post_init=False):
     """A frozen dataclass with the fields of the record class ``cls`` and
     none of its methods, each hidden field out of ``__init__``, eq, hash
-    and repr.  The hand-written ``Atom`` has no field list: its fields,
-    ``text`` and ``kind``, are named here as plain fields (its third slot
-    keeps the hash and is not a field)."""
+    and repr.  With ``post_init`` it keeps the class's ``__post_init__``,
+    which a dataclass runs after its ``__init__``.  The hand-written
+    ``Atom`` has no field list: its fields, ``text`` and ``kind``, are
+    named here as plain fields (its third slot keeps the hash and is not a
+    field)."""
     specs = []
     for f in cls.fields if hasattr(cls, "fields") else ("text", "kind"):
         if isinstance(f, str):
@@ -257,7 +263,9 @@ def reference_dataclass(cls):
         if f.hidden:
             options.update(init=False, repr=False, compare=False)
         specs.append((f.name, object, dataclasses.field(**options)))
-    return dataclasses.make_dataclass(cls.__qualname__, specs, frozen=True)
+    return dataclasses.make_dataclass(
+        cls.__qualname__, specs, frozen=True,
+        namespace={"__post_init__": cls.__post_init__} if post_init else None)
 
 
 def reference_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,6 @@ from cli_pins import PINS, calls, digest, pin, source_directory, sources
 from conftest import TEACHING, deadline, run_python
 from dodl.cli import main
 from dodl.lang import dump
-from dodl.relational import Relation
 from reference import reference_parser
 from wsgen import gen_workspace
 
@@ -161,16 +160,20 @@ class TestOracleDiff:
 
     def test_oracle_does_not_share_the_probe_index(self, capsys, teaching_dir,
                                                    monkeypatch):
-        # A probe that never matches breaks only the indexing route; the
-        # oracle, a plain scan, must still see the rows and flag every index.
-        monkeypatch.setattr(Relation, "probe_index",
-                            lambda self, positions: frozenset())
-        code, out, _ = run_cli(capsys, "--workspace", str(teaching_dir),
-                               "oracle-diff", "Tch")
+        # Every filter compiled to a test that matches nothing breaks only
+        # the indexing route: the oracle, a plain scan of the rows, must
+        # still see them and flag every index.
+        argv = ("--workspace", str(teaching_dir), "--format", "tsv",
+                "oracle-diff", "Tch")
+        _, before, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr("dodl.diagrams.compile_predicate",
+                            lambda *args: lambda index, candidate, ws: False)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 1
-        rows = out.strip().split("\n")[1:]
-        assert len(rows) == 2
-        assert all(row.endswith("DIFFER") for row in rows)
+        oracle = [row.split("\t")[2] for row in before.splitlines()]
+        assert len(oracle) == 2
+        assert [row.split("\t")[1:] for row in out.splitlines()] == \
+            [["{ }", column, "DIFFER"] for column in oracle]
 
     # Rows where R holds a candidate outside the carrier: the indexing route
     # drops it and the oracle, which does not restrict to the carrier, keeps it.

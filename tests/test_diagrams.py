@@ -1,4 +1,7 @@
+import os
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from dodl.checker import (
     enumerate_entry,
     value_order_key,
 )
-from dodl.core import number, symbol
+from dodl.core import Sort, number, symbol
 from dodl.diagrams import (
     And,
     Apply,
@@ -54,7 +57,6 @@ from dodl.evolver import Workspace
 from dodl.relational import Relation
 from reference import (
     eval_expr,
-    lookup,
     outcome,
     reference_expr,
     reference_filter,
@@ -65,10 +67,28 @@ from wsgen import gen_indexed_case, gen_workspace
 
 
 
+def compiled(pred):
+    """The predicate compiled over the index ``idx`` and the candidate ``x``."""
+    undeclared = set()
+    test = compile_predicate(pred, "idx", "x", undeclared)
+    assert not undeclared
+    return test
+
+
 def eval_predicate(pred, bindings, workspace) -> bool:
-    """Run the compiled predicate once over a dict of variable bindings."""
-    test = compile_predicate(pred, lambda name: lambda args: lookup(args, name))
-    return test(bindings, workspace)
+    """Run the compiled predicate once on the bindings of ``idx`` and ``x``."""
+    return compiled(pred)(bindings.get("idx"), bindings.get("x"), workspace)
+
+
+def trapped(relation):
+    """A copy of ``relation`` whose tuples raise when they are read."""
+    class Trap(frozenset):
+        def __iter__(self):
+            raise AssertionError("read the tuples before checking the pattern")
+
+    copy = relation.replace()
+    object.__setattr__(copy, "tuples", Trap(relation.tuples))
+    return copy
 
 
 symbolic_atoms = st.text(
@@ -225,24 +245,31 @@ class TestEvalPredicate:
         with pytest.raises(ArityMismatch):
             eval_predicate(pred, {}, teaching_ws)
 
-    def test_unbound_variable_propagates(self, teaching_ws):
-        pred = Member("Relationship1", (Var("idx"), Wildcard(), Wildcard()))
-        with pytest.raises(UnboundVariable):
-            eval_predicate(pred, {}, teaching_ws)
+    def test_an_undeclared_pattern_variable_is_refused_when_compiled(self):
+        undeclared = set()
+        compile_predicate(Member("Relationship1", (Var("idx"), Var("b"), Var("a"))),
+                          "i", "x", undeclared)
+        assert undeclared == {"a", "b", "idx"}
+        body = Member("Relationship1", (Var("i"), Var("idx"), Var("b")))
+        with pytest.raises(DefinitionError) as raised:
+            Filter("Loose", "i", "x", body)
+        assert str(raised.value) == \
+            "filter 'Loose' uses undeclared variables: b, idx"
 
-    def test_errors_are_raised_before_the_probe(self, teaching_ws, monkeypatch):
-        def probe(self, positions):
-            raise AssertionError("probed before checking the pattern")
-
-        monkeypatch.setattr(Relation, "probe_index", probe)
+    def test_errors_are_raised_before_the_probe(self, teaching_ws):
+        relation = teaching_ws.relations["Relationship1"]
+        ws = teaching_ws.replace(relations={"Relationship1": trapped(relation)})
+        bindings = {"idx": symbol("Logic"), "x": symbol("Smith")}
         for pred, error in [
-            (Member("Nowhere", (Wildcard(),)), UnknownRelation),
-            (Member("Relationship1", (Wildcard(), Wildcard())), ArityMismatch),
-            (Member("Relationship1", (Wildcard(), Wildcard(), Var("x"))),
-             UnboundVariable),
+            (Member("Nowhere", (Var("x"),)), UnknownRelation),
+            (Member("Relationship1", (Var("idx"), Var("x"))), ArityMismatch),
+            (Member("Relationship1", (Var("idx"), Var("x"), Wildcard())),
+             AssertionError),
         ]:
-            with pytest.raises(error):
-                eval_predicate(pred, {}, teaching_ws)
+            test = compiled(pred)
+            for _ in range(2):
+                with pytest.raises(error):
+                    test(bindings["idx"], bindings["x"], ws)
 
 
 class TestRunFilter:
@@ -288,7 +315,9 @@ class TestRunFilter:
 
 def error_variants(ws, rng):
     """The workspace, then copies where one relation is missing or wider,
-    so that filters reading it raise."""
+    so that filters reading it raise, or keeps its schema but loses half its
+    rows, then the workspace again: a filter's compiled test must key what
+    it keeps on the relation it finds, not on the relation's name."""
     yield ws
     name = rng.choice(sorted(ws.relations))
     relation = ws.relations[name]
@@ -298,6 +327,9 @@ def error_variants(ws, rng):
     extra = ("Extra", relation.attributes[0][1])
     wider = Relation(name, relation.attributes + (extra,), frozenset())
     yield ws.replace(relations={**ws.relations, name: wider})
+    half = Relation(name, relation.attributes, relation.sorted_tuples()[::2])
+    yield ws.replace(relations={**ws.relations, name: half})
+    yield ws
 
 
 def two_position_filters(rng, ws, count=8):
@@ -362,14 +394,10 @@ class TestCompiledFilter:
         for pred, error in [
             (Member("Missing", (Var("x"),)), UnknownRelation),
             (Member("Relationship1", (Var("x"),)), ArityMismatch),
-            (Member("Relationship1", (Var("x"), Var("y"), Wildcard())),
-             UnboundVariable),
             (Eq(Wildcard(), Var("x")), EvalTypeError),
-            (Eq(Var("x"), Var("y")), UnboundVariable),
         ]:
-            test = compile_predicate(pred, lambda name: lambda args: lookup(args, name))
             with pytest.raises(error) as raised:
-                test(bindings, teaching_ws)
+                compiled(pred)(None, bindings["x"], teaching_ws)
             assert outcome(lambda: reference_predicate(pred, bindings, teaching_ws)) \
                 == (error, str(raised.value))
 
@@ -377,13 +405,49 @@ class TestCompiledFilter:
         f = teaching_ws.filters["TchFilter"]
         used, fresh = (Filter(f.name, f.index_var, f.candidate_var, f.body)
                        for _ in range(2))
-        run_filter(used, symbol("Logic"), symbol("Smith"), teaching_ws)
-        compiled = used._test
-        run_filter(used, symbol("Logic"), symbol("Doe"), teaching_ws)
-        assert used._test is compiled
-        assert fresh._test is None
+        test = used._test
+        assert callable(test) and callable(fresh._test)
+        assert test is not fresh._test
+        assert run_filter(used, symbol("Logic"), symbol("Smith"), teaching_ws)
+        assert not run_filter(used, symbol("Logic"), symbol("Doe"), teaching_ws)
+        assert used._test is test
         assert used == fresh and hash(used) == hash(fresh)
-        assert repr(used) == repr(fresh)
+        assert repr(used) == repr(fresh) == repr(f)
+
+    def test_threads_never_pair_one_relation_with_anothers_keys(self):
+        # One filter runs in many threads against two workspaces whose
+        # relations share a name and a schema, not their rows: each member
+        # closure must answer from the keys of the relation it found.  The
+        # rows make each build of the keys long enough for threads to switch.
+        sort = Sort("S", "symbolic")
+        logic, smith = symbol("Logic"), symbol("Smith")
+        rows = [(symbol(f"c{n}"), symbol(f"n{n}")) for n in range(100)]
+        schema = (("a", sort), ("b", sort))
+        full, empty = (Workspace().replace(relations={"R": Relation("R", schema, r)})
+                       for r in (rows + [(logic, smith)], ()))
+        f = Filter("F", "i", "x", Member("R", (Var("i"), Var("x"))))
+        wrong = []
+
+        def run(ws):
+            expected = ws is full
+            for _ in range(20000):
+                if run_filter(f, logic, smith, ws) is not expected:
+                    wrong.append(ws)
+
+        workers = (os.cpu_count() or 1) + 2
+        threads = [threading.Thread(target=run, args=(ws,))
+                   for ws in (full, empty) * workers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 VARIABLES = ("u", "v", "w")

@@ -32,7 +32,7 @@ NODE = Var("v")  # a node of no kind the function handles
 
 
 def run_compiled(pred):
-    return compile_predicate(pred, lambda name: None)((), None)
+    return compile_predicate(pred, "i", "x", set())(None, None, None)
 
 
 @pytest.mark.parametrize("build, error, message", [

@@ -237,8 +237,10 @@ class Sample:
     a: object
     b: object = 0
     c: list = Field(default_factory=list)
-    d: object = Field(default="d", hidden=True)
-    e: dict = Field(default_factory=dict, hidden=True)
+    d: object = Field(hidden=True)
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", ("d", self.a))
 
 
 # One and two fields take their own unrolled __init__.
@@ -260,6 +262,18 @@ def test_a_record_cannot_inherit_fields():
             f: object
 
 
+@pytest.mark.parametrize("spec", [Field(default=None, hidden=True),
+                                  Field(default_factory=dict, hidden=True)],
+                         ids=["default", "default_factory"])
+def test_a_hidden_field_takes_no_default(spec):
+    # Its slot would stay empty: __init__ fills no hidden field.
+    with pytest.raises(TypeError) as raised:
+        core.record(type("Hidden", (), {"__annotations__": {"h": "object"},
+                                        "h": spec}))
+    assert str(raised.value) == \
+        "record Hidden: hidden field 'h' takes no default; __post_init__ sets it"
+
+
 def test_lazily_evaluated_annotations_are_refused():
     # A class body with lazily evaluated annotations (PEP 649) keeps an
     # annotate function and no __annotations__ dict: no field to read.
@@ -270,7 +284,7 @@ def test_lazily_evaluated_annotations_are_refused():
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([Sample, Single, Couple]), st.data())
 def test_every_field_option_matches_the_reference(cls, data):
-    reference = reference_dataclass(cls)
+    reference = reference_dataclass(cls, post_init="__post_init__" in vars(cls))
     names = [f.name for f in cls.fields]
     args = data.draw(st.lists(HASHABLE, max_size=len(shown(cls)) + 1))
     keys = data.draw(st.lists(st.sampled_from(names + ["z"]), unique=True))

@@ -1,5 +1,7 @@
+import ast
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import TEACHING_ROWS
 from reference import reference_oracle_index, same_contents
 from wsgen import gen_workspace
-from dodl.core import NUMERIC, SYMBOLIC, Sort, number, symbol
+from dodl import diagrams
+from dodl.core import NUMERIC, SYMBOLIC, Record, Sort, number, symbol
 from dodl.diagrams import (
     And,
     Const,
@@ -86,24 +89,33 @@ class TestRelation:
         with pytest.raises(SortMismatch):
             Relation("R", (("A", HOURS),), frozenset([(symbol("x"),)]))
 
-    def test_probe_index_is_invisible_to_equality_hash_and_repr(self):
-        r, fresh = assignments(), assignments()
-        keys = r.probe_index((0, 2))
-        assert keys == {(symbol("Logic"), number(20)),
-                        (symbol("Informatics"), number(30))}
-        assert r.probe_index((0, 2)) is keys
-        assert r == fresh and hash(r) == hash(fresh) and repr(r) == repr(fresh)
-
-    def test_oracle_and_select_leave_the_probe_index_unbuilt(self):
-        r = assignments()
-        oracle_index(r, "Course", "Name")
-        select(r, Eq(Var("Hours"), Const(number(20))))
-        assert r._probes == {}
-
     def test_sorted_tuples_are_deterministic(self):
         r = assignments()
         ordered = [tuple(a.text for a in row) for row in r.sorted_tuples()]
         assert ordered == sorted(ordered)
+
+
+def test_the_oracle_imports_only_syntax_from_the_indexing_route():
+    # The oracle reads a filter body as syntax.  It imports no evaluator
+    # and no compiled test, so it cannot reach the keys a filter keeps.
+    tree = ast.parse(Path(relational.__file__).read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom):
+            module = ("dodl." if node.level else "") + (node.module or "")
+            imported.setdefault(module.rstrip("."), set()).update(
+                alias.name for alias in node.names)
+    for module, names in imported.items():
+        reached = {*module.split("."), *names}
+        assert not reached & {"evolver", "checker"}, module
+    records = {name for name, value in vars(diagrams).items()
+               if isinstance(value, type) and issubclass(value, Record)}
+    allowed = records | {"Term", "Predicate", "arity_mismatch"}
+    assert imported["dodl.diagrams"]
+    assert imported["dodl.diagrams"] <= allowed
 
 
 class TestSelect:
