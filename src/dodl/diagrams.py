@@ -88,13 +88,14 @@ Predicate = Union[Member, Eq, And, Or, Not, TruePred, FalsePred]
 
 @record
 class Filter:
-    """A named two-variable predicate: (index, candidate) -> bool."""
+    """A named two-variable predicate over (index, candidate) pairs."""
 
     name: str
     index_var: str
     candidate_var: str
     body: Predicate
-    # The body compiled by __post_init__; invisible to eq, hash and repr.
+    # The body's plan, compiled by __post_init__; invisible to eq, hash and
+    # repr.
     _test: Callable = Field(hidden=True)
 
     def __post_init__(self):
@@ -103,14 +104,14 @@ class Filter:
                 f"filter {self.name!r} needs two distinct variables"
             )
         undeclared = set()
-        test = compile_predicate(self.body, self.index_var, self.candidate_var,
+        plan = compile_predicate(self.body, self.index_var, self.candidate_var,
                                  undeclared)
         if undeclared:
             raise DefinitionError(
                 f"filter {self.name!r} uses undeclared variables: "
                 + ", ".join(sorted(undeclared))
             )
-        object.__setattr__(self, "_test", test)
+        object.__setattr__(self, "_test", plan)
 
 
 # ---------------------------------------------------------------------------
@@ -274,59 +275,97 @@ def format_actual(ao: ActualObject) -> str:
 # Evaluation
 
 
+NOTHING = frozenset()
+
+# The roles of a term besides a constant, which is its atom.
+INDEX, CANDIDATE = "index", "candidate"
+WILDCARD_VALUE = "a wildcard has no value outside a membership pattern"
+
+
 def compile_predicate(pred: Predicate, index_var: str, candidate_var: str,
                       undeclared: set[str]) -> Callable:
-    """Compile a predicate once into ``test(index, candidate, workspace) -> bool``.
+    """Compile a predicate once into a plan
+    ``plan(index, candidates, workspace)``: the members of the set
+    ``candidates`` that satisfy the predicate at ``index``, as a frozenset
+    when ``candidates`` is one.
 
     ``index_var`` reads the index and ``candidate_var`` the candidate; every
-    other variable is added to ``undeclared``, and the test may run only if
-    none was.  The closure keeps the boolean semantics of a tree walk: it is
-    strict in both operands of ``and`` and ``or``, and every other error
-    (unknown relation, arity mismatch, a wildcard outside a pattern) is
-    raised when its node runs, left to right, never here.
+    other variable is added to ``undeclared``, and the plan may run only if
+    none was.  The plan works a set at a time: ``not`` is a difference from
+    the candidates, ``and`` an intersection and ``or`` a union, and both
+    operands of ``and`` and ``or`` get all the candidates.  On a non-empty
+    set every node runs once, left to right, and the first that fails
+    (unknown relation, arity mismatch, a wildcard outside a pattern) raises
+    what testing any one candidate would; on the empty set nothing raises.
+    Nothing raises here.
     """
     if isinstance(pred, TruePred):
-        return lambda index, candidate, workspace: True
+        return lambda index, candidates, workspace: candidates
     if isinstance(pred, FalsePred):
-        return lambda index, candidate, workspace: False
+        return lambda index, candidates, workspace: NOTHING
     if isinstance(pred, Not):
         operand = compile_predicate(pred.operand, index_var, candidate_var, undeclared)
-        return lambda index, candidate, workspace: not operand(
-            index, candidate, workspace)
+        return lambda index, candidates, workspace: \
+            candidates - operand(index, candidates, workspace)
     if isinstance(pred, (And, Or)):
         left = compile_predicate(pred.left, index_var, candidate_var, undeclared)
         right = compile_predicate(pred.right, index_var, candidate_var, undeclared)
-        # Both operands are evaluated before they are combined.
+        # Both operands run on the same candidates before they are combined.
         combine = operator.and_ if isinstance(pred, And) else operator.or_
-        return lambda index, candidate, workspace: combine(
-            left(index, candidate, workspace), right(index, candidate, workspace))
+        return lambda index, candidates, workspace: combine(
+            left(index, candidates, workspace), right(index, candidates, workspace))
     if isinstance(pred, Eq):
-        left_value = _compile_term(pred.left, index_var, candidate_var, undeclared)
-        right_value = _compile_term(pred.right, index_var, candidate_var, undeclared)
-        return lambda index, candidate, workspace: \
-            left_value(index, candidate) == right_value(index, candidate)
+        return _compile_eq(pred, index_var, candidate_var, undeclared)
     if isinstance(pred, Member):
         return _compile_member(pred, index_var, candidate_var, undeclared)
-
-    def unknown(index, candidate, workspace):
-        raise EvalTypeError(f"unknown predicate node {pred!r}")
-    return unknown
+    return _refusal(f"unknown predicate node {pred!r}")
 
 
-def _compile_term(term: Term, index_var, candidate_var, undeclared) -> Callable:
+def _refusal(message: str) -> Callable:
+    """A plan that raises ``EvalTypeError(message)`` on any candidate."""
+    def plan(index, candidates, workspace):
+        if candidates:
+            raise EvalTypeError(message)
+        return NOTHING
+    return plan
+
+
+def _role(term: Term, index_var, candidate_var, undeclared):
+    """A term's atom if it is a constant, ``INDEX`` or ``CANDIDATE`` if it
+    is a variable, and None if it has no value."""
     if isinstance(term, Const):
-        atom = term.atom
-        return lambda index, candidate: atom
+        return term.atom
     if isinstance(term, Var):
         if term.name == index_var:
-            return lambda index, candidate: index
+            return INDEX
         if term.name != candidate_var:
             undeclared.add(term.name)
-        return lambda index, candidate: candidate
+        return CANDIDATE
+    return None
 
-    def wildcard(index, candidate):
-        raise EvalTypeError("a wildcard has no value outside a membership pattern")
-    return wildcard
+
+def _compile_eq(pred: Eq, index_var, candidate_var, undeclared) -> Callable:
+    left, right = (_role(term, index_var, candidate_var, undeclared)
+                   for term in (pred.left, pred.right))
+    if left is None or right is None:
+        return _refusal(WILDCARD_VALUE)
+    # The candidate, or else the index, goes on the left.
+    if right is CANDIDATE or (right is INDEX and left is not CANDIDATE):
+        left, right = right, left
+    if left is right or left == right:
+        return lambda index, candidates, workspace: candidates
+    if left is CANDIDATE:
+        if right is INDEX:
+            return lambda index, candidates, workspace: (
+                frozenset((index,)) if index in candidates else NOTHING)
+        # The constant may lie outside the candidates.
+        single = frozenset((right,))
+        return lambda index, candidates, workspace: (
+            single if right in candidates else NOTHING)
+    if left is INDEX:
+        return lambda index, candidates, workspace: (
+            candidates if index == right else NOTHING)
+    return lambda index, candidates, workspace: NOTHING
 
 
 def arity_mismatch(relation: str, arity: int,
@@ -340,48 +379,68 @@ def arity_mismatch(relation: str, arity: int,
 def _compile_member(pred: Member, index_var, candidate_var, undeclared) -> Callable:
     name = pred.relation
     arity = len(pred.pattern)
-    bound = [(position, _compile_term(term, index_var, candidate_var, undeclared))
+    roles = [(position, _role(term, index_var, candidate_var, undeclared))
              for position, term in enumerate(pred.pattern)
              if not isinstance(term, Wildcard)]
-    positions = tuple(position for position, _ in bound)
-    getters = tuple(getter for _, getter in bound)
-    # The relation last met and its tuples projected onto ``positions``: a
-    # pattern matches some tuple iff its bound values are among those keys.
-    # The pair is assigned in one step, so no thread pairs one relation
-    # with another's keys.
+    if any(role is None for _, role in roles):
+        return _refusal(WILDCARD_VALUE)
+    index_at = [position for position, role in roles if role is INDEX]
+    candidate_at = [position for position, role in roles if role is CANDIDATE]
+    constants = [(position, role) for position, role in roles
+                 if role is not INDEX and role is not CANDIDATE]
+    # A row matches only if it holds each constant and one value at all its
+    # index positions and one at all its candidate positions.
+    repeats = [(same[0], position) for same in (index_at, candidate_at)
+               for position in same[1:]]
+    key_at = index_at[0] if index_at else None
+    value_at = candidate_at[0] if candidate_at else None
+
+    def grouped(relation) -> dict:
+        """The grouping index: the value at the index positions (None if
+        there is none) -> the set of values at the candidate positions
+        (``{None}`` if there is none), over the rows that match."""
+        rows = relation.tuples
+        if constants or repeats:
+            rows = [row for row in rows
+                    if all(row[p] == atom for p, atom in constants)
+                    and all(row[p] == row[q] for p, q in repeats)]
+        groups = {}
+        for row in rows:
+            groups.setdefault(None if key_at is None else row[key_at],
+                              set()).add(None if value_at is None else row[value_at])
+        return groups
+
+    # The relation last met and its grouping index, assigned in one step,
+    # so no thread pairs one relation with another's groups.
     memo = (None, None)
 
-    def keys_of(workspace):
-        # Looked up on every call: the filter may run against another
-        # workspace, whose relation gets its own keys.
+    def plan(index, candidates, workspace):
+        # The relation is looked up on every run: the filter may run against
+        # another workspace, whose relation gets its own groups.  Nothing is
+        # looked up for no candidates.
         nonlocal memo
+        if not candidates:
+            return NOTHING
         relation = workspace.relations.get(name)
         if relation is None:
             raise not_defined("relation", name)
         if arity != len(relation.attributes):
             raise arity_mismatch(relation.name, arity, relation.arity)
-        held, keys = memo
+        held, groups = memo
         if held is not relation:
-            keys = frozenset(tuple(row[i] for i in positions)
-                             for row in relation.tuples)
-            memo = relation, keys
-        return keys
-
-    if len(getters) == 2:
-        # Two bound positions, as in ``member R (idx, x, _)``: the key is
-        # built as a pair, its terms read left to right.
-        first, second = getters
-        return lambda index, candidate, workspace: (
-            (first(index, candidate), second(index, candidate))
-            in keys_of(workspace))
-    return lambda index, candidate, workspace: (
-        tuple([value(index, candidate) for value in getters])
-        in keys_of(workspace))
+            groups = grouped(relation)
+            memo = relation, groups
+        found = groups.get(None if key_at is None else index)
+        if found is None:
+            return NOTHING
+        return candidates if value_at is None else candidates & found
+    return plan
 
 
 def run_filter(f: Filter, index: Atom, candidate: Atom, workspace) -> bool:
-    """Test one candidate at one index with the filter's compiled body."""
-    return f._test(index, candidate, workspace)
+    """Test one candidate at one index: run the filter's plan on the set of
+    that candidate alone, which need not lie in any carrier."""
+    return bool(f._test(index, {candidate}, workspace))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ from .core import (
     deferred,
     record,
 )
-from .diagrams import DiagramSpec, Filter, run_filter
+from .diagrams import DiagramSpec, Filter
+# Kept a name of this module: perfbench/tracing.py wraps it here.
+from .diagrams import run_filter  # noqa: F401
 from .errors import (
     DefinitionError,
     DodlError,
@@ -95,13 +97,10 @@ def get_potential(state: Workspace, po_name: str) -> PotentialObject:
 
 
 def derive_actual(state: Workspace, po: PotentialObject, index: Atom) -> ActualObject:
-    """The actual object ``po`` yields at ``index``, without touching state."""
+    """The actual object ``po`` yields at ``index``, without touching state:
+    one run of the filter's plan over the whole carrier."""
     event = Event(index, po.index_domain)
-    elements = frozenset(
-        candidate
-        for candidate in po.carrier.elements
-        if run_filter(po.filter, index, candidate, state)
-    )
+    elements = po.filter._test(index, po.carrier.elements, state)
     return ActualObject(actual_name(po.name, index), elements, (po.name, event))
 
 
@@ -126,17 +125,24 @@ def materialize_functor(state: Workspace, po_name: str) -> dict[Atom, ActualObje
 
 
 def run_script(state: Workspace, script_name: str) -> Workspace:
-    """Fold trigger over the script's steps; all-or-nothing."""
+    """Trigger the script's steps in order; all-or-nothing.
+
+    The result equals a left fold of :func:`trigger` over the steps.  A
+    trigger changes only the library and the stage, and derivation reads
+    neither, so every step derives from ``state`` into one copy of the
+    library, and one new workspace is made at the end.
+    """
     script = state.scripts.get(script_name)
     if script is None:
         raise not_defined("script", script_name)
-    current = state
+    library = dict(state.ao_library)
     for position, (po_name, index) in enumerate(script.steps, start=1):
         try:
-            current, _ = trigger(current, po_name, index)
+            ao = derive_actual(state, get_potential(state, po_name), index)
         except DodlError as exc:
             raise ScriptError(script_name, position, exc) from exc
-    return current
+        library[ao.name] = ao
+    return state.replace(ao_library=library, stage=state.stage + len(script.steps))
 
 
 def apply_evolvent(state: Workspace, evolvent_name: str) -> Workspace:

@@ -4,10 +4,11 @@ The interpreters of the filter and diagram languages walk the trees over a
 plain dict of variable bindings and answer each membership test by scanning
 the relation's tuples, sharing no code with ``diagrams.compile_predicate``
 and ``checker.compile_expr``, the evaluators they check.  They keep no
-keys and compile nothing, so a filter's compiled test, with the keys its
-``member`` nodes keep, is checked against a walk that reads each relation
-afresh; they raise an undeclared variable, which ``Filter`` refuses when
-it is made, only at run time.
+index and compile nothing, and they test one candidate at a time, so a
+filter's plan, which derives a whole set at once from the grouping
+indexes its ``member`` nodes keep, is checked against a walk that reads
+each relation afresh for each candidate; they raise an undeclared
+variable, which ``Filter`` refuses when it is made, only at run time.
 :func:`eval_expr` and :func:`declarations_equal` are shorthands the tests
 share; the library has no caller for them.
 :func:`reference_dataclass` rebuilds a record class's fields as a standard

@@ -65,10 +65,12 @@ class TestIndex:
 
     def test_an_internal_fault_is_reported_not_raised(self, capsys,
                                                       teaching_dir, monkeypatch):
+        # Every filter the call loads gets a plan that fails.
         def fault(*args):
             raise RuntimeError("filter exploded")
 
-        monkeypatch.setattr("dodl.evolver.run_filter", fault)
+        monkeypatch.setattr("dodl.diagrams.compile_predicate",
+                            lambda *args: fault)
         code, out, err = run_cli(capsys, "--workspace", str(teaching_dir),
                                  "index", "Tch", "Logic")
         assert code == 1
@@ -160,14 +162,14 @@ class TestOracleDiff:
 
     def test_oracle_does_not_share_the_probe_index(self, capsys, teaching_dir,
                                                    monkeypatch):
-        # Every filter compiled to a test that matches nothing breaks only
+        # Every filter compiled to a plan that passes nothing breaks only
         # the indexing route: the oracle, a plain scan of the rows, must
         # still see them and flag every index.
         argv = ("--workspace", str(teaching_dir), "--format", "tsv",
                 "oracle-diff", "Tch")
         _, before, _ = run_cli(capsys, *argv)
         monkeypatch.setattr("dodl.diagrams.compile_predicate",
-                            lambda *args: lambda index, candidate, ws: False)
+                            lambda *args: lambda index, candidates, ws: frozenset())
         code, out, _ = run_cli(capsys, *argv)
         assert code == 1
         oracle = [row.split("\t")[2] for row in before.splitlines()]

@@ -16,7 +16,7 @@ from dodl.checker import (
     enumerate_entry,
     value_order_key,
 )
-from dodl.core import Sort, number, symbol
+from dodl.core import Domain, PotentialObject, Sort, number, symbol
 from dodl.diagrams import (
     And,
     Apply,
@@ -53,7 +53,7 @@ from dodl.errors import (
     UnboundVariable,
     UnknownRelation,
 )
-from dodl.evolver import Workspace
+from dodl.evolver import Workspace, derive_actual
 from dodl.relational import Relation
 from reference import (
     eval_expr,
@@ -63,21 +63,23 @@ from reference import (
     reference_path,
     reference_predicate,
 )
-from wsgen import gen_indexed_case, gen_workspace
+from wsgen import gen_failing_filters, gen_indexed_case, gen_workspace
 
 
 
 def compiled(pred):
-    """The predicate compiled over the index ``idx`` and the candidate ``x``."""
+    """The predicate's plan over the index ``idx`` and the candidate ``x``."""
     undeclared = set()
-    test = compile_predicate(pred, "idx", "x", undeclared)
+    plan = compile_predicate(pred, "idx", "x", undeclared)
     assert not undeclared
-    return test
+    return plan
 
 
-def eval_predicate(pred, bindings, workspace) -> bool:
-    """Run the compiled predicate once on the bindings of ``idx`` and ``x``."""
-    return compiled(pred)(bindings.get("idx"), bindings.get("x"), workspace)
+def atoms(*texts):
+    return frozenset(symbol(text) for text in texts)
+
+
+TEACHERS_SET = atoms(*TEACHERS)
 
 
 def trapped(relation):
@@ -213,37 +215,80 @@ class TestSubstScope:
 class TestEvalPredicate:
     def test_member_with_bound_variables(self, teaching_ws):
         pred = Member("Relationship1", (Var("idx"), Var("x"), Wildcard()))
-        bindings = {"idx": symbol("Logic"), "x": symbol("Smith")}
-        assert eval_predicate(pred, bindings, teaching_ws) is True
+        plan = compiled(pred)
+        assert plan(symbol("Logic"), TEACHERS_SET, teaching_ws) == \
+            atoms("Johnes", "Smith")
+        assert plan(symbol("Logic"), atoms("Smith", "Nobody"), teaching_ws) == \
+            atoms("Smith")
 
     def test_member_scans_all_rows(self, teaching_ws):
         assert not teaches("Informatics", "Smith")
         pred = Member("Relationship1", (Var("idx"), Var("x"), Wildcard()))
-        bindings = {"idx": symbol("Informatics"), "x": symbol("Smith")}
-        assert eval_predicate(pred, bindings, teaching_ws) is False
+        plan = compiled(pred)
+        assert plan(symbol("Informatics"), atoms("Smith"), teaching_ws) == frozenset()
+        assert plan(symbol("Informatics"), TEACHERS_SET, teaching_ws) == \
+            atoms("Doe", "Jackson")
+        assert plan(symbol("Algebra"), TEACHERS_SET, teaching_ws) == frozenset()
+
+    def test_a_repeated_or_missing_candidate_position(self):
+        sort = Sort("S", "symbolic")
+        a, b, k = symbol("a"), symbol("b"), symbol("k")
+        rows = [(a, a, k), (a, b, k), (b, a, b), (k, b, b)]
+        ws = Workspace().replace(relations={
+            "R": Relation("R", (("p", sort), ("q", sort), ("r", sort)), rows)})
+        everything = frozenset({a, b, k})
+        for pattern, index, expected in [
+            ((Var("x"), Var("x"), Const(k)), k, {a}),
+            ((Var("x"), Var("x"), Wildcard()), k, {a}),
+            ((Var("idx"), Var("x"), Var("x")), k, {b}),
+            ((Var("idx"), Var("idx"), Var("x")), a, {k}),
+            ((Var("idx"), Var("idx"), Var("x")), b, set()),
+            ((Var("idx"), Wildcard(), Wildcard()), b, everything),
+            ((Var("idx"), Wildcard(), Wildcard()), symbol("z"), set()),
+            ((Var("idx"), Const(a), Wildcard()), k, set()),
+            ((Const(k), Wildcard(), Wildcard()), a, everything),
+            ((Const(b), Const(b), Wildcard()), a, set()),
+        ]:
+            plan = compiled(Member("R", pattern))
+            assert plan(index, everything, ws) == expected, pattern
+            assert plan(index, frozenset(), ws) == frozenset()
 
     def test_boolean_identities(self, teaching_ws):
-        assert eval_predicate(And(TruePred(), Not(FalsePred())),
-                              {}, teaching_ws) is True
-        assert eval_predicate(Or(FalsePred(), FalsePred()),
-                              {}, teaching_ws) is False
+        assert compiled(And(TruePred(), Not(FalsePred())))(
+            None, TEACHERS_SET, teaching_ws) == TEACHERS_SET
+        assert compiled(Or(FalsePred(), FalsePred()))(
+            None, TEACHERS_SET, teaching_ws) == frozenset()
+        assert compiled(Not(Eq(Var("x"), Const(symbol("Doe")))))(
+            None, TEACHERS_SET, teaching_ws) == TEACHERS_SET - atoms("Doe")
 
     def test_eq_compares_atoms(self, teaching_ws):
-        bindings = {"x": symbol("Doe")}
-        assert eval_predicate(Eq(Var("x"), Const(symbol("Doe"))),
-                              bindings, teaching_ws) is True
-        assert eval_predicate(Eq(Var("x"), Const(symbol("Smith"))),
-                              bindings, teaching_ws) is False
+        doe, logic = symbol("Doe"), symbol("Logic")
+        for pred, index, expected in [
+            (Eq(Var("x"), Const(doe)), logic, atoms("Doe")),
+            (Eq(Const(doe), Var("x")), logic, atoms("Doe")),
+            (Eq(Var("x"), Const(symbol("Algebra"))), logic, frozenset()),
+            (Eq(Var("x"), Var("idx")), doe, atoms("Doe")),
+            (Eq(Var("idx"), Var("x")), logic, frozenset()),
+            (Eq(Var("x"), Var("x")), logic, TEACHERS_SET),
+            (Eq(Var("idx"), Var("idx")), logic, TEACHERS_SET),
+            (Eq(Var("idx"), Const(logic)), logic, TEACHERS_SET),
+            (Eq(Const(doe), Var("idx")), logic, frozenset()),
+            (Eq(Const(doe), Const(doe)), logic, TEACHERS_SET),
+            (Eq(Const(doe), Const(logic)), logic, frozenset()),
+        ]:
+            assert compiled(pred)(index, TEACHERS_SET, teaching_ws) == expected, pred
 
     def test_unknown_relation(self, teaching_ws):
-        pred = Member("Nowhere", (Wildcard(),))
+        plan = compiled(Member("Nowhere", (Wildcard(),)))
         with pytest.raises(UnknownRelation):
-            eval_predicate(pred, {}, teaching_ws)
+            plan(None, TEACHERS_SET, teaching_ws)
+        assert plan(None, frozenset(), teaching_ws) == frozenset()
 
     def test_pattern_arity_checked(self, teaching_ws):
-        pred = Member("Relationship1", (Wildcard(), Wildcard()))
+        plan = compiled(Member("Relationship1", (Wildcard(), Wildcard())))
         with pytest.raises(ArityMismatch):
-            eval_predicate(pred, {}, teaching_ws)
+            plan(None, TEACHERS_SET, teaching_ws)
+        assert plan(None, frozenset(), teaching_ws) == frozenset()
 
     def test_an_undeclared_pattern_variable_is_refused_when_compiled(self):
         undeclared = set()
@@ -259,17 +304,17 @@ class TestEvalPredicate:
     def test_errors_are_raised_before_the_probe(self, teaching_ws):
         relation = teaching_ws.relations["Relationship1"]
         ws = teaching_ws.replace(relations={"Relationship1": trapped(relation)})
-        bindings = {"idx": symbol("Logic"), "x": symbol("Smith")}
         for pred, error in [
             (Member("Nowhere", (Var("x"),)), UnknownRelation),
             (Member("Relationship1", (Var("idx"), Var("x"))), ArityMismatch),
             (Member("Relationship1", (Var("idx"), Var("x"), Wildcard())),
              AssertionError),
         ]:
-            test = compiled(pred)
+            plan = compiled(pred)
             for _ in range(2):
                 with pytest.raises(error):
-                    test(bindings["idx"], bindings["x"], ws)
+                    plan(symbol("Logic"), atoms("Smith"), ws)
+                assert plan(symbol("Logic"), frozenset(), ws) == frozenset()
 
 
 class TestRunFilter:
@@ -316,7 +361,7 @@ class TestRunFilter:
 def error_variants(ws, rng):
     """The workspace, then copies where one relation is missing or wider,
     so that filters reading it raise, or keeps its schema but loses half its
-    rows, then the workspace again: a filter's compiled test must key what
+    rows, then the workspace again: a filter's plan must key what
     it keeps on the relation it finds, not on the relation's name."""
     yield ws
     name = rng.choice(sorted(ws.relations))
@@ -334,10 +379,11 @@ def error_variants(ws, rng):
 
 def two_position_filters(rng, ws, count=8):
     """Filters whose body is one membership pattern that binds exactly two
-    positions, the shape whose probe key is built as a pair.  Each bound
-    position holds the index variable, the candidate variable or a
-    constant, and the rest are wildcards; the relation is unknown, or has
-    the pattern's arity, or one more or one less."""
+    positions, so that a repeated variable, the index without the candidate
+    and the reverse are drawn often.  Each bound position holds the index
+    variable, the candidate variable or a constant, and the rest are
+    wildcards; the relation is unknown, or has the pattern's arity, or one
+    more or one less."""
     atoms = sorted({a for r in ws.relations.values() for row in r.tuples for a in row}
                    | set().union(*(d.elements for d in ws.domains.values())),
                    key=lambda a: a.order_key()) or [symbol("Alone")]
@@ -363,13 +409,41 @@ class TestCompiledFilter:
         indexes = ws.domains["D1"].sorted_elements()
         candidates = sorted(set().union(*(d.elements for d in ws.domains.values())),
                             key=lambda a: a.order_key())
-        filters = [*ws.filters.values(), *two_position_filters(rng, ws)]
+        filters = [*ws.filters.values(), *two_position_filters(rng, ws),
+                   *gen_failing_filters(rng, ws)]
         for variant in error_variants(ws, rng):
             for f in filters:
                 for i in indexes:
                     for c in candidates:
                         assert outcome(lambda: run_filter(f, i, c, variant)) == \
                             outcome(lambda: reference_filter(f, i, c, variant))
+
+    def test_the_plan_over_the_carrier_equals_the_reference(self):
+        # Every (potential, index) pair of wsgen seeds 0-299, on every error
+        # variant, with filters that raise on any candidate added: the same
+        # extension, or the same error, as testing each candidate by the
+        # tree walk; on an empty carrier, no error.
+        for seed in range(300):
+            rng = random.Random(seed)
+            ws = gen_workspace(rng)
+            domains = sorted(ws.domains.values(), key=lambda d: d.name)
+            potentials = list(ws.potentials.values())
+            for n, f in enumerate(gen_failing_filters(rng, ws)):
+                carrier, index_domain = rng.sample(domains, 2)
+                potentials.append(PotentialObject(f"Q{n}", carrier, index_domain, f))
+            nothing = Domain("Nothing", domains[0].sort, frozenset())
+            for variant in error_variants(ws, rng):
+                for po in potentials:
+                    f, carrier = po.filter, po.carrier.elements
+                    for index in po.index_domain.sorted_elements():
+                        assert outcome(lambda: f._test(index, carrier, variant)) == \
+                            outcome(lambda: frozenset(
+                                c for c in carrier
+                                if reference_filter(f, index, c, variant))), \
+                            (seed, po.name, index)
+                        assert derive_actual(
+                            variant, po.replace(carrier=nothing), index
+                        ).elements == frozenset()
 
     def test_and_and_or_evaluate_both_operands(self, teaching_ws):
         missing = Member("Missing", (Var("x"),))
@@ -396,10 +470,12 @@ class TestCompiledFilter:
             (Member("Relationship1", (Var("x"),)), ArityMismatch),
             (Eq(Wildcard(), Var("x")), EvalTypeError),
         ]:
+            plan = compiled(pred)
             with pytest.raises(error) as raised:
-                compiled(pred)(None, bindings["x"], teaching_ws)
+                plan(None, frozenset(bindings.values()), teaching_ws)
             assert outcome(lambda: reference_predicate(pred, bindings, teaching_ws)) \
                 == (error, str(raised.value))
+            assert plan(None, frozenset(), teaching_ws) == frozenset()
 
     def test_compiled_body_is_kept_and_invisible(self, teaching_ws):
         f = teaching_ws.filters["TchFilter"]

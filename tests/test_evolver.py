@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import teaches
+from conftest import TEACHING, teaches
 from dodl.core import Domain, PotentialObject, number, symbol
 from dodl.diagrams import (
     Const,
@@ -15,6 +15,7 @@ from dodl.diagrams import (
     Wildcard,
 )
 from dodl.errors import (
+    DodlError,
     IndexNotInDomain,
     ScriptError,
     UnknownEvolvent,
@@ -35,7 +36,8 @@ from dodl.evolver import (
     trigger,
 )
 from dodl.relational import OracleExpr, Project, RelName, Relation, oracle_index
-from reference import reference_filter
+from dodl.lang import load_files
+from reference import outcome, reference_filter
 from wsgen import WORDS, gen_indexed_case, gen_workspace
 
 
@@ -84,11 +86,11 @@ class TestTrigger:
     def test_an_index_outside_the_domain_runs_no_filter(self, teaching_ws,
                                                         monkeypatch):
         calls = []
-        monkeypatch.setattr("dodl.evolver.run_filter",
-                            lambda *args: calls.append(args))
         po = teaching_ws.potentials["Tch"]
+        spy = po.filter.replace()
+        object.__setattr__(spy, "_test", lambda *args: calls.append(args))
         with pytest.raises(IndexNotInDomain) as raised:
-            derive_actual(teaching_ws, po, symbol("Algebra"))
+            derive_actual(teaching_ws, po.replace(filter=spy), symbol("Algebra"))
         assert str(raised.value) == "'Algebra' is not in domain 'Course'"
         assert calls == []
 
@@ -174,6 +176,77 @@ class TestRunScript:
         assert isinstance(exc.value.cause, IndexNotInDomain)
         assert ws.ao_library == {}
         assert ws.stage == 0
+
+
+def folded(state, script_name):
+    """The meaning of run_script: a left fold of trigger over the steps, or
+    the type and message of the ScriptError for the first step that fails."""
+    for position, (po_name, index) in enumerate(
+            state.scripts[script_name].steps, start=1):
+        try:
+            state, _ = trigger(state, po_name, index)
+        except DodlError as exc:
+            return ScriptError, \
+                f"script {script_name!r} failed at step {position}: {exc}"
+    return state
+
+
+def scripted_cases():
+    """The demo and wsgen seeds 0-149 with a random generator."""
+    result = load_files([TEACHING])
+    yield random.Random("demo"), result.workspace
+    for seed in range(150):
+        rng = random.Random(seed)
+        yield rng, gen_workspace(rng)
+
+
+class TestScriptIsAFold:
+    def test_run_script_equals_a_fold_of_trigger(self):
+        # Every script a workspace declares, one of 8 random steps, and a
+        # copy of each with a failing step put in at a random place: an
+        # unknown potential object or an index outside its domain.
+        for rng, ws in scripted_cases():
+            scripts = dict(ws.scripts)
+            # A longer script that triggers some events again.
+            events = [(name, index) for name, po in sorted(ws.potentials.items())
+                      for index in po.index_domain.sorted_elements()]
+            if events:
+                scripts["Long"] = EventScript("Long", tuple(rng.choices(events, k=8)))
+            for name, script in list(scripts.items()):
+                steps = list(script.steps)
+                po_name = rng.choice(sorted(ws.potentials))
+                bad = rng.choice([("Ghost", symbol("Logic")),
+                                  (po_name, symbol("Outside"))])
+                steps.insert(rng.randint(0, len(steps)), bad)
+                scripts[f"{name}Bad"] = EventScript(f"{name}Bad", tuple(steps))
+            ws = ws.replace(scripts=scripts)
+            # From an empty library, and from one the scripts already filled,
+            # where a trigger replaces an entry in place.
+            starts = [ws] + [run_script(ws, name) for name in scripts
+                             if not name.endswith("Bad")][:1]
+            for start in starts:
+                for name in scripts:
+                    expected = folded(start, name)
+                    got = outcome(lambda: run_script(start, name))
+                    assert got == expected, name
+                    if not isinstance(expected, tuple):
+                        assert list(got.ao_library) == list(expected.ao_library)
+                        assert got.stage == expected.stage
+
+    def test_a_failing_step_names_its_position_and_cause(self, teaching_ws):
+        for steps, position, cause, message in [
+            ((("Tch", symbol("Logic")), ("Ghost", symbol("Logic"))), 2,
+             UnknownPotentialObject, "potential object 'Ghost' is not defined"),
+            ((("Tch", symbol("Algebra")), ("Tch", symbol("Logic"))), 1,
+             IndexNotInDomain, "'Algebra' is not in domain 'Course'"),
+        ]:
+            ws = teaching_ws.replace(scripts={"Bad": EventScript("Bad", steps)})
+            with pytest.raises(ScriptError) as raised:
+                run_script(ws, "Bad")
+            assert raised.value.step == position
+            assert type(raised.value.cause) is cause
+            assert str(raised.value) == \
+                f"script 'Bad' failed at step {position}: {message}"
 
 
 class TestApplyEvolvent:

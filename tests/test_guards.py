@@ -32,7 +32,9 @@ NODE = Var("v")  # a node of no kind the function handles
 
 
 def run_compiled(pred):
-    return compile_predicate(pred, "i", "x", set())(None, None, None)
+    plan = compile_predicate(pred, "i", "x", set())
+    assert plan(None, frozenset(), None) == frozenset()
+    return plan(None, frozenset(ROW), None)
 
 
 @pytest.mark.parametrize("build, error, message", [

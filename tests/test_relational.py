@@ -97,7 +97,7 @@ class TestRelation:
 
 def test_the_oracle_imports_only_syntax_from_the_indexing_route():
     # The oracle reads a filter body as syntax.  It imports no evaluator
-    # and no compiled test, so it cannot reach the keys a filter keeps.
+    # and no plan, so it cannot reach the grouping indexes a filter keeps.
     tree = ast.parse(Path(relational.__file__).read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):

@@ -51,13 +51,29 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_derive_actual_runs_the_filter_once_per_candidate(teaching_ws,
-                                                         monkeypatch):
-    calls = counting(monkeypatch, "dodl.evolver.run_filter")
+def test_derive_actual_runs_the_plan_once_per_index(teaching_ws, monkeypatch):
+    # dodl.evolver.run_filter stays a name the tracer wraps, but derivation
+    # runs the filter's plan over the carrier instead.
+    filter_calls = [counting(monkeypatch, f"dodl.{module}.run_filter")
+                    for module in ("evolver", "diagrams")]
     po = teaching_ws.potentials["Tch"]
+    plan, plans = po.filter._test, []
+
+    def counted(*args):
+        plans.append(args)
+        return plan(*args)
+
+    spy = po.filter.replace()
+    object.__setattr__(spy, "_test", counted)
+    po = po.replace(filter=spy)
+    for index in po.index_domain.sorted_elements():
+        derive_actual(teaching_ws, po, index)
     ao = derive_actual(teaching_ws, po, symbol("Logic"))
-    assert len(calls) == len(po.carrier.elements)
     assert ao.elements == {symbol("Johnes"), symbol("Smith")}
+    assert [args[:2] for args in plans] == \
+        [(index, po.carrier.elements)
+         for index in (*po.index_domain.sorted_elements(), symbol("Logic"))]
+    assert filter_calls == [[], []]
 
 
 def test_apply_runs_the_filter_through_diagrams(teaching_ws, monkeypatch):

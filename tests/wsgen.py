@@ -88,6 +88,41 @@ def _predicate(rng: random.Random, depth: int, params: tuple[str, str],
     return rng.choice([TruePred(), FalsePred()])
 
 
+def _failing_node(rng: random.Random, params: tuple[str, str],
+                  relations: dict[str, Relation]):
+    """A predicate node that raises whenever it runs: a membership test of
+    an unknown relation or of the wrong arity, or ``=`` with a wildcard."""
+    roll = rng.random()
+    if roll < 0.35:
+        return Member("Ghost", (Var(rng.choice(params)),))
+    if roll < 0.7 and relations:
+        relation = relations[rng.choice(sorted(relations))]
+        arity = relation.arity + rng.choice([-1, 1])
+        return Member(relation.name,
+                      tuple(Var(rng.choice(params)) for _ in range(arity)))
+    sides = [Wildcard(), Var(rng.choice(params))]
+    rng.shuffle(sides)
+    return Eq(*sides)
+
+
+def gen_failing_filters(rng: random.Random, ws: Workspace,
+                        count: int = 3) -> list[Filter]:
+    """Filters over ``ws`` that raise on any candidate: a failing node, put
+    into ``and``, ``or`` and ``not`` with random bodies or other failing
+    nodes, on either side.  :func:`gen_workspace` draws none of these."""
+    params = ("i", "x")
+    filters = []
+    for n in range(count):
+        body = _failing_node(rng, params, ws.relations)
+        for _ in range(rng.randint(0, 2)):
+            other = (_failing_node(rng, params, ws.relations) if rng.random() < 0.3
+                     else _predicate(rng, 1, params, ws.relations))
+            body = rng.choice([And(body, other), And(other, body), Or(body, other),
+                               Or(other, body), Not(body)])
+        filters.append(Filter(f"Bad{n}", *params, body))
+    return filters
+
+
 def _diagram_paths(rng: random.Random, is_pair: bool,
                    filters: dict[str, Filter],
                    potentials: dict[str, PotentialObject],
