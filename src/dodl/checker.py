@@ -40,22 +40,6 @@ from .errors import (
 )
 
 
-def value_order_key(value: Value):
-    # An entry pair of atoms, the shape of every pair-shaped diagram entry;
-    # the key is the one the general case below builds.
-    if value.__class__ is tuple and len(value) == 2:
-        first, second = value
-        if first.__class__ is Atom and second.__class__ is Atom:
-            return ("p", ("a", first.order_key()), ("a", second.order_key()))
-    if isinstance(value, bool):
-        return ("b", (0, int(value), ""))
-    if isinstance(value, Atom):
-        return ("a", value.order_key())
-    if isinstance(value, tuple):
-        return ("p",) + tuple(value_order_key(v) for v in value)
-    return ("f", (1, 0, format_value(value)))
-
-
 def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
     """Compile a diagram expression once into a closure
     ``run(step_input, bound, workspace) -> Value``.
@@ -181,7 +165,8 @@ def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
 
 
 def enumerate_entry(spec: DiagramSpec, workspace) -> list[Value]:
-    """All entry values of a diagram, in lexicographic order."""
+    """All entry values of a diagram, in lexicographic order (``false``
+    before ``true``): the order of a ``check``'s rows."""
     pools = []
     for part in spec.entry.parts:
         if part == "bool":
@@ -240,13 +225,13 @@ def check_commutes(spec: DiagramSpec, inputs, workspace) -> CommutativityReport:
     """Evaluate both paths on every input and compare the results.
 
     Per-input evaluation errors are recorded in the report instead of being
-    raised, so the report is total over its input set.  Rows are ordered
-    lexicographically by input.
+    raised, so the report is total over its input set.  Rows follow the
+    order of ``inputs``: from :func:`enumerate_entry`, lexicographic.
     """
     path_a = tuple(compile_expr(step) for step in spec.path_a)
     path_b = tuple(compile_expr(step) for step in spec.path_b)
     rows = []
-    for entry in sorted(inputs, key=value_order_key):
+    for entry in inputs:
         value_a = value_b = None
         error_a = error_b = None
         try:

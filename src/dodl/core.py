@@ -41,20 +41,14 @@ MISSING = object()
 
 
 class Field:
-    """One declared field of a :class:`Record`.
+    """One declared field of a :class:`Record`."""
 
-    A hidden field is kept out of ``__init__``, eq, hash and repr, and
-    takes no default: the class's ``__post_init__`` gives it its value.
-    """
+    __slots__ = ("name", "default", "default_factory")
 
-    __slots__ = ("name", "default", "default_factory", "hidden")
-
-    def __init__(self, *, default=MISSING, default_factory: Callable | None = None,
-                 hidden: bool = False):
+    def __init__(self, *, default=MISSING, default_factory: Callable | None = None):
         self.name = ""
         self.default = default
         self.default_factory = default_factory
-        self.hidden = hidden
 
 
 def _refuse_set(self, name, value):
@@ -72,11 +66,11 @@ class Record:
     each class from closures, with the meaning
     ``dataclasses.dataclass(frozen=True)`` gives them:
 
-    - ``__init__`` takes the fields that are not hidden, by position or
-      keyword, fills defaults, then runs the class's ``__post_init__``;
+    - ``__init__`` takes the fields by position or keyword, fills
+      defaults, then runs the class's ``__post_init__``;
     - two records are equal when they are of the same class and their
-      fields that are not hidden are equal; against another class ``==``
-      returns ``NotImplemented``;
+      fields are equal; against another class ``==`` returns
+      ``NotImplemented``;
     - the hash is ``hash`` of the tuple of those fields, and ``repr`` is
       ``Cls(a=..., b=...)``;
     - instances are immutable: assigning or deleting an attribute raises
@@ -97,7 +91,7 @@ class Record:
     def replace(self, **changes):
         """A copy with ``changes`` applied, like ``dataclasses.replace``."""
         for f in self.fields:
-            if not f.hidden and f.name not in changes:
+            if f.name not in changes:
                 changes[f.name] = getattr(self, f.name)
         return self.__class__(**changes)
 
@@ -106,12 +100,14 @@ def record(cls):
     """Makes ``cls`` a :class:`Record`: slots and methods from its fields.
 
     Fields are the class body's annotations, each with an optional default
-    value or :class:`Field`.  Slots need the fields before the class
-    exists, so the decorator builds the class anew from the body's
-    namespace, as ``dataclass(slots=True)`` does.  A metaclass could add
-    them up front, but every ``isinstance`` test against a class with a
-    metaclass other than ``type`` takes a slow path, about three times
-    slower on CPython 3.11 for an object of another class.
+    value or :class:`Field`.  Names the body lists in ``__slots__`` are
+    slots after the fields', out of ``__init__``, eq, hash, repr and
+    :attr:`~Record.fields`.  Slots need the fields before the class exists,
+    so the decorator builds the class anew from the body's namespace, as
+    ``dataclass(slots=True)`` does.  A metaclass could add them up front,
+    but every ``isinstance`` test against a class with a metaclass other
+    than ``type`` takes a slow path, about three times slower on CPython
+    3.11 for an object of another class.
     """
     namespace = dict(cls.__dict__)
     name = cls.__name__
@@ -128,15 +124,15 @@ def record(cls):
         spec = namespace.pop(field_name, MISSING)
         if not isinstance(spec, Field):
             spec = Field(default=spec)
-        elif spec.hidden and (spec.default is not MISSING
-                              or spec.default_factory is not None):
-            raise TypeError(f"record {name}: hidden field {field_name!r} takes "
-                            f"no default; __post_init__ sets it")
         spec.name = field_name
         fields.append(spec)
+    extra = namespace.pop("__slots__", ())
+    extra = (extra,) if isinstance(extra, str) else tuple(extra)
+    for slot in extra:
+        del namespace[slot]  # the body class's descriptor
     namespace.pop("__dict__", None)
     namespace.pop("__weakref__", None)
-    namespace["__slots__"] = tuple(f.name for f in fields)
+    namespace["__slots__"] = tuple(f.name for f in fields) + extra
     namespace["__qualname__"] = cls.__qualname__
     cls = type(name, (Record,), namespace)
     cls.fields = tuple(fields)
@@ -145,8 +141,7 @@ def record(cls):
 
 
 def _add_methods(cls, fields):
-    shown = [f for f in fields if not f.hidden]
-    names = tuple(f.name for f in shown)
+    names = tuple(f.name for f in fields)
     if len(names) == 1:
         get = attrgetter(names[0])
         values = lambda self: (get(self),)  # noqa: E731
@@ -160,12 +155,12 @@ def _add_methods(cls, fields):
     qualname = cls.__qualname__
 
     def bind(args, kwargs):
-        """Positional and keyword arguments as one value per shown field."""
+        """Positional and keyword arguments as one value per field."""
         if len(args) > count:
             raise TypeError(f"{qualname}() takes {count} positional "
                             f"arguments but {len(args)} were given")
         bound = list(args)
-        for f in shown[len(args):]:
+        for f in fields[len(args):]:
             if f.name in kwargs:
                 bound.append(kwargs.pop(f.name))
             elif f.default_factory is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Union
 
-from .core import ActualObject, Atom, Field, PotentialObject, record
+from .core import ActualObject, Atom, PotentialObject, record
 from .errors import ArityMismatch, DefinitionError, EvalTypeError, not_defined
 
 # ---------------------------------------------------------------------------
@@ -94,9 +94,9 @@ class Filter:
     index_var: str
     candidate_var: str
     body: Predicate
-    # The body's plan, compiled by __post_init__; invisible to eq, hash and
-    # repr.
-    _test: Callable = Field(hidden=True)
+    # The body's plan, compiled by __post_init__: a slot, not a field, so
+    # out of eq, hash and repr.
+    __slots__ = ("_test",)
 
     def __post_init__(self):
         if self.index_var == self.candidate_var:

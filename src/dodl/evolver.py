@@ -28,6 +28,7 @@ from .diagrams import run_filter  # noqa: F401
 from .errors import (
     DefinitionError,
     DodlError,
+    DuplicateName,
     ScriptError,
     UnknownRequestKind,
     not_defined,
@@ -81,8 +82,26 @@ class Workspace:
 
     def with_actual(self, ao: ActualObject) -> "Workspace":
         library = dict(self.ao_library)
-        library[ao.name] = ao
+        _store_actual(library, ao)
         return self.replace(ao_library=library, stage=self.stage + 1)
+
+
+def _store_actual(library: dict[str, ActualObject], ao: ActualObject) -> None:
+    """Put ``ao`` in ``library`` under its name, replacing an earlier entry
+    of the same event.  Two potential objects can derive one name (``P`` at
+    ``x_1`` and ``P_x`` at ``1`` both give ``P_x_1``): storing over the
+    other's entry raises :class:`DuplicateName`, naming both events."""
+    held = library.get(ao.name)
+    if held is not None and held.provenance[0] != ao.provenance[0]:
+        raise DuplicateName(
+            f"actual object {ao.name!r} of event {_event_text(ao)} is already "
+            f"held for event {_event_text(held)}")
+    library[ao.name] = ao
+
+
+def _event_text(ao: ActualObject) -> str:
+    po_name, event = ao.provenance
+    return f"({po_name}, {event.index_atom.text})"
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +157,10 @@ def run_script(state: Workspace, script_name: str) -> Workspace:
     library = dict(state.ao_library)
     for position, (po_name, index) in enumerate(script.steps, start=1):
         try:
-            ao = derive_actual(state, get_potential(state, po_name), index)
+            _store_actual(library, derive_actual(
+                state, get_potential(state, po_name), index))
         except DodlError as exc:
             raise ScriptError(script_name, position, exc) from exc
-        library[ao.name] = ao
     return state.replace(ao_library=library, stage=state.stage + len(script.steps))
 
 

@@ -13,6 +13,7 @@ without such statements loads without them.
 from __future__ import annotations
 
 from pathlib import Path
+from stat import S_ISDIR, S_ISFIFO, S_ISREG
 
 from ..core import Domain, Field, PotentialObject, Sort, not_in_domain, record
 from ..diagrams import (
@@ -450,18 +451,21 @@ def load_texts(named_texts: list[tuple[str | None, str]]) -> LoadResult:
 def load_files(paths: list[str | Path]) -> LoadResult:
     """Load source files as :func:`load_texts` loads texts.
 
-    A file that cannot be read (missing, a directory, a FIFO, not readable,
-    not UTF-8, or a path holding a NUL character) is a diagnostic naming
-    its path, and stops the build as a syntax error does.
+    A file that cannot be read (missing, a directory, not a regular file,
+    not readable, not UTF-8, or a path holding a NUL character) is a
+    diagnostic naming its path, and stops the build as a syntax error does.
     """
     units = []
     for path in paths:
         p = Path(path)
         name = str(p)
         try:
-            if p.is_fifo():
-                # Reading one waits for a writer, perhaps forever.
-                units.append(_unreadable(name, "is a FIFO"))
+            mode = p.stat().st_mode
+            if not (S_ISREG(mode) or S_ISDIR(mode)):
+                # Refused unopened: reading a FIFO waits for a writer, and a
+                # device such as /dev/zero may never end.
+                units.append(_unreadable(name, "is a FIFO" if S_ISFIFO(mode)
+                                         else "is not a regular file"))
                 continue
             text = p.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:

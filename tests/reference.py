@@ -245,9 +245,9 @@ def reference_expanded_steps(evolvents, scripts, name, limit):
 
 def reference_dataclass(cls, post_init=False):
     """A frozen dataclass with the fields of the record class ``cls`` and
-    none of its methods, each hidden field out of ``__init__``, eq, hash
-    and repr.  With ``post_init`` it keeps the class's ``__post_init__``,
-    which a dataclass runs after its ``__init__``.  The hand-written
+    none of its methods; a slot the class body declares is no field and has
+    no counterpart.  With ``post_init`` it keeps the class's
+    ``__post_init__``, which a dataclass runs after its ``__init__``.  The hand-written
     ``Atom`` has no field list: its fields, ``text`` and ``kind``, are
     named here as plain fields (its third slot keeps the hash and is not a
     field)."""
@@ -261,8 +261,6 @@ def reference_dataclass(cls, post_init=False):
             options["default"] = f.default
         if f.default_factory is not None:
             options["default_factory"] = f.default_factory
-        if f.hidden:
-            options.update(init=False, repr=False, compare=False)
         specs.append((f.name, object, dataclasses.field(**options)))
     return dataclasses.make_dataclass(
         cls.__qualname__, specs, frozen=True,

@@ -588,6 +588,7 @@ class TestUnreadableFiles:
 
         monkeypatch.setattr(Path, "read_text", refuse)
         locked = tmp_path / "locked.dodl"
+        locked.write_text("", encoding="utf-8")
         assert run_cli(capsys, "load", str(locked)) == \
             (1, "", f"{locked}:1:1: cannot read file: permission denied\n")
 
@@ -607,6 +608,16 @@ class TestUnreadableFiles:
         argv, diagnostic = self.fifo_case(tmp_path)
         proc = run_module(*argv, timeout=30)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", diagnostic)
+
+    @pytest.mark.parametrize("device", ["/dev/zero", "/dev/null"])
+    def test_a_device_file_is_refused_unread(self, capsys, tmp_path, device):
+        # Read, /dev/zero would fill memory before it ended.
+        unreadable_case("missing", tmp_path)
+        link = tmp_path / "ws" / "z.dodl"
+        link.symlink_to(device)
+        with deadline(10):
+            assert run_cli(capsys, "--workspace", str(tmp_path / "ws"), "dump") \
+                == (1, "", f"{link}:1:1: cannot read file: is not a regular file\n")
 
     def test_path_with_a_nul_character(self, capsys):
         assert run_cli(capsys, "load", "a\x00b") == \

@@ -16,6 +16,7 @@ from dodl.diagrams import (
 )
 from dodl.errors import (
     DodlError,
+    DuplicateName,
     IndexNotInDomain,
     ScriptError,
     UnknownEvolvent,
@@ -36,7 +37,7 @@ from dodl.evolver import (
     trigger,
 )
 from dodl.relational import OracleExpr, Project, RelName, Relation, oracle_index
-from dodl.lang import load_files
+from dodl.lang import load_files, load_texts
 from reference import outcome, reference_filter
 from wsgen import WORDS, gen_indexed_case, gen_workspace
 
@@ -247,6 +248,60 @@ class TestScriptIsAFold:
             assert type(raised.value.cause) is cause
             assert str(raised.value) == \
                 f"script 'Bad' failed at step {position}: {message}"
+
+
+# Two potential objects whose events derive one name: P at x_1 and P_x at 1
+# both give P_x_1.
+CLASHING = """
+sort S : symbolic;
+sort N : numeric;
+domain C : S = { a, b };
+domain I : S = { x_1 };
+domain J : N = { 1 };
+filter All (i, x) = true;
+potential P carrier C index I filter All;
+potential P_x carrier C index J filter All;
+script Both = [ (P, x_1), (P_x, 1) ];
+script Again = [ (P, x_1), (P, x_1) ];
+"""
+CLASH = ("actual object 'P_x_1' of event (P_x, 1) is already held for "
+         "event (P, x_1)")
+
+
+class TestActualNames:
+    @pytest.fixture
+    def clashing_ws(self):
+        result = load_texts([("clash.dodl", CLASHING)])
+        assert result.ok, [d.render() for d in result.diagnostics]
+        return result.workspace
+
+    def test_a_trigger_refuses_another_events_name(self, clashing_ws):
+        state, first = trigger(clashing_ws, "P", symbol("x_1"))
+        with pytest.raises(DuplicateName) as raised:
+            trigger(state, "P_x", number(1))
+        assert str(raised.value) == CLASH
+        assert state.ao_library == {"P_x_1": first}
+
+    def test_a_script_fails_at_the_step_that_clashes(self, clashing_ws):
+        with pytest.raises(ScriptError) as raised:
+            run_script(clashing_ws, "Both")
+        assert raised.value.step == 2
+        assert type(raised.value.cause) is DuplicateName
+        assert str(raised.value) == f"script 'Both' failed at step 2: {CLASH}"
+        assert outcome(lambda: run_script(clashing_ws, "Both")) == \
+            folded(clashing_ws, "Both")
+
+    def test_the_same_event_again_replaces_its_entry(self, clashing_ws):
+        state = run_script(clashing_ws, "Again")
+        assert list(state.ao_library) == ["P_x_1"]
+        assert state.stage == 2
+        assert state == folded(clashing_ws, "Again")
+
+    def test_a_trigger_statement_that_clashes_is_a_diagnostic(self):
+        result = load_texts([("clash.dodl",
+                              CLASHING + "trigger P x_1;\ntrigger P_x 1;\n")])
+        assert [d.message for d in result.diagnostics] == [CLASH]
+        assert result.workspace.ao_library["P_x_1"].provenance[0] == "P"
 
 
 class TestApplyEvolvent:

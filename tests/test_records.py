@@ -3,7 +3,7 @@
 Every value and syntax class is a ``core.Record`` (``Atom`` is written out by
 hand).  Each one is checked against ``reference_dataclass``, a real dataclass
 with the same fields: construction by position and keyword, defaults,
-equality, hash, repr, the hidden fields and immutability.  The values are
+equality, hash, repr, the slots that are no field and immutability.  The values are
 every record reached from a loaded workspace and a parsed source that use
 each class, plus random values for the classes with no ``__post_init__``.
 """
@@ -105,7 +105,7 @@ SAMPLES = samples()
 def shown(cls):
     if cls is Atom:
         return ["text", "kind"]
-    return [f.name for f in cls.fields if not f.hidden]
+    return [f.name for f in cls.fields]
 
 
 def values(record, names):
@@ -159,21 +159,25 @@ def test_frozen_records_refuse_assignment_and_deletion(cls):
                 delattr(target, name)
 
 
-@pytest.mark.parametrize("cls", [c for c in RECORDS
-                                 if any(f.hidden for f in c.fields)],
+def body_slots(cls):
+    """The slots the class body declares, after the fields' own."""
+    return cls.__slots__[len(cls.fields):]
+
+
+@pytest.mark.parametrize("cls", [c for c in RECORDS if body_slots(c)],
                          ids=lambda c: c.__qualname__)
-def test_hidden_fields_are_out_of_eq_hash_and_repr(cls):
+def test_body_slots_are_out_of_eq_hash_and_repr(cls):
     record = SAMPLES[cls][0]
     twin = cls(*values(record, shown(cls)))
     before = repr(record), hash(record)
-    hidden = {f.name: getattr(record, f.name) for f in cls.fields if f.hidden}
+    kept = {name: getattr(record, name) for name in body_slots(cls)}
     try:
-        for name in hidden:
+        for name in kept:
             object.__setattr__(record, name, object())
         assert record == twin
         assert (repr(record), hash(record)) == before
     finally:
-        for name, value in hidden.items():
+        for name, value in kept.items():
             object.__setattr__(record, name, value)
 
 
@@ -182,14 +186,12 @@ def has_default(f):
 
 
 @pytest.mark.parametrize("cls", [c for c in RECORDS
-                                 if any(has_default(f) for f in c.fields
-                                        if not f.hidden)],
+                                 if any(has_default(f) for f in c.fields)],
                          ids=lambda c: c.__qualname__)
 def test_defaults_match_the_reference(cls):
     reference = REFERENCE[cls]
     names = shown(cls)
-    required = [f.name for f in cls.fields
-                if not f.hidden and not has_default(f)]
+    required = [f.name for f in cls.fields if not has_default(f)]
     args = values(SAMPLES[cls][0], required)
     record, ref = cls(*args), reference(*args)
     assert values(record, names) == values(ref, names)
@@ -237,7 +239,7 @@ class Sample:
     a: object
     b: object = 0
     c: list = Field(default_factory=list)
-    d: object = Field(hidden=True)
+    __slots__ = ("d",)
 
     def __post_init__(self):
         object.__setattr__(self, "d", ("d", self.a))
@@ -262,16 +264,26 @@ def test_a_record_cannot_inherit_fields():
             f: object
 
 
-@pytest.mark.parametrize("spec", [Field(default=None, hidden=True),
-                                  Field(default_factory=dict, hidden=True)],
-                         ids=["default", "default_factory"])
-def test_a_hidden_field_takes_no_default(spec):
-    # Its slot would stay empty: __init__ fills no hidden field.
-    with pytest.raises(TypeError) as raised:
-        core.record(type("Hidden", (), {"__annotations__": {"h": "object"},
-                                        "h": spec}))
-    assert str(raised.value) == \
-        "record Hidden: hidden field 'h' takes no default; __post_init__ sets it"
+def test_a_slot_the_body_declares_is_no_field():
+    record = Sample(1, 0, ())
+    assert Sample.__slots__ == ("a", "b", "c", "d")
+    assert [f.name for f in Sample.fields] == ["a", "b", "c"]
+    assert record.d == ("d", 1)
+    assert attempt(Sample, 1, 0, (), "d") is TypeError
+    assert attempt(Sample, 1, d="d") is TypeError
+    twin = Sample(1, 0, ())
+    object.__setattr__(twin, "d", "other")
+    assert twin == record
+    assert hash(twin) == hash(record)
+    assert repr(twin) == repr(record) == "Sample(a=1, b=0, c=())"
+    assert copy.copy(twin).d == twin.replace().d == ("d", 1)
+    assert record.replace(a=2).d == ("d", 2)
+    with pytest.raises(AttributeError):
+        record.d = None
+    # A single name may be given as a string, as for any class.
+    alone = core.record(type("Alone", (), {"__annotations__": {"a": "object"},
+                                           "__slots__": "z"}))
+    assert alone.__slots__ == ("a", "z")
 
 
 def test_lazily_evaluated_annotations_are_refused():
