@@ -314,10 +314,12 @@ def compile_predicate(pred: Predicate, index_var: str, candidate_var: str,
         combine = operator.and_ if isinstance(pred, And) else operator.or_
         return lambda index, candidates, workspace: combine(
             left(index, candidates, workspace), right(index, candidates, workspace))
-    if isinstance(pred, Eq):
-        return _compile_eq(pred, index_var, candidate_var, undeclared)
-    if isinstance(pred, Member):
-        return _compile_member(pred, index_var, candidate_var, undeclared)
+    if isinstance(pred, (Eq, Member)):
+        compile_node = _compile_eq if isinstance(pred, Eq) else _compile_member
+        try:
+            return compile_node(pred, index_var, candidate_var, undeclared)
+        except EvalTypeError as refused:
+            return _refusal(str(refused))
     return _refusal(f"unknown predicate node {pred!r}")
 
 
@@ -332,7 +334,7 @@ def _refusal(message: str) -> Callable:
 
 def _role(term: Term, index_var, candidate_var, undeclared):
     """A term's atom if it is a constant, ``INDEX`` or ``CANDIDATE`` if it
-    is a variable, and None if it has no value."""
+    is a variable, None if a wildcard; any other node raises EvalTypeError."""
     if isinstance(term, Const):
         return term.atom
     if isinstance(term, Var):
@@ -341,7 +343,9 @@ def _role(term: Term, index_var, candidate_var, undeclared):
         if term.name != candidate_var:
             undeclared.add(term.name)
         return CANDIDATE
-    return None
+    if isinstance(term, Wildcard):
+        return None
+    raise EvalTypeError(f"unknown term node {term!r}")
 
 
 def _compile_eq(pred: Eq, index_var, candidate_var, undeclared) -> Callable:
@@ -382,8 +386,6 @@ def _compile_member(pred: Member, index_var, candidate_var, undeclared) -> Calla
     roles = [(position, _role(term, index_var, candidate_var, undeclared))
              for position, term in enumerate(pred.pattern)
              if not isinstance(term, Wildcard)]
-    if any(role is None for _, role in roles):
-        return _refusal(WILDCARD_VALUE)
     index_at = [position for position, role in roles if role is INDEX]
     candidate_at = [position for position, role in roles if role is CANDIDATE]
     constants = [(position, role) for position, role in roles

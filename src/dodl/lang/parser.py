@@ -2,7 +2,9 @@
 
 One statement per ``;``; on a syntax error the parser records a diagnostic,
 resynchronizes at the next ``;`` and keeps going, bailing out after 20
-diagnostics.  Grammar summary (keywords are contextual):
+diagnostics.  A domain's atoms, a relation's rows and a script's steps are
+read one slice per list (:meth:`Parser.read_list`); the per-item
+productions are the error route.  Grammar summary (keywords are contextual):
 
     sort      ::= "sort" name ":" ("symbolic" | "numeric") ";"
     domain    ::= "domain" name ":" sortname "=" "{" [atoms] "}" ";"
@@ -23,6 +25,7 @@ diagnostics.  Grammar summary (keywords are contextual):
 from __future__ import annotations
 
 import functools
+from itertools import chain
 
 from ..core import NUMERIC, SYMBOLIC, Atom
 from ..diagrams import (
@@ -86,6 +89,7 @@ STATEMENT_KEYWORDS = (
     "diagram", "script", "evolvent", "trigger", "check", "query", "dump",
 )
 _ATOM_KINDS = {IDENT: SYMBOLIC, INT: NUMERIC}
+ATOM, NAME = "atom", "name"  # places of an item shape, see Parser.read_list
 
 
 class _SyncError(Exception):
@@ -195,26 +199,67 @@ class Parser:
         return items
 
     def parse_atom(self) -> Atom:
-        atom = self.atoms.get(self.current)
+        text = self.current
+        atom = self.atoms.get(text) or self._new_atom(text)
         if atom is None:
-            return self._new_atom()
+            raise self.error(f"found {describe(text)}", expected=("atom",))
         self.pos += 1
         self.current = self.texts[self.pos]
         return atom
 
-    def _new_atom(self) -> Atom:
-        """Step past the current token and build the atom it spells.  Equal
-        atoms, such as ``7`` and ``007``, share one object; a text that is
-        no atom raises again at each occurrence."""
-        text = self.current
+    def _new_atom(self, text: str) -> Atom | None:
+        """The atom ``text`` spells, kept for later (``7`` and ``007`` share
+        the first made), or None if it spells none."""
         kind = _ATOM_KINDS.get(token_kind(text))
         if kind is None:
-            raise self.error(f"found {describe(text)}", expected=("atom",))
-        self.advance()
+            return None
         atom = Atom(text, kind)
-        atom = self.atoms.setdefault(atom.text, atom)
-        self.atoms[text] = atom
+        atom = self.atoms[text] = self.atoms.setdefault(atom.text, atom)
         return atom
+
+    def read_list(self, close: str, shape: tuple[str, ...]) -> list | None:
+        """Read ``item ("," item)*`` up to the next ``close`` at once if each
+        item has the token ``shape`` (punctuation, ``ATOM`` or ``NAME``):
+        one column of atoms or ``Ref``s per ``ATOM`` or ``NAME``, with new
+        atoms made in source order.  An empty or misfit list gives None,
+        unread, for the per-item productions to read and report.
+        """
+        texts, first = self.texts, self.pos
+        try:
+            end = texts.index(close, first)
+        except ValueError:
+            return None
+        width = len(shape) + 1
+        count, rest = divmod(end - first + 1, width)
+        body = texts[first:end]
+        if rest or not count or body[width - 1::width] != [","] * (count - 1):
+            return None
+        atoms = self.atoms
+        columns, cells = [], []
+        for offset, part in enumerate(shape):
+            column = body[offset::width]
+            if part == ATOM:
+                cells.append(column)
+                column = list(map(atoms.get, column))
+            elif part == NAME:
+                if set(map(token_kind, column)) != {IDENT}:
+                    return None
+                column = [Ref(texts[at], self.span(at, at))
+                          for at in range(first + offset, end, width)]
+            elif column != [part] * count:
+                return None
+            else:
+                continue
+            columns.append(column)
+        if not all(map(all, columns)):
+            # New atoms, or cells that are none: made in source order, and
+            # then the list is read again.
+            for text in chain.from_iterable(zip(*cells)):
+                if text not in atoms and self._new_atom(text) is None:
+                    return None
+            return self.read_list(close, shape)
+        self.pos, self.current = end, close
+        return columns
 
     # -- statements ----------------------------------------------------------
 
@@ -270,7 +315,9 @@ class Parser:
         sort = self.name_ref("sort name")
         self.expect("=")
         self.expect("{")
-        atoms = self.comma_list(self.parse_atom, empty_at="}")
+        columns = self.read_list("}", (ATOM,))
+        atoms = columns[0] if columns else self.comma_list(self.parse_atom,
+                                                           empty_at="}")
         self.expect("}")
         return DomainDecl(name, sort, tuple(atoms), self._finish(first))
 
@@ -281,7 +328,10 @@ class Parser:
         self.expect(")")
         self.expect("=")
         self.expect("{")
-        rows = self.comma_list(self._parse_row, empty_at="}")
+        columns = self.read_list(
+            "}", ("(",) + (ATOM, ",") * (len(attributes) - 1) + (ATOM, ")"))
+        rows = (zip(*columns) if columns
+                else self.comma_list(self._parse_row, empty_at="}"))
         self.expect("}")
         return RelationDecl(name, tuple(attributes), tuple(rows),
                             self._finish(first))
@@ -451,7 +501,9 @@ class Parser:
         name = self.name_ref("script name")
         self.expect("=")
         self.expect("[")
-        steps = self.comma_list(self._parse_script_step, empty_at="]")
+        columns = self.read_list("]", ("(", NAME, ",", ATOM, ")"))
+        steps = (zip(*columns) if columns
+                 else self.comma_list(self._parse_script_step, empty_at="]"))
         self.expect("]")
         return ScriptDecl(name, tuple(steps), self._finish(first))
 

@@ -8,6 +8,7 @@ which a call imports only when it runs a query or the oracle.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Union
 
 from .core import Atom, Sort, record
@@ -37,22 +38,26 @@ class Relation:
             raise DefinitionError(
                 f"relation {self.name!r} repeats an attribute name"
             )
-        # Checked in the order given, then frozen: the fault reported first
-        # does not depend on the iteration order of a set.
-        rows = [tuple(row) for row in self.tuples]
-        for row in rows:
-            if len(row) != len(attributes):
-                raise DefinitionError(
-                    f"relation {self.name!r}: tuple {format_row(row)} has "
-                    f"arity {len(row)}, schema has {len(attributes)}"
-                )
-            for cell, (attr, sort) in zip(row, attributes):
-                if cell.kind != sort.kind:
-                    raise SortMismatch(
-                        f"relation {self.name!r}: {cell.text!r} is {cell.kind} "
-                        f"but attribute {attr!r} has {sort.kind} sort "
-                        f"{sort.name!r}"
+        rows = list(map(tuple, self.tuples))
+        # Checked a column at a time; only a faulty relation is scanned in
+        # the order given, so that the fault reported first does not depend
+        # on the iteration order of a set.
+        if set(map(len, rows)) - {len(attributes)} or any(
+                set(map(attrgetter("kind"), column)) - {sort.kind}
+                for column, (_, sort) in zip(zip(*rows), attributes)):
+            for row in rows:
+                if len(row) != len(attributes):
+                    raise DefinitionError(
+                        f"relation {self.name!r}: tuple {format_row(row)} has "
+                        f"arity {len(row)}, schema has {len(attributes)}"
                     )
+                for cell, (attr, sort) in zip(row, attributes):
+                    if cell.kind != sort.kind:
+                        raise SortMismatch(
+                            f"relation {self.name!r}: {cell.text!r} is {cell.kind} "
+                            f"but attribute {attr!r} has {sort.kind} sort "
+                            f"{sort.name!r}"
+                        )
         object.__setattr__(self, "tuples", frozenset(rows))
 
     @property

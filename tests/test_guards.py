@@ -11,6 +11,7 @@ from dodl.core import ActualObject, Atom, Domain, Event, Sort, symbol
 from dodl.diagrams import (
     Const,
     Eq,
+    Input,
     Member,
     Shape,
     Var,
@@ -51,6 +52,10 @@ def run_compiled(pred):
     (lambda: format_value(None), EvalTypeError, "cannot format value None"),
     (lambda: run_compiled(Wildcard()), EvalTypeError,
      "unknown predicate node Wildcard()"),
+    (lambda: run_compiled(Member("R", (Var("x"), Input()))), EvalTypeError,
+     "unknown term node Input()"),
+    (lambda: run_compiled(Eq(Input(), Const(symbol("x")))), EvalTypeError,
+     "unknown term node Input()"),
     (lambda: eval_row_predicate(Wildcard(), R, ROW), EvalTypeError,
      "unknown predicate node Wildcard()"),
     (lambda: eval_row_predicate(Member("R", (Var("a"),)), R, ROW),
@@ -67,8 +72,9 @@ def run_compiled(pred):
      "unknown query node Var(name='v')"),
 ], ids=["atom-kind", "sort-kind", "actual-name", "shape-parts",
         "evolvent-script-and-chain", "format-value", "compile-predicate",
-        "row-predicate", "row-member", "row-wildcard", "eval-query",
-        "format-predicate", "format-diagram-expr", "format-relexpr"])
+        "compile-member-term", "compile-eq-term", "row-predicate",
+        "row-member", "row-wildcard", "eval-query", "format-predicate",
+        "format-diagram-expr", "format-relexpr"])
 def test_a_value_built_by_hand_is_refused(build, error, message):
     with pytest.raises(error) as raised:
         build()

@@ -17,6 +17,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -200,3 +201,31 @@ def test_costly_texts_end_within_the_bound(case):
             code, err = run_cli("--workspace", directory, *command)
     assert code in (0, 1), (command, err)
     assert "internal error" not in err, (command, err)
+
+
+# A long list is read in one slice, or item by item when an item misfits;
+# either way in time linear in its length.
+LONG = 20_000
+LONG_HEAD = {
+    "relation": "relation R (a : N, b : N) = { "
+                + "".join(f"({i}, {i}), " for i in range(LONG - 1)),
+    "domain": "domain D : N = { " + "".join(f"{i}, " for i in range(LONG - 1)),
+    "script": "filter F (i, x) = true;\npotential P carrier C index D filter F;\n"
+              "script S = [ " + "".join(f"(P, {i}), " for i in range(LONG - 1)),
+}
+LONG_TAIL = {"relation": " };\n", "domain": " };\n", "script": " ];\n"}
+
+
+@pytest.mark.parametrize("kind, last, ok", [
+    ("relation", "(19999, 19999)", True), ("relation", "(19999)", False),
+    ("domain", "19999", True), ("domain", "(19999)", False),
+    ("script", "(P, 19999)", True), ("script", "(P, 19999, 19999)", False),
+])
+def test_a_long_list_loads_within_the_bound(kind, last, ok):
+    text = "sort N : numeric;\ndomain C : N = { 0 };\n"
+    if kind == "script":
+        text += LONG_HEAD["domain"] + "19999" + LONG_TAIL["domain"]
+    text += LONG_HEAD[kind] + last + LONG_TAIL[kind]
+    with deadline(COST_BOUND):
+        result = load_texts([("long.dodl", text)])
+    assert result.ok == ok, [d.render() for d in result.diagnostics]
