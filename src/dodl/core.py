@@ -177,9 +177,9 @@ def _add_methods(cls, fields):
     # The loop over the setters costs more than the stores themselves, so
     # records of up to six fields and nothing else to do get it unrolled:
     # the parser builds a ``Ref`` for every name it reads and a ``Span``
-    # for each statement and name.  Two fields are stored as they are;
-    # other records of fewer than six pad the stores with ``operator.is_``,
-    # which stores nothing.
+    # for each statement and name.  Two fields are stored as they are; a
+    # record of one or of three to five fields pads the stores with
+    # ``operator.is_``, which stores nothing.
     if post_init is None and count == 2:
         set_first, set_second = setters
 

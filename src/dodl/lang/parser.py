@@ -252,8 +252,8 @@ class Parser:
                 continue
             columns.append(column)
         if not all(map(all, columns)):
-            # New atoms, or cells that are none: made in source order, and
-            # then the list is read again.
+            # New atoms are made in source order, or a cell that is no atom
+            # ends the read; then the list is read again.
             for text in chain.from_iterable(zip(*cells)):
                 if text not in atoms and self._new_atom(text) is None:
                     return None
