@@ -16,7 +16,6 @@ from .core import (
     Atom,
     ActualObject,
     Domain,
-    Event,
     PotentialObject,
     Sort,
     actual_name,

@@ -8,6 +8,7 @@ this module.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable
 
 from . import diagrams
@@ -32,6 +33,7 @@ from .diagrams import (
     format_value,
 )
 from .errors import (
+    CheckTooLarge,
     DodlError,
     EvalTypeError,
     UnboundVariable,
@@ -164,9 +166,21 @@ def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
     return run
 
 
+# The most entries one check may compare.  A check holds a row for each
+# entry, and a pair of domains has as many entries as the product of their
+# sizes, so a short text could otherwise ask for a number of rows that grows
+# with the square of its length.  The largest check of the tests, the
+# generated workspaces and the benchmark workloads has 1,000 entries.
+CHECK_ENTRY_LIMIT = 100_000
+
+
 def enumerate_entry(spec: DiagramSpec, workspace) -> list[Value]:
     """All entry values of a diagram, in lexicographic order (``false``
-    before ``true``): the order of a ``check``'s rows."""
+    before ``true``): the order of a ``check``'s rows.
+
+    Raises :class:`CheckTooLarge`, before building any entry, when there
+    would be more than ``CHECK_ENTRY_LIMIT``.
+    """
     pools = []
     for part in spec.entry.parts:
         if part == "bool":
@@ -176,6 +190,9 @@ def enumerate_entry(spec: DiagramSpec, workspace) -> list[Value]:
             if domain is None:
                 raise UnknownDomain(f"entry domain {part!r} is not defined")
             pools.append(domain.sorted_elements())
+    if prod(map(len, pools)) > CHECK_ENTRY_LIMIT:
+        raise CheckTooLarge(f"diagram {spec.name!r} has more than "
+                            f"{CHECK_ENTRY_LIMIT} entries")
     if not spec.entry.is_pair:
         return list(pools[0])
     return [(a, b) for a in pools[0] for b in pools[1]]

@@ -1,4 +1,4 @@
-"""Foundational value types: atoms, sorts, domains, events and objects.
+"""Foundational value types: atoms, sorts, domains and objects.
 
 Everything here is immutable after construction. Derivation state lives in
 :mod:`dodl.evolver`; this module only knows about single values.
@@ -357,18 +357,6 @@ class Domain:
         return atom in self.elements
 
 
-@record
-class Event:
-    """The selection of one index atom out of an index domain."""
-
-    index_atom: Atom
-    index_domain: Domain
-
-    def __post_init__(self):
-        if self.index_atom not in self.index_domain:
-            raise not_in_domain(self.index_atom, self.index_domain)
-
-
 def not_in_domain(atom: Atom, domain: Domain) -> IndexNotInDomain:
     """The error for an index atom outside the domain it must come from."""
     return IndexNotInDomain(f"{atom.text!r} is not in domain {domain.name!r}")
@@ -401,20 +389,16 @@ def actual_name(po_name: str, index: Atom) -> str:
 
 @record
 class ActualObject:
-    """The extension a potential object yields at one index."""
+    """The extension a potential object yields at one event: the choice of
+    ``index`` from its index domain."""
 
-    name: str
+    po_name: str
+    index: Atom
     elements: frozenset[Atom]
-    provenance: tuple[str, Event]
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", frozenset(self.elements))
-        po_name, event = self.provenance
-        if self.name != actual_name(po_name, event.index_atom):
-            raise DefinitionError(
-                f"actual object name {self.name!r} does not follow from its "
-                f"provenance ({po_name!r}, {event.index_atom.text!r})"
-            )
+    @property
+    def name(self) -> str:
+        return actual_name(self.po_name, self.index)
 
     def sorted_elements(self) -> list[Atom]:
         return sorted(self.elements, key=Atom.order_key)

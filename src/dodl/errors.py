@@ -65,6 +65,10 @@ class JoinTooLarge(DodlError):
     """A join would build more rows than :data:`relational.JOIN_ROW_LIMIT`."""
 
 
+class CheckTooLarge(DodlError):
+    """A check would compare more entries than :data:`checker.CHECK_ENTRY_LIMIT`."""
+
+
 class UnknownConcept(DodlError):
     pass
 

@@ -14,12 +14,11 @@ from .core import (
     ActualObject,
     Atom,
     Domain,
-    Event,
     Field,
     PotentialObject,
     Sort,
-    actual_name,
     deferred,
+    not_in_domain,
     record,
 )
 from .diagrams import DiagramSpec, Filter
@@ -92,7 +91,7 @@ def _store_actual(library: dict[str, ActualObject], ao: ActualObject) -> None:
     ``x_1`` and ``P_x`` at ``1`` both give ``P_x_1``): storing over the
     other's entry raises :class:`DuplicateName`, naming both events."""
     held = library.get(ao.name)
-    if held is not None and held.provenance[0] != ao.provenance[0]:
+    if held is not None and held.po_name != ao.po_name:
         raise DuplicateName(
             f"actual object {ao.name!r} of event {_event_text(ao)} is already "
             f"held for event {_event_text(held)}")
@@ -100,8 +99,7 @@ def _store_actual(library: dict[str, ActualObject], ao: ActualObject) -> None:
 
 
 def _event_text(ao: ActualObject) -> str:
-    po_name, event = ao.provenance
-    return f"({po_name}, {event.index_atom.text})"
+    return f"({ao.po_name}, {ao.index.text})"
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +116,10 @@ def get_potential(state: Workspace, po_name: str) -> PotentialObject:
 def derive_actual(state: Workspace, po: PotentialObject, index: Atom) -> ActualObject:
     """The actual object ``po`` yields at ``index``, without touching state:
     one run of the filter's plan over the whole carrier."""
-    event = Event(index, po.index_domain)
-    elements = po.filter._test(index, po.carrier.elements, state)
-    return ActualObject(actual_name(po.name, index), elements, (po.name, event))
+    if index not in po.index_domain:
+        raise not_in_domain(index, po.index_domain)
+    return ActualObject(po.name, index,
+                        po.filter._test(index, po.carrier.elements, state))
 
 
 def trigger(state: Workspace, po_name: str, index: Atom) -> tuple[Workspace, ActualObject]:

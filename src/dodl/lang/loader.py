@@ -24,7 +24,7 @@ from ..diagrams import (
     expr_free_vars,
     format_actual,
 )
-from ..errors import CycleDetected, DodlError, not_defined
+from ..errors import CheckTooLarge, DodlError, not_defined
 from ..evolver import (
     EVOLVENT_STEP_LIMIT,
     EventScript,
@@ -52,7 +52,6 @@ from .syntax import (
     Ref,
     RelationDecl,
     ScriptDecl,
-    ShapePart,
     SortDecl,
     SourceUnit,
     TriggerCmd,
@@ -102,14 +101,14 @@ class _Builder:
     # -- helpers -------------------------------------------------------------
 
     def complain(self, anchor, message: str):
-        """Record an error diagnostic at an anchor (a Ref, ShapePart or
-        statement; anything carrying a span)."""
+        """Record an error diagnostic at an anchor (a Ref or a statement;
+        anything carrying a span)."""
         span = anchor.span
         self.diagnostics.append(Diagnostic(
             message, span.line, span.col, span.start, span.end, (), span.path,
         ))
 
-    def resolve(self, ref: Ref | ShapePart, names, kind: str) -> bool:
+    def resolve(self, ref: Ref, names, kind: str) -> bool:
         """Whether ``names`` (a registry or a set of names) holds the name
         ``ref`` gives; if not, a diagnostic at ``ref`` says so."""
         if ref.name in names:
@@ -255,17 +254,12 @@ class _Builder:
                 p.name for p in decl.parents
                 if p.name in declared and p.name != name
             )
-            concept = Concept(
-                name,
-                parents,
-                dict(decl.attributes),
-                decl.events,
-                decl.menus,
-                frozenset(decl.encapsulated),
-            )
             try:
-                registry.add(concept)
-            except CycleDetected as exc:
+                registry.add(Concept(name, parents, dict(decl.attributes),
+                                     decl.events, decl.menus,
+                                     frozenset(decl.encapsulated)))
+            except DodlError as exc:
+                # A repeated parent, or a cycle this declaration closes.
                 self.complain(decl, str(exc))
         for name, decl in self.decls[ConceptDecl].items():
             if name in registry:
@@ -278,7 +272,7 @@ class _Builder:
         for name, decl in self.decls[DiagramDecl].items():
             found = [
                 self.resolve(part, domains, "domain")
-                for part in decl.entry + decl.exit if not part.is_bool
+                for part in decl.entry + decl.exit if part.name != "bool"
             ]
             found += [self.resolve(ref, filters, "filter")
                       for ref in decl.filter_refs]
@@ -379,10 +373,12 @@ class _Builder:
                     from ..checker import check_commutes, enumerate_entry
 
                     spec = exchange.state.diagrams[stmt.diagram.name]
-                    report = check_commutes(
-                        spec, enumerate_entry(spec, exchange.state),
-                        exchange.state,
-                    )
+                    try:
+                        entries = enumerate_entry(spec, exchange.state)
+                    except CheckTooLarge as exc:
+                        self.complain(stmt, str(exc))
+                        continue
+                    report = check_commutes(spec, entries, exchange.state)
                     outputs.append(f"{spec.name}: {report.summary()}")
                     if not report.commutes:
                         self.complain(

@@ -72,7 +72,6 @@ from .syntax import (
     Ref,
     RelationDecl,
     ScriptDecl,
-    ShapePart,
     SortDecl,
     SourceUnit,
     Span,
@@ -190,8 +189,6 @@ class Parser:
         if empty_at is not None and self.current == empty_at:
             return []
         items = [item()]
-        # The comma test and step are inlined: with a relation's rows and
-        # their atoms, this is the loop the parser runs most.
         while self.current == ",":
             self.pos += 1
             self.current = self.texts[self.pos]
@@ -429,21 +426,16 @@ class Parser:
                            tuple(filter_refs), tuple(shift_refs),
                            self._finish(first))
 
-    def _parse_shape(self) -> tuple[ShapePart, ...]:
+    def _parse_shape(self) -> tuple[Ref, ...]:
         if self.current == "pair":
             self.advance()
             self.expect("(")
-            left = self._parse_shape_part()
+            left = self.name_ref("domain name or 'bool'")
             self.expect(",")
-            right = self._parse_shape_part()
+            right = self.name_ref("domain name or 'bool'")
             self.expect(")")
             return (left, right)
-        return (self._parse_shape_part(),)
-
-    def _parse_shape_part(self) -> ShapePart:
-        at = self.pos
-        return ShapePart(self.expect_name("domain name or 'bool'"),
-                         self.span(at, at))
+        return (self.name_ref("domain name or 'bool'"),)
 
     def _parse_path(self, filter_refs, shift_refs) -> tuple[DiagramExpr, ...]:
         self.expect("[")
@@ -520,18 +512,17 @@ class Parser:
         self.expect("=")
         if self.current == "identity":
             self.advance()
-            return EvolventDecl(name, "identity", None, (), self._finish(first))
+            return EvolventDecl(name, None, (), self._finish(first))
         if self.current == "script":
             self.advance()
             script = self.name_ref("script name")
-            return EvolventDecl(name, "script", script, (), self._finish(first))
+            return EvolventDecl(name, script, (), self._finish(first))
         if self.current == "compose":
             self.advance()
             self.expect("(")
             parts = self.comma_list(lambda: self.name_ref("evolvent name"))
             self.expect(")")
-            return EvolventDecl(name, "composed", None, tuple(parts),
-                                self._finish(first))
+            return EvolventDecl(name, None, tuple(parts), self._finish(first))
         raise self.error(
             f"found {describe(self.current)}",
             expected=("'identity'", "'script'", "'compose'"),

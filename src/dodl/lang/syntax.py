@@ -103,24 +103,12 @@ class ConceptDecl:
 
 
 @record
-class ShapePart:
-    """One component of an entry/exit shape: a domain name or ``bool``."""
-
-    name: str
-    span: Span
-
-    @property
-    def is_bool(self) -> bool:
-        return self.name == "bool"
-
-
-@record
 class DiagramDecl:
     name: Ref
-    entry: tuple[ShapePart, ...]
+    entry: tuple[Ref, ...]  # domain names or 'bool'
     path_a: tuple[DiagramExpr, ...]
     path_b: tuple[DiagramExpr, ...]
-    exit: tuple[ShapePart, ...]
+    exit: tuple[Ref, ...]
     filter_refs: tuple[Ref, ...]
     shift_refs: tuple[Ref, ...]  # potential object names used by shifts
     span: Span
@@ -136,7 +124,6 @@ class ScriptDecl:
 @record
 class EvolventDecl:
     name: Ref
-    kind: str  # identity | script | composed
     script: Ref | None
     parts: tuple[Ref, ...]
     span: Span

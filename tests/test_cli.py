@@ -499,6 +499,8 @@ class TestLoad:
          "filter 'F' needs two distinct variables"),
         ("concept K { encapsulated nope; };\n", 1,
          "concept 'K' encapsulates undefined attribute 'nope'"),
+        ("concept A { };\nconcept C : A, A { };\n", 2,
+         "concept 'C' repeats a parent"),
     ])
     def test_a_value_the_build_refuses_is_named(self, capsys, tmp_path, text,
                                                 line, message):

@@ -10,7 +10,6 @@ from dodl.core import (
     SYMBOLIC,
     Atom,
     Domain,
-    Event,
     PotentialObject,
     Sort,
     actual_name,
@@ -20,7 +19,6 @@ from dodl.core import (
 from dodl.diagrams import Filter, TruePred
 from dodl.errors import (
     DefinitionError,
-    IndexNotInDomain,
     ReservedCharacter,
     SortMismatch,
 )
@@ -145,12 +143,6 @@ class TestObjects:
         teach = Domain("Teach", NAME, [symbol("Doe"), symbol("Smith")])
         course = Domain("Course", Sort("Course", SYMBOLIC), [symbol("Logic")])
         return teach, course
-
-    def test_event_requires_membership(self):
-        _, course = self._domains()
-        Event(symbol("Logic"), course)
-        with pytest.raises(IndexNotInDomain):
-            Event(symbol("Algebra"), course)
 
     def test_actual_name_is_deterministic(self):
         assert actual_name("Tch", symbol("Logic")) == "Tch_Logic"

@@ -45,6 +45,7 @@ from dodl.diagrams import (
 )
 from dodl.errors import (
     ArityMismatch,
+    CheckTooLarge,
     DefinitionError,
     DodlError,
     EvalTypeError,
@@ -741,6 +742,20 @@ class TestCheckCommutes:
         report = check_commutes(broken, enumerate_entry(broken, ws), ws)
         assert report.total == 8
         assert report.agreeing == 0
+
+    # bool counts two entries.
+    @pytest.mark.parametrize("parts, size", [
+        (("Course", "Teach"), 8), (("bool", "Hours"), 4), (("bool",), 2),
+    ])
+    def test_a_check_of_exactly_the_entry_limit_runs(self, teaching_ws,
+                                                     monkeypatch, parts, size):
+        spec = DiagramSpec("G", Shape(parts), (), (), Shape(("bool",)))
+        monkeypatch.setattr(checker, "CHECK_ENTRY_LIMIT", size)
+        assert len(enumerate_entry(spec, teaching_ws)) == size
+        monkeypatch.setattr(checker, "CHECK_ENTRY_LIMIT", size - 1)
+        with pytest.raises(CheckTooLarge) as refused:
+            enumerate_entry(spec, teaching_ws)
+        assert str(refused.value) == f"diagram 'G' has more than {size - 1} entries"
 
     def test_empty_input_set_commutes_vacuously(self, teaching_ws):
         spec = teaching_ws.diagrams["Fig4"]

@@ -115,7 +115,7 @@ class TestTrigger:
         for course in ("Logic", "Informatics"):
             state, ao = trigger(state, "Tch", symbol(course))
         for ao in state.ao_library.values():
-            po = state.potentials[ao.provenance[0]]
+            po = state.potentials[ao.po_name]
             assert ao.elements <= po.carrier.elements
 
 
@@ -301,7 +301,7 @@ class TestActualNames:
         result = load_texts([("clash.dodl",
                               CLASHING + "trigger P x_1;\ntrigger P_x 1;\n")])
         assert [d.message for d in result.diagnostics] == [CLASH]
-        assert result.workspace.ao_library["P_x_1"].provenance[0] == "P"
+        assert result.workspace.ao_library["P_x_1"].po_name == "P"
 
 
 class TestApplyEvolvent:

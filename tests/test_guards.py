@@ -7,7 +7,7 @@ error with its own message: a caller of the library can build any of them.
 
 import pytest
 
-from dodl.core import ActualObject, Atom, Domain, Event, Sort, symbol
+from dodl.core import Atom, Sort, symbol
 from dodl.diagrams import (
     Const,
     Eq,
@@ -26,7 +26,6 @@ from dodl.relation import Relation
 from dodl.relational import eval_query, eval_row_predicate
 
 NAME = Sort("Name", "symbolic")
-COURSE = Domain("Course", NAME, frozenset({symbol("Logic"), symbol("Algebra")}))
 R = Relation("R", [("a", NAME)], [(symbol("x"),)])
 ROW = (symbol("x"),)
 NODE = Var("v")  # a node of no kind the function handles
@@ -41,10 +40,6 @@ def run_compiled(pred):
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Atom("x", "textual"), DefinitionError, "unknown atom kind 'textual'"),
     (lambda: Sort("S", "textual"), DefinitionError, "unknown sort kind 'textual'"),
-    (lambda: ActualObject("Tch_Logic", frozenset(),
-                          ("Tch", Event(symbol("Algebra"), COURSE))),
-     DefinitionError, "actual object name 'Tch_Logic' does not follow from "
-                      "its provenance ('Tch', 'Algebra')"),
     (lambda: Shape(("A", "B", "C")), DefinitionError,
      "a shape has one part or two"),
     (lambda: Evolvent("E", script="S", parts=("F",)), DefinitionError,
@@ -70,7 +65,7 @@ def run_compiled(pred):
      "unknown expression node Wildcard()"),
     (lambda: format_relexpr(NODE), ValueError,
      "unknown query node Var(name='v')"),
-], ids=["atom-kind", "sort-kind", "actual-name", "shape-parts",
+], ids=["atom-kind", "sort-kind", "shape-parts",
         "evolvent-script-and-chain", "format-value", "compile-predicate",
         "compile-member-term", "compile-eq-term", "row-predicate",
         "row-member", "row-wildcard", "eval-query", "format-predicate",

@@ -332,6 +332,13 @@ class TestLoad:
             ("b.dodl", 3, 1, "concept 'K' inherits from itself"),
         ]
 
+    def test_a_repeated_parent_is_one_diagnostic(self):
+        text = "concept A { };\nconcept C : A, A { };\n"
+        expected = ["r.dodl:2:1: concept 'C' repeats a parent"]
+        result = load_texts([("r.dodl", text)])
+        assert [d.render() for d in result.diagnostics] == expected
+        assert [d.render() for d in validate(parse(text, "r.dodl"))] == expected
+
     def test_duplicate_atoms_are_noted_not_errored(self):
         source = "sort S : symbolic;\ndomain D : S = { A, A, B };\n"
         result = load_texts([(None, source)])

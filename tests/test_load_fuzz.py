@@ -1,14 +1,16 @@
 """Load fuzz: statement-level damage to real workspaces.
 
-Each example takes the demo or a wsgen dump, drops one statement or renames
-one name reference in it to a name nothing declares, and splits what is
-left over one or two files.  Loading must end in a result or diagnostics
-inside the files it read, and when the text loads, every CLI command on it
-must exit 0 or 1 without reaching the internal-error net.
+Each example takes the demo or a wsgen dump, drops one statement, renames
+one name reference in it to a name nothing declares, or repeats a name that
+follows ``:``, ``,`` or ``(``, and splits what is left over one or two
+files.  Loading must end in a result or diagnostics inside the files it
+read, and when the text loads, every CLI command on it must exit 0 or 1
+without reaching the internal-error net.
 
 A cost property gives small texts whose commands could run long, compose
 ladders and join chains: loading each, and running its costly command,
-must end within a wall-clock bound.
+must end within a wall-clock bound.  So must a check of more entries than
+the checker takes.
 """
 
 import contextlib
@@ -22,18 +24,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TEACHING, deadline
+from dodl.checker import CHECK_ENTRY_LIMIT
 from dodl.cli import main
 from dodl.core import Record
 from dodl.lang import LoadResult, dump, load_texts, parse
-from dodl.lang.syntax import Ref, ShapePart
+from dodl.lang.syntax import Ref
 from wsgen import gen_workspace
 
 UNDEFINED = "Ghost"
 
 
 def references(node) -> list:
-    """Every Ref or ShapePart inside a parsed statement, in field order."""
-    if isinstance(node, (Ref, ShapePart)):
+    """Every Ref inside a parsed statement, in field order."""
+    if isinstance(node, Ref):
         return [node]
     if isinstance(node, tuple):
         return [ref for item in node for ref in references(item)]
@@ -64,20 +67,27 @@ def test_every_source_has_a_reference_to_rename():
 
 @st.composite
 def damaged_workspaces(draw):
-    """A list of (path, text) files: one statement dropped or one of its
-    references renamed, the statements split over one or two files."""
+    """A list of (path, text) files: one statement dropped, one of its
+    references renamed, or a reference that starts a list item repeated
+    (``: A`` becomes ``: A, A``), the statements split over one or two
+    files."""
     text = source_text(draw(st.integers(-1, 299)))
     statements = parse(text).statements
     pieces = [text[s.span.start:s.span.end] for s in statements]
     target = draw(st.integers(0, len(statements) - 1))
     stmt = statements[target]
     refs = renamable(stmt)
-    if refs and draw(st.booleans()):
-        ref = draw(st.sampled_from(refs))
+    listed = [ref for ref in refs
+              if text[:ref.span.start].rstrip()[-1:] in (":", ",", "(")]
+    damage = draw(st.sampled_from(("rename", "repeat", "drop")))
+    if damage == "rename" and refs or damage == "repeat" and listed:
+        ref = draw(st.sampled_from(refs if damage == "rename" else listed))
         start = ref.span.start - stmt.span.start
         end = ref.span.end - stmt.span.start
         piece = pieces[target]
-        pieces[target] = piece[:start] + UNDEFINED + piece[end:]
+        pieces[target] = (piece[:start] + UNDEFINED + piece[end:]
+                          if damage == "rename"
+                          else piece[:end] + ", " + ref.name + piece[end:])
     else:
         del pieces[target]
     cut = draw(st.integers(0, len(pieces)))
@@ -114,7 +124,11 @@ def commands(workspace) -> list[tuple[str, ...]]:
     return calls
 
 
+# The repeat damage on the demo's one concept with a parent: few runs of
+# 150 examples draw a repeated parent.
 @settings(max_examples=150, deadline=1000)
+@example([("a.dodl", TEACHING.read_text(encoding="utf-8").replace(
+    ": TeachingPost", ": TeachingPost, TeachingPost", 1))])
 @given(damaged_workspaces())
 def test_damaged_workspaces_load_or_diagnose(files):
     result = load_texts(files)
@@ -201,6 +215,34 @@ def test_costly_texts_end_within_the_bound(case):
             code, err = run_cli("--workspace", directory, *command)
     assert code in (0, 1), (command, err)
     assert "internal error" not in err, (command, err)
+
+
+def entry_square(size: int) -> str:
+    """Two domains of ``size`` atoms and a diagram whose entry is their
+    pair, so a check of it has ``size ** 2`` entries."""
+    def domain(name):
+        return (f"domain {name} : S = {{ "
+                + ", ".join(f"{name.lower()}{i}" for i in range(size)) + " };\n")
+
+    return ("sort S : symbolic;\n" + domain("A") + domain("B")
+            + "diagram D entry pair(A, B) path_a [ fst(input) ] "
+              "path_b [ fst(input) ] exit A;\n")
+
+
+# 317 ** 2 is the first square past the limit; a check of 1000 ** 2
+# entries would take seconds and hundreds of megabytes if it ran.
+@pytest.mark.parametrize("size", [317, 1000])
+def test_a_check_past_the_entry_limit_ends_within_the_bound(size):
+    refusal = f"diagram 'D' has more than {CHECK_ENTRY_LIMIT} entries"
+    text = entry_square(size)
+    with deadline(COST_BOUND):
+        result = load_texts([("check.dodl", text + "check D;\n")])
+    assert [d.message for d in result.diagnostics] == [refusal]
+    with tempfile.TemporaryDirectory() as directory:
+        (Path(directory) / "check.dodl").write_text(text, encoding="utf-8")
+        with deadline(COST_BOUND):
+            assert run_cli("--workspace", directory, "check", "D") == (
+                1, f"error: {refusal}\n")
 
 
 # A long list is read in one slice, or item by item when an item misfits;

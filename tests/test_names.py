@@ -10,7 +10,6 @@ import pytest
 
 from dodl import (
     DiagramSpec,
-    Event,
     Exchange,
     Filter,
     FilterRef,
@@ -175,8 +174,6 @@ RUNTIME = [
     ("functor", lambda ws: materialize_functor(ws, "Ghost"),
      UnknownPotentialObject, "potential object 'Ghost' is not defined"),
     ("trigger index", lambda ws: trigger(ws, "Tch", symbol("Nowhere")),
-     IndexNotInDomain, "'Nowhere' is not in domain 'Course'"),
-    ("event", lambda ws: Event(symbol("Nowhere"), ws.domains["Course"]),
      IndexNotInDomain, "'Nowhere' is not in domain 'Course'"),
     ("script", lambda ws: run_script(ws, "Ghost"),
      UnknownScript, "script 'Ghost' is not defined"),

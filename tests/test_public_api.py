@@ -17,7 +17,7 @@ import dodl.lang
 from conftest import run_python
 
 DODL = {
-    "dodl.core": ["ActualObject", "Atom", "Domain", "Event", "PotentialObject",
+    "dodl.core": ["ActualObject", "Atom", "Domain", "PotentialObject",
                   "Sort", "actual_name", "number", "symbol"],
     "dodl.diagrams": ["And", "Apply", "Const", "DiagramSpec", "Eq", "FalsePred",
                       "Filter", "FilterRef", "Fst", "IdArrow", "IndexShift",
