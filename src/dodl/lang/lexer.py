@@ -5,12 +5,12 @@ and punctuation, so declaration names are free to reuse most words.  Names
 and integers are ASCII; any other letter or digit is an unexpected
 character, reported at its own line and column.
 
-A text lexes into two flat lists, the text and the start offset of each
-token, with no Python step per token.  Both end in an entry for the end of
-input: the text ``""`` at offset ``len(text)``.  A token's kind follows
-from its first character (:func:`token_kind`), and its line and column
-from its offset (:class:`Lines`), worked out only for the few tokens a
-span or diagnostic names.
+A text lexes into two flat lists, with no Python step per token: the
+text of each token, ending in the text ``""`` for the end of input, and
+the pieces the text was cut into, separator, lexeme, ..., separator.  A
+token's kind follows from its first character (:func:`token_kind`).  Its
+offset, line and column are worked out by :class:`Lines` only when a span
+or diagnostic is read, which a clean load never does.
 """
 
 from __future__ import annotations
@@ -56,19 +56,47 @@ def describe(text: str) -> str:
 
 
 class Lines:
-    """Line and column of offsets into one text; only ``\\n`` starts a line."""
+    """Offsets, lines and columns of the tokens of one text, from the
+    pieces :func:`tokenize` cut it into; only ``\\n`` starts a line.
 
-    __slots__ = ("text", "starts")
+    Each table is filled on its first request, once per text: a clean load
+    asks for neither.
+    """
 
-    def __init__(self, text: str):
+    __slots__ = ("text", "pieces", "path", "offsets", "line_starts")
+
+    def __init__(self, text: str, pieces: list[str], path: str | None = None):
         self.text = text
-        # The offset at which each line starts.
-        self.starts = list(accumulate(
-            map((1).__add__, map(len, text.split("\n")[:-1])), initial=0))
+        self.pieces = pieces
+        self.path = path
+        self.offsets: list[int] | None = None
+        self.line_starts: list[int] | None = None
+
+    def _offsets(self) -> list[int]:
+        offsets = self.offsets
+        if offsets is None:
+            # The start of each piece, then the end of the end of input,
+            # which starts at len(text): token ``at`` is piece ``2 * at + 1``.
+            offsets = self.offsets = [
+                *accumulate(map(len, self.pieces), initial=0), len(self.text)]
+        return offsets
+
+    def token_start(self, at: int) -> int:
+        """The offset of token ``at``; the end of input's is ``len(text)``."""
+        return self._offsets()[2 * at + 1]
+
+    def token_end(self, at: int) -> int:
+        return self._offsets()[2 * at + 2]
 
     def position(self, offset: int) -> tuple[int, int]:
-        line = bisect_right(self.starts, offset)
-        line_start = self.starts[line - 1]
+        starts = self.line_starts
+        if starts is None:
+            # The offset at which each line starts.
+            starts = self.line_starts = list(accumulate(
+                map((1).__add__, map(len, self.text.split("\n")[:-1])),
+                initial=0))
+        line = bisect_right(starts, offset)
+        line_start = starts[line - 1]
         if offset == len(self.text):
             # The end of input after a final comment with no newline is
             # placed at the comment's '#'.
@@ -83,31 +111,36 @@ def _blank(match: re.Match) -> str:
 
 
 def tokenize(text: str, path: str | None = None
-             ) -> tuple[list[str], list[int], list[Diagnostic]]:
-    """The text and start offset of each token of ``text``, each list ending
-    in the end of input, and a diagnostic, naming ``path``, for each lexeme
-    no token may be: a name beginning with ``_`` or any other character."""
+             ) -> tuple[list[str], list[str], list[Diagnostic]]:
+    """The text of each token of ``text``, ending in the end of input; the
+    pieces of ``text``, separator, lexeme, ..., separator, each lexeme a
+    token; and a diagnostic, naming ``path``, for each lexeme no token may
+    be: a name beginning with ``_`` or any other character."""
     # Blanking each comment to spaces keeps every offset.
-    parts = _LEXEME.split(_COMMENT.sub(_blank, text) if "#" in text else text)
-    texts = parts[1::2]
-    # Each even part is a separator; the sum of the lengths before it and
-    # through it is the start of the lexeme after it, or len(text).
-    starts = list(accumulate(map(len, parts)))[0::2]
+    pieces = _LEXEME.split(_COMMENT.sub(_blank, text) if "#" in text else text)
+    texts = pieces[1::2]
     bad = {lexeme for lexeme in set(texts)
            if lexeme[0] not in _ALNUM and lexeme not in _PUNCTS}
     errors = []
     if bad:
-        lines = Lines(text)
-        for lexeme, start in zip(texts, starts):
+        lines = Lines(text, pieces, path)
+        # Each refused lexeme is folded into the separator around it.
+        kept, run = [], [pieces[0]]
+        for at, lexeme in enumerate(texts):
             if lexeme in bad:
                 if lexeme[0] == "_":
                     message = "names may not begin with '_'"
                 else:
                     message = f"unexpected character {lexeme!r}"
+                start = lines.token_start(at)
                 errors.append(Diagnostic(message, *lines.position(start), start,
                                          start + len(lexeme), (), path))
-        kept = [i for i, lexeme in enumerate(texts) if lexeme not in bad]
-        texts = [texts[i] for i in kept]
-        starts = [starts[i] for i in kept] + starts[-1:]
+                run += (lexeme, pieces[2 * at + 2])
+            else:
+                kept += ("".join(run), lexeme)
+                run = [pieces[2 * at + 2]]
+        kept.append("".join(run))
+        pieces = kept
+        texts = pieces[1::2]
     texts.append("")
-    return texts, starts, errors
+    return texts, pieces, errors

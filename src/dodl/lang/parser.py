@@ -117,8 +117,7 @@ class Parser:
     punctuation is a word, so a token's text alone tells what it is."""
 
     def __init__(self, text: str, path: str | None = None):
-        self.path = path
-        self.texts, self.starts, lex_errors = tokenize(text, path)
+        self.texts, pieces, lex_errors = tokenize(text, path)
         self.pos = 0
         self.current: str = self.texts[0]
         self.depth = 0
@@ -127,8 +126,10 @@ class Parser:
         self.atoms: dict[str, Atom] = {}
         # Built here, not on first use: an attribute filled in later through
         # the instance's __dict__, as functools.cached_property does, makes
-        # every attribute read of the parser slower (CPython 3.11).
-        self.lines = Lines(text)
+        # every attribute read of the parser slower (CPython 3.11).  Its
+        # offset and line tables are filled only when a span or an error
+        # is first read, which a clean load never does.
+        self.lines = Lines(text, pieces, path)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -141,19 +142,13 @@ class Parser:
             self.current = self.texts[self.pos]
         return text
 
-    def diagnostic(self, message: str, at: int, end: int,
-                   expected: tuple[str, ...] = ()) -> Diagnostic:
-        start = self.starts[at]
-        line, col = self.lines.position(start)
-        return Diagnostic(message, line, col, start, end, expected, self.path)
-
-    def end(self, at: int) -> int:
-        return self.starts[at] + len(self.texts[at])
-
     def error(self, message: str, at: int | None = None,
               expected: tuple[str, ...] = ()) -> _SyncError:
         at = self.pos if at is None else at
-        self.errors.append(self.diagnostic(message, at, self.end(at), expected))
+        lines = self.lines
+        start = lines.token_start(at)
+        self.errors.append(Diagnostic(message, *lines.position(start), start,
+                                      lines.token_end(at), expected, lines.path))
         return _SyncError()
 
     def expect(self, text: str) -> None:
@@ -172,9 +167,7 @@ class Parser:
         return self.advance()
 
     def span(self, first: int, last: int) -> Span:
-        start = self.starts[first]
-        line, col = self.lines.position(start)
-        return Span(line, col, start, self.end(last), self.path)
+        return Span(self.lines, first, last)
 
     def name_ref(self, what: str = "identifier") -> Ref:
         at = self.pos

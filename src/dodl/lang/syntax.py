@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from ..core import Atom, record
+from ..core import Atom, _refuse_delete, _refuse_set, record
 from ..diagrams import DiagramExpr, Predicate
 from ..relation import RelExpr
+
+if TYPE_CHECKING:
+    from .lexer import Lines
 
 
 @record
@@ -29,15 +32,70 @@ class Diagnostic:
         return text
 
 
-@record
 class Span:
-    """Where a node was written: its position in the text at ``path``."""
+    """Where a node was written: tokens ``first`` through ``last`` of the
+    text ``lines`` holds.
 
-    line: int
-    col: int
-    start: int
-    end: int
-    path: str | None
+    Its ``line``, ``col``, ``start``, ``end`` and ``path`` are worked out
+    when read.  Written out by hand rather than as a :class:`Record`, whose
+    fields are stored, but with the meaning of the record of those five:
+    equality, hash and repr are theirs, and a span is immutable.
+    """
+
+    __slots__ = ("lines", "first", "last")
+
+    def __init__(self, lines: Lines, first: int, last: int):
+        _set_lines(self, lines)
+        _set_first(self, first)
+        _set_last(self, last)
+
+    @property
+    def start(self) -> int:
+        return self.lines.token_start(self.first)
+
+    @property
+    def end(self) -> int:
+        return self.lines.token_end(self.last)
+
+    @property
+    def line(self) -> int:
+        return self.lines.position(self.start)[0]
+
+    @property
+    def col(self) -> int:
+        return self.lines.position(self.start)[1]
+
+    @property
+    def path(self) -> str | None:
+        return self.lines.path
+
+    def _values(self) -> tuple[int, int, int, int, str | None]:
+        """``(line, col, start, end, path)``."""
+        start = self.start
+        return (*self.lines.position(start), start, self.end, self.lines.path)
+
+    def __eq__(self, other):
+        if other.__class__ is Span:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "Span(line={!r}, col={!r}, start={!r}, end={!r}, path={!r})".format(
+            *self._values())
+
+    def __reduce__(self):
+        # copy and pickle rebuild a span through __init__.
+        return Span, (self.lines, self.first, self.last)
+
+    __setattr__ = _refuse_set
+    __delattr__ = _refuse_delete
+
+
+_set_lines, _set_first, _set_last = (
+    Span.__dict__[name].__set__ for name in Span.__slots__)
 
 
 @record

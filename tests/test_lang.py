@@ -1,24 +1,26 @@
 import json
 import random
 import time
+from itertools import accumulate
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dodl.core import number
+from dodl.core import Record, number
 from dodl.diagrams import And, Not, Or
 from dodl.errors import DodlError
 from dodl.evolver import EVOLVENT_STEP_LIMIT, EventScript, Evolvent, expanded_steps
-from dodl.lang import dump, load_texts, parse, parse_query, validate
+from dodl.lang import dump, load_texts, loader, parse, parse_query, validate
 from dodl.lang.lexer import EOF, Lines, token_kind, tokenize
 from dodl.lang.parser import MAX_DEPTH
-from dodl.lang.syntax import Diagnostic, DomainDecl, QueryCmd, TriggerCmd
+from dodl.lang.syntax import Diagnostic, DomainDecl, QueryCmd, Ref, TriggerCmd
 from dodl.meta import find_cycle
 from dodl.relational import OracleExpr, Project, Select
 from front_end_pins import PINS, damaged, observe
 from reference import reference_expanded_steps, reference_tokenize
+from wsgen import gen_workspace
 
 
 class TestParse:
@@ -360,12 +362,19 @@ class TestLoad:
         assert result.diagnostics
 
 
+def starts_of(pieces: list[str]) -> list[int]:
+    """The start of each token, and of the end of input, summed from the
+    pieces (separator, lexeme, ..., separator) a text was cut into."""
+    return list(accumulate(map(len, pieces)))[0::2]
+
+
 def lexed(text: str):
     """The lexer's flat lists as the reference's field tuples, each
     position found by the lexer's own position function."""
-    texts, starts, errors = tokenize(text)
+    texts, pieces, errors = tokenize(text)
+    starts = starts_of(pieces)
     assert len(texts) == len(starts)
-    position = Lines(text).position
+    position = Lines(text, pieces).position
     return [(token_kind(t), t, *position(start), start, start + len(t))
             for t, start in zip(texts, starts)], errors
 
@@ -569,7 +578,8 @@ class TestLexer:
         st.sampled_from("\u00e9\u00b2\u00a0\u2003\u2028\u0085#->_x"),
     ), max_size=60))
     def test_tokens_and_errors_slice_the_text(self, text):
-        texts, starts, errors = tokenize(text)
+        texts, pieces, errors = tokenize(text)
+        starts = starts_of(pieces)
         assert (texts[-1], starts[-1]) == ("", len(text))
         assert starts == sorted(set(starts))
         for t, start in zip(texts, starts):
@@ -622,6 +632,60 @@ class TestLexer:
     def test_end_of_input_position(self, source, line, col):
         kind, _, eof_line, eof_col, *_ = lexed(source)[0][-1]
         assert (kind, eof_line, eof_col) == (EOF, line, col)
+
+
+def dump_text(seed: int) -> str:
+    return dump(gen_workspace(random.Random(seed)))
+
+
+def refs_in(value):
+    """Every ``Ref`` in ``value``, a statement or a tuple of them."""
+    if isinstance(value, Ref):
+        yield value
+    elif isinstance(value, Record):
+        for f in value.fields:
+            yield from refs_in(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from refs_in(item)
+
+
+class TestPositions:
+    """Offsets, lines and columns are worked out only when a span or a
+    diagnostic is read, and then once per text."""
+
+    def test_a_clean_load_works_out_no_position(self, teaching_text):
+        with patch("dodl.lang.loader.build", wraps=loader.build) as build:
+            result = load_texts([("demo.dodl", teaching_text),
+                                 ("ws.dodl", dump_text(5))])
+        assert result.ok
+        (units,), _ = build.call_args
+        for unit in units:
+            lines = unit.statements[0].span.lines
+            assert all(s.span.lines is lines for s in unit.statements)
+            assert (lines.offsets, lines.line_starts) == (None, None)
+
+    @pytest.mark.parametrize("source", [
+        "sort A :;\nsort B numeric;\ndomain D : = { 1 };\n",
+        "sort A : symbolic;\ndomain D : Ghost = { a };\n"
+        "domain E : Ghost = { b };\npotential P carrier D index E filter F;\n",
+    ], ids=["parse", "load"])
+    def test_the_first_diagnostic_builds_each_table_once(self, source):
+        with patch("dodl.lang.lexer.accumulate", wraps=accumulate) as tables:
+            diagnostics = load_texts([("x.dodl", source)]).diagnostics
+        assert len(diagnostics) >= 3
+        assert tables.call_count == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(ascii_source, st.integers(0, 299).map(dump_text)))
+    def test_each_ref_is_placed_where_its_name_is_written(self, text):
+        for ref in refs_in(parse(text, "p.dodl").statements):
+            span = ref.span
+            assert text[span.start:span.end] == ref.name
+            assert (span.line, span.col) == (
+                text.count("\n", 0, span.start) + 1,
+                span.start - text.rfind("\n", 0, span.start))
+            assert span.path == "p.dodl"
 
 
 class TestPinnedFrontEnd:

@@ -1,17 +1,21 @@
 """The record base against the standard library's dataclasses.
 
-Every value and syntax class is a ``core.Record`` (``Atom`` is written out by
-hand).  Each one is checked against ``reference_dataclass``, a real dataclass
+Every value and syntax class is a ``core.Record`` (``Atom`` and ``Span`` are
+written out by hand).  Each one is checked against ``reference_dataclass``, a real dataclass
 with the same fields: construction by position and keyword, defaults,
 equality, hash, repr, the slots that are no field and immutability.  The values are
 every record reached from a loaded workspace and a parsed source that use
 each class, plus random values for the classes with no ``__post_init__``.
+A ``Span`` stores token indexes and works its fields out when read; it is
+checked against a dataclass of those fields, summed from its text.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import pickle
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,7 @@ from dodl.checker import check_commutes, enumerate_entry
 from dodl.diagrams import Const, FilterRef, IndexShift
 from dodl.evolver import Exchange, Query, Trigger
 from dodl.lang import load_texts, parse, parse_query
+from dodl.lang.syntax import Span
 from dodl.meta import ConceptRegistry
 from reference import eval_expr, reference_dataclass
 
@@ -53,11 +58,11 @@ REFERENCE = {cls: reference_dataclass(cls) for cls in [Atom, *RECORDS]}
 
 def walk(value, found):
     """Collect every record and atom reachable from ``value`` by class."""
-    if isinstance(value, (Record, Atom)):
+    if isinstance(value, (Record, Atom, Span)):
         if value in found.setdefault(type(value), []):
             return
         found[type(value)].append(value)
-        if isinstance(value, Atom):
+        if not isinstance(value, Record):
             return
         for f in value.fields:
             walk(getattr(value, f.name), found)
@@ -121,7 +126,7 @@ def attempt(fn, *args, **kwargs):
 
 
 def test_every_record_class_has_samples():
-    assert set(SAMPLES) == {Atom, *RECORDS}
+    assert set(SAMPLES) == {Atom, Span, *RECORDS}
 
 
 @pytest.mark.parametrize("cls", [Atom, *RECORDS], ids=lambda c: c.__qualname__)
@@ -157,6 +162,46 @@ def test_frozen_records_refuse_assignment_and_deletion(cls):
                 setattr(target, name, None)
             with pytest.raises(AttributeError):
                 delattr(target, name)
+
+
+SPAN_FIELDS = ["line", "col", "start", "end", "path"]
+SpanReference = dataclasses.make_dataclass("Span", SPAN_FIELDS, frozen=True)
+
+
+def eager(span: Span) -> SpanReference:
+    """The record the parser once stored for ``span``: its offsets summed
+    from the pieces of its text, its line and column counted in it."""
+    lines = span.lines
+    piece_starts = list(accumulate(map(len, lines.pieces), initial=0))
+    start = piece_starts[2 * span.first + 1]
+    end = piece_starts[2 * span.last + 2]
+    text = lines.text
+    return SpanReference(text.count("\n", 0, start) + 1,
+                         start - text.rfind("\n", 0, start), start, end,
+                         lines.path)
+
+
+def test_spans_keep_the_meaning_of_their_record():
+    spans = SAMPLES[Span]
+    others = [xs[0] for other, xs in SAMPLES.items() if other is not Span]
+    for span, neighbour in zip(spans, spans[1:] + spans[:1]):
+        ref = eager(span)
+        assert values(span, SPAN_FIELDS) == values(ref, SPAN_FIELDS)
+        assert repr(span) == repr(ref)
+        assert hash(span) == hash(ref)
+        twin = Span(span.lines, span.first, span.last)
+        assert twin == span and hash(twin) == hash(span)
+        assert (span == neighbour) == (ref == eager(neighbour))
+        for other in others:
+            assert span.__eq__(other) is NotImplemented
+            assert span != other
+        assert copy.copy(span) == span
+        assert pickle.loads(pickle.dumps(span)) == span
+        for name in SPAN_FIELDS + list(Span.__slots__) + ["unknown"]:
+            with pytest.raises(AttributeError):
+                setattr(span, name, None)
+            with pytest.raises(AttributeError):
+                delattr(span, name)
 
 
 def body_slots(cls):
