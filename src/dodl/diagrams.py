@@ -205,23 +205,25 @@ COMBINATORS = {
 }
 
 
+# Each combinator's record -> its word and its argument kinds.
+COMBINATOR_WORDS = {node: (word, kinds) for word, (node, kinds) in COMBINATORS.items()}
+
+
 def expr_free_vars(expr: DiagramExpr, bound: frozenset[str] = frozenset()) -> frozenset[str]:
-    """Variables an expression reads that no enclosing Subst binds."""
+    """Variables an expression reads that no enclosing Subst binds; the
+    sub-expressions of a combinator are its ``EXPR`` arguments."""
     if isinstance(expr, Var):
         return frozenset() if expr.name in bound else frozenset({expr.name})
-    if isinstance(expr, Pair):
-        return expr_free_vars(expr.first, bound) | expr_free_vars(expr.second, bound)
-    if isinstance(expr, (Fst, Snd, IdArrow)):
-        return expr_free_vars(expr.operand, bound)
     if isinstance(expr, Subst):
         return expr_free_vars(expr.value, bound) | expr_free_vars(
             expr.target, bound | {expr.var}
         )
-    if isinstance(expr, Apply):
-        return expr_free_vars(expr.fn, bound) | expr_free_vars(expr.arg, bound)
-    if isinstance(expr, IndexShift):
-        return expr_free_vars(expr.index, bound)
-    return frozenset()
+    _, kinds = COMBINATOR_WORDS.get(expr.__class__, (None, ()))
+    free = frozenset()
+    for kind, field in zip(kinds, expr.fields):
+        if kind == EXPR:
+            free |= expr_free_vars(getattr(expr, field.name), bound)
+    return free
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,11 @@ class DuplicateName(DodlError):
 
 
 class CycleDetected(DodlError):
-    pass
+    """A graph that must be acyclic has the cycle ``[a, b, ..., a]``."""
+
+    def __init__(self, graph: str, cycle: list[str]):
+        super().__init__(f"{graph} cycle: " + " -> ".join(cycle))
+        self.cycle = cycle
 
 
 class EncapsulationViolation(DodlError):

@@ -25,6 +25,7 @@ from .diagrams import DiagramSpec, Filter
 # Kept a name of this module: perfbench/tracing.py wraps it here.
 from .diagrams import run_filter  # noqa: F401
 from .errors import (
+    CycleDetected,
     DefinitionError,
     DodlError,
     DuplicateName,
@@ -32,7 +33,7 @@ from .errors import (
     UnknownRequestKind,
     not_defined,
 )
-from .meta import ConceptRegistry
+from .meta import ConceptRegistry, find_cycle
 from .relation import Relation, RelExpr
 
 # The relational algebra loads on the first query; Exchange reads
@@ -166,9 +167,16 @@ def run_script(state: Workspace, script_name: str) -> Workspace:
 def apply_evolvent(state: Workspace, evolvent_name: str) -> Workspace:
     """Run a named transition: identity, a script, or a left-to-right chain.
 
-    Composed parts are expanded on an explicit stack, so the depth of a
-    composition is not bounded by the interpreter's recursion limit.
+    Nothing runs until :func:`expanded_steps` has counted the workspace's
+    evolvents: a composition cycle raises :class:`CycleDetected`, and an
+    evolvent of more than ``EVOLVENT_STEP_LIMIT`` steps
+    :func:`too_many_steps`.  Composed parts are expanded on an explicit
+    stack, so the depth of a composition is not bounded by the
+    interpreter's recursion limit.
     """
+    if expanded_steps(state.evolvents, state.scripts).get(
+            evolvent_name, 0) > EVOLVENT_STEP_LIMIT:
+        raise too_many_steps(evolvent_name)
     current = state
     pending = [evolvent_name]  # names still to run, the next one last
     while pending:
@@ -191,36 +199,40 @@ def apply_evolvent(state: Workspace, evolvent_name: str) -> Workspace:
 EVOLVENT_STEP_LIMIT = 100_000
 
 
+def too_many_steps(name: str) -> DefinitionError:
+    """The error for an evolvent that expands past ``EVOLVENT_STEP_LIMIT``."""
+    return DefinitionError(
+        f"evolvent {name!r} expands to more than {EVOLVENT_STEP_LIMIT} steps")
+
+
 def expanded_steps(evolvents: dict[str, Evolvent],
                    scripts: dict[str, EventScript]) -> dict[str, int]:
     """The steps :func:`apply_evolvent` takes for each evolvent, counted
-    only up to ``EVOLVENT_STEP_LIMIT + 1``.
+    only up to ``EVOLVENT_STEP_LIMIT + 1``; a composition cycle raises
+    :class:`CycleDetected`.
 
-    The composition graph must be acyclic.  A compose graph is a
-    straight-line program, so one memoised pass counts its expansion
-    without expanding it (Lohrey, Groups Complex. Cryptol. 4(2), 2012); the
-    pass keeps its own stack.  A name that has no evolvent or script counts
+    A compose graph is a straight-line program, so one memoised fold
+    counts its expansion without expanding it (Lohrey, Groups Complex.
+    Cryptol. 4(2), 2012).  A name that has no evolvent or script counts
     one step, the one that raises.
     """
     cap = EVOLVENT_STEP_LIMIT + 1
     steps: dict[str, int] = {}
-    for root in evolvents:
-        pending = [root]
-        while pending:
-            name = pending[-1]
-            if name in steps:
-                pending.pop()
-                continue
-            evolvent = evolvents.get(name)
-            parts = evolvent.parts if evolvent is not None else ()
-            missing = [part for part in parts if part not in steps]
-            if missing:
-                pending.extend(missing)
-                continue
-            pending.pop()
-            script = scripts.get(evolvent.script) if evolvent is not None else None
-            triggers = len(script.steps) if script is not None else 0
-            steps[name] = min(cap, 1 + triggers + sum(steps[part] for part in parts))
+
+    def parts(name):
+        evolvent = evolvents.get(name)
+        return evolvent.parts if evolvent is not None else ()
+
+    def count(name):
+        evolvent = evolvents.get(name)
+        script = scripts.get(evolvent.script) if evolvent is not None else None
+        triggers = len(script.steps) if script is not None else 0
+        steps[name] = min(cap, 1 + triggers
+                          + sum(steps[part] for part in parts(name)))
+
+    cycle = find_cycle(sorted(evolvents), parts, count)
+    if cycle is not None:
+        raise CycleDetected("evolvent composition", cycle)
     return steps
 
 

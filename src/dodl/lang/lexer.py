@@ -19,7 +19,7 @@ import re
 from bisect import bisect_right
 from itertools import accumulate
 
-from .syntax import Diagnostic
+from .syntax import Diagnostic, Span
 
 IDENT = "ident"
 INT = "int"
@@ -132,9 +132,7 @@ def tokenize(text: str, path: str | None = None
                     message = "names may not begin with '_'"
                 else:
                     message = f"unexpected character {lexeme!r}"
-                start = lines.token_start(at)
-                errors.append(Diagnostic(message, *lines.position(start), start,
-                                         start + len(lexeme), (), path))
+                errors.append(Span(lines, at, at).diagnostic(message))
                 run += (lexeme, pieces[2 * at + 2])
             else:
                 kept += ("".join(run), lexeme)

@@ -24,7 +24,7 @@ from ..diagrams import (
     expr_free_vars,
     format_actual,
 )
-from ..errors import CheckTooLarge, DodlError, not_defined
+from ..errors import CheckTooLarge, CycleDetected, DodlError, not_defined
 from ..evolver import (
     EVOLVENT_STEP_LIMIT,
     EventScript,
@@ -34,8 +34,9 @@ from ..evolver import (
     Trigger,
     Workspace,
     expanded_steps,
+    too_many_steps,
 )
-from ..meta import Concept, ConceptRegistry, find_cycle
+from ..meta import Concept, ConceptRegistry
 from ..relation import Relation
 from .parser import parse
 from .syntax import (
@@ -103,10 +104,7 @@ class _Builder:
     def complain(self, anchor, message: str):
         """Record an error diagnostic at an anchor (a Ref or a statement;
         anything carrying a span)."""
-        span = anchor.span
-        self.diagnostics.append(Diagnostic(
-            message, span.line, span.col, span.start, span.end, (), span.path,
-        ))
+        self.diagnostics.append(anchor.span.diagnostic(message))
 
     def resolve(self, ref: Ref, names, kind: str) -> bool:
         """Whether ``names`` (a registry or a set of names) holds the name
@@ -321,24 +319,19 @@ class _Builder:
                       for part in decl.parts]):
                 evolvents[name] = Evolvent(
                     name, parts=tuple(p.name for p in decl.parts))
-        cycle = find_cycle(
-            sorted(evolvents),
-            lambda name: evolvents[name].parts if name in evolvents else (),
-        )
-        if cycle is not None:
+        try:
+            steps = expanded_steps(evolvents, scripts)
+        except CycleDetected as exc:
             # Each evolvent built here was declared here.
-            self.complain(self.decls[EvolventDecl][cycle[0]],
-                          "evolvent composition cycle: " + " -> ".join(cycle))
+            self.complain(self.decls[EvolventDecl][exc.cycle[0]], str(exc))
             return evolvents
         # Each evolvent whose count first passes the limit is reported; the
         # ones composed from it are not.
-        steps = expanded_steps(evolvents, scripts)
         over = {name for name in self.decls[EvolventDecl]
                 if steps.get(name, 0) > EVOLVENT_STEP_LIMIT}
         for name, decl in self.decls[EvolventDecl].items():
             if name in over and over.isdisjoint(evolvents[name].parts):
-                self.complain(decl, f"evolvent {name!r} expands to more than "
-                                    f"{EVOLVENT_STEP_LIMIT} steps")
+                self.complain(decl, str(too_many_steps(name)))
         return evolvents
 
     def check(self) -> Workspace | None:

@@ -145,10 +145,7 @@ class Parser:
     def error(self, message: str, at: int | None = None,
               expected: tuple[str, ...] = ()) -> _SyncError:
         at = self.pos if at is None else at
-        lines = self.lines
-        start = lines.token_start(at)
-        self.errors.append(Diagnostic(message, *lines.position(start), start,
-                                      lines.token_end(at), expected, lines.path))
+        self.errors.append(self.span(at, at).diagnostic(message, expected))
         return _SyncError()
 
     def expect(self, text: str) -> None:

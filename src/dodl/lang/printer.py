@@ -1,11 +1,12 @@
 """Canonical printer: the bit-exact dump format.
 
 One statement per line.  Blocks come in dependency order (sorts, domains,
-relations, filters, potentials, concepts, diagrams, scripts, evolvents);
-names sort lexicographically within a block, except concepts, which come in
-topological order (parents first) with lexicographic ties so inheritance
-reads top-down.  Atoms and tuples sort numerically or byte-wise per kind.
-Loading a dump and dumping again reproduces the same bytes.
+relations, filters, potentials, concepts, diagrams, scripts, evolvents), the
+order of the one table ``_BLOCKS``; names sort lexicographically within a
+block, except concepts, which come in topological order (parents first) with
+lexicographic ties so inheritance reads top-down.  Atoms and tuples sort
+numerically or byte-wise per kind.  Loading a dump and dumping again
+reproduces the same bytes.
 
 Only ``dump``, query output and audit targets load this module;
 ``format_atom_set`` is defined in :mod:`dodl.diagrams` and re-exported.
@@ -17,7 +18,7 @@ import heapq
 
 from ..core import Atom, Domain, PotentialObject, Sort
 from ..diagrams import (
-    COMBINATORS,
+    COMBINATOR_WORDS,
     EXPR,
     And,
     Const,
@@ -52,7 +53,6 @@ from ..relation import (
     format_row,
 )
 
-_COMBINATOR_WORDS = {node: (word, kinds) for word, (node, kinds) in COMBINATORS.items()}
 _OPERATOR_WORDS = {node: word for word, node in OPERATORS.items()}
 
 
@@ -99,7 +99,7 @@ def format_diagram_expr(expr: DiagramExpr) -> str:
         return f"const {expr.atom.text}"
     if isinstance(expr, FilterRef):
         return f"filter {expr.name}"
-    word, kinds = _COMBINATOR_WORDS.get(expr.__class__, (None, ()))
+    word, kinds = COMBINATOR_WORDS.get(expr.__class__, (None, ()))
     if word is None:
         raise ValueError(f"unknown expression node {expr!r}")
     args = (format_diagram_expr(value) if kind == EXPR else value
@@ -241,25 +241,23 @@ def _concept_order(registry: ConceptRegistry) -> list[str]:
     return out
 
 
+# The dump's blocks in dependency order: each workspace registry and the
+# printer of its statements.
+_BLOCKS = (
+    ("sorts", _sort_stmt), ("domains", _domain_stmt),
+    ("relations", _relation_stmt), ("filters", _filter_stmt),
+    ("potentials", _potential_stmt), ("concepts", _concept_stmt),
+    ("diagrams", _diagram_stmt), ("scripts", _script_stmt),
+    ("evolvents", _evolvent_stmt),
+)
+
+
 def dump(workspace: Workspace) -> str:
     """Canonical text of all declarations in the workspace."""
     lines = []
-    for name in sorted(workspace.sorts):
-        lines.append(_sort_stmt(workspace.sorts[name]))
-    for name in sorted(workspace.domains):
-        lines.append(_domain_stmt(workspace.domains[name]))
-    for name in sorted(workspace.relations):
-        lines.append(_relation_stmt(workspace.relations[name]))
-    for name in sorted(workspace.filters):
-        lines.append(_filter_stmt(workspace.filters[name]))
-    for name in sorted(workspace.potentials):
-        lines.append(_potential_stmt(workspace.potentials[name]))
-    for name in _concept_order(workspace.concepts):
-        lines.append(_concept_stmt(workspace.concepts.get(name)))
-    for name in sorted(workspace.diagrams):
-        lines.append(_diagram_stmt(workspace.diagrams[name]))
-    for name in sorted(workspace.scripts):
-        lines.append(_script_stmt(workspace.scripts[name]))
-    for name in sorted(workspace.evolvents):
-        lines.append(_evolvent_stmt(workspace.evolvents[name]))
+    for field, statement in _BLOCKS:
+        registry = getattr(workspace, field)
+        names = (_concept_order(registry) if isinstance(registry, ConceptRegistry)
+                 else sorted(registry))
+        lines += [statement(registry.get(name)) for name in names]
     return "".join(line + "\n" for line in lines)

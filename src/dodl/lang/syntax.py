@@ -74,6 +74,11 @@ class Span:
         start = self.start
         return (*self.lines.position(start), start, self.end, self.lines.path)
 
+    def diagnostic(self, message: str, expected: tuple[str, ...] = ()) -> Diagnostic:
+        """A diagnostic at this span."""
+        line, col, start, end, path = self._values()
+        return Diagnostic(message, line, col, start, end, expected, path)
+
     def __eq__(self, other):
         if other.__class__ is Span:
             return self._values() == other._values()

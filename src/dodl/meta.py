@@ -17,14 +17,16 @@ from .errors import (
 )
 
 
-def find_cycle(roots, successors) -> list[str] | None:
+def find_cycle(roots, successors, finish=None) -> list[str] | None:
     """The first cycle a depth-first walk from ``roots`` meets, or None.
 
     ``successors(name)`` gives a node's out-edges in visiting order (empty
     for a name outside the graph).  A cycle comes back closed, as
     ``[a, b, ..., a]``.  Each node is finished once and the walk keeps its
     own stack, so it takes time linear in the edges it follows and no
-    recursion (Tarjan, SIAM J. Comput. 1(2), 1972).
+    recursion (Tarjan, SIAM J. Comput. 1(2), 1972).  ``finish(name)``, if
+    given, runs as each node is finished, when every node it reaches is:
+    a fold over an acyclic graph is one walk.
     """
     path: list[str] = []
     position: dict[str, int] = {}
@@ -38,6 +40,8 @@ def find_cycle(roots, successors) -> list[str] | None:
                 done = path.pop()
                 del position[done]
                 finished.add(done)
+                if finish is not None:
+                    finish(done)
         elif name in position:
             return path[position[name]:] + [name]
         elif name not in finished:
@@ -129,9 +133,7 @@ class ConceptRegistry:
             )
             if cycle is not None:
                 del self._concepts[concept.name]
-                raise CycleDetected(
-                    "concept inheritance cycle: " + " -> ".join(cycle)
-                )
+                raise CycleDetected("concept inheritance", cycle)
         self._named_parents.update(concept.parents)
         self._defines.clear()
         return concept
@@ -240,29 +242,24 @@ class ConceptRegistry:
     def _defines_in_lineage(self, name: str, attr: str) -> bool:
         """Whether ``name`` or a registered ancestor defines ``attr``.
 
-        Each (concept, attribute) pair is decided once and cached, on an
-        explicit stack: a concept waits on the stack until every registered
-        parent is decided, unless its own or a decided parent's definition
-        settles it first.
+        Each (concept, attribute) pair is decided once and cached, by a fold
+        over the parents not yet decided; a concept that defines ``attr``
+        itself waits on none.
         """
         concepts, defines = self._concepts, self._defines
-        stack = [name]
-        while stack:
-            node = stack[-1]
-            if (node, attr) in defines:
-                stack.pop()
-                continue
+
+        def undecided(node):
             concept = concepts[node]
-            parents = [p for p in concept.parents if p in concepts]
-            if attr in concept.own_attributes or any(
-                defines.get((p, attr)) for p in parents
-            ):
-                defines[node, attr] = True
-            else:
-                undecided = [p for p in parents if (p, attr) not in defines]
-                if undecided:
-                    stack.extend(undecided)
-                    continue
-                defines[node, attr] = False
-            stack.pop()
+            if attr in concept.own_attributes:
+                return ()
+            return [p for p in concept.parents
+                    if p in concepts and (p, attr) not in defines]
+
+        def decide(node):
+            concept = concepts[node]
+            defines[node, attr] = attr in concept.own_attributes or any(
+                defines.get((p, attr)) for p in concept.parents)
+
+        if (name, attr) not in defines:
+            find_cycle((name,), undecided, decide)
         return defines[name, attr]

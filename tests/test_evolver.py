@@ -1,10 +1,11 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TEACHING, teaches
+from conftest import TEACHING, run_python, teaches
 from dodl.core import Domain, PotentialObject, number, symbol
 from dodl.diagrams import (
     Const,
@@ -15,6 +16,7 @@ from dodl.diagrams import (
     Wildcard,
 )
 from dodl.errors import (
+    DefinitionError,
     DodlError,
     DuplicateName,
     IndexNotInDomain,
@@ -367,6 +369,50 @@ class TestApplyEvolvent:
             state = apply_evolvent(state, name)
             stages.append(state.stage)
         assert stages == sorted(stages)
+
+
+# Each call ends in an error at once; before the step count it never ended.
+UNENDING = {
+    "a cycle of two": (
+        'expanded_steps({"A": Evolvent("A", parts=("B",)),'
+        ' "B": Evolvent("B", parts=("A",))}, {})',
+        "CycleDetected: evolvent composition cycle: A -> B -> A"),
+    "a part of itself": (
+        'apply_evolvent(Workspace(evolvents={"A": Evolvent("A", parts=("A",))}),'
+        ' "A")',
+        "CycleDetected: evolvent composition cycle: A -> A"),
+    "a ladder": (
+        'apply_evolvent(Workspace(evolvents={"E0": Evolvent("E0"), **{'
+        'f"E{i}": Evolvent(f"E{i}", parts=(f"E{i - 1}",) * 2)'
+        ' for i in range(1, 61)}}), "E60")',
+        "DefinitionError: evolvent 'E60' expands to more than 100000 steps"),
+}
+
+
+class TestBoundedEvolvents:
+    @pytest.mark.parametrize("case", sorted(UNENDING))
+    def test_a_hand_built_composition_ends_in_an_error(self, case):
+        call, expected = UNENDING[case]
+        done = run_python("-c", "\n".join([
+            "from dodl.errors import DodlError",
+            "from dodl.evolver import Evolvent, Workspace, apply_evolvent,"
+            " expanded_steps",
+            "try:",
+            f"    {call}",
+            "except DodlError as exc:",
+            "    print(f'{type(exc).__name__}: {exc}')",
+        ]), timeout=10)
+        assert (done.stdout, done.stderr) == (expected + "\n", "")
+
+    def test_the_limit_is_inclusive_and_checked_before_running(self, teaching_ws):
+        # AssignTwice expands to 7 steps: itself, Assign twice, and the two
+        # triggers of AssignAll under each.
+        with patch("dodl.evolver.EVOLVENT_STEP_LIMIT", 7):
+            assert apply_evolvent(teaching_ws, "AssignTwice").stage == 4
+        with patch("dodl.evolver.EVOLVENT_STEP_LIMIT", 6):
+            with pytest.raises(DefinitionError,
+                               match="'AssignTwice' expands to more than 6 steps"):
+                apply_evolvent(teaching_ws, "AssignTwice")
 
 
 class TestOracleEquivalence:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dodl.core import Record, number
 from dodl.diagrams import And, Not, Or
-from dodl.errors import DodlError
+from dodl.errors import CycleDetected, DodlError
 from dodl.evolver import EVOLVENT_STEP_LIMIT, EventScript, Evolvent, expanded_steps
 from dodl.lang import dump, load_texts, loader, parse, parse_query, validate
 from dodl.lang.lexer import EOF, Lines, token_kind, tokenize
@@ -549,9 +549,15 @@ class TestEvolventSteps:
                  for name, parts in zip(EVOLVENTS, graph)}
         built["V0"] = Evolvent("V0", script="S")
         built["V1"] = Evolvent("V1", script="Gone")
-        if find_cycle(sorted(built), lambda n: built[n].parts if n in built else ()):
-            return
         scripts = {"S": EventScript("S", (("P", number(1)),) * triggers)}
+        cycle = find_cycle(sorted(built),
+                           lambda n: built[n].parts if n in built else ())
+        if cycle is not None:
+            with pytest.raises(CycleDetected) as raised:
+                expanded_steps(built, scripts)
+            assert str(raised.value) == \
+                "evolvent composition cycle: " + " -> ".join(cycle)
+            return
         steps = expanded_steps(built, scripts)
         for name in built:
             assert steps[name] == reference_expanded_steps(

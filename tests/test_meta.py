@@ -399,6 +399,39 @@ class TestConceptValue:
         assert registry.encapsulation_problems("Low") == []
 
 
+def reachable(edges: dict[str, tuple[str, ...]], roots) -> set[str]:
+    """Every node some root reaches, the roots included."""
+    seen: set[str] = set()
+
+    def visit(name):
+        if name not in seen:
+            seen.add(name)
+            for successor in edges.get(name, ()):
+                visit(successor)
+
+    for root in roots:
+        visit(root)
+    return seen
+
+
+class TestFold:
+    @settings(max_examples=300, deadline=None)
+    @given(random_dags(), st.data())
+    def test_each_reached_node_finishes_once_after_its_successors(self, concepts, data):
+        edges = {concept.name: concept.parents for concept in concepts}
+        roots = data.draw(st.lists(st.sampled_from(sorted(edges)),
+                                   min_size=1, max_size=4))
+        finished: list[str] = []
+
+        def finish(name):
+            assert set(edges.get(name, ())) <= set(finished), name
+            finished.append(name)
+
+        assert find_cycle(roots, lambda name: edges.get(name, ()), finish) is None
+        assert len(finished) == len(set(finished))
+        assert set(finished) == reachable(edges, roots)
+
+
 def walked_encapsulation_problems(registry: ConceptRegistry, name: str) -> list[str]:
     """``ConceptRegistry.encapsulation_problems`` as it was written before:
     a fresh walk of the registered ancestors on every call, the oracle for

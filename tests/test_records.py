@@ -29,7 +29,7 @@ from dodl.checker import check_commutes, enumerate_entry
 from dodl.diagrams import Const, FilterRef, IndexShift
 from dodl.evolver import Exchange, Query, Trigger
 from dodl.lang import load_texts, parse, parse_query
-from dodl.lang.syntax import Span
+from dodl.lang.syntax import Diagnostic, Span
 from dodl.meta import ConceptRegistry
 from reference import eval_expr, reference_dataclass
 
@@ -209,6 +209,15 @@ def test_spans_keep_the_meaning_of_their_record():
                 setattr(span, name, None)
             with pytest.raises(AttributeError):
                 delattr(span, name)
+
+
+def test_a_span_diagnostic_is_the_eager_one():
+    for span in SAMPLES[Span]:
+        ref = eager(span)
+        for expected in ((), ("'x'", "identifier")):
+            assert span.diagnostic("message", expected) == Diagnostic(
+                "message", ref.line, ref.col, ref.start, ref.end, expected,
+                ref.path)
 
 
 def body_slots(cls):
