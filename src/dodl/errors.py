@@ -81,8 +81,13 @@ class CycleDetected(DodlError):
     """A graph that must be acyclic has the cycle ``[a, b, ..., a]``."""
 
     def __init__(self, graph: str, cycle: list[str]):
-        super().__init__(f"{graph} cycle: " + " -> ".join(cycle))
+        # Stored as the arguments, so that copy and pickle rebuild it.
+        super().__init__(graph, cycle)
         self.cycle = cycle
+
+    def __str__(self):
+        graph, cycle = self.args
+        return f"{graph} cycle: " + " -> ".join(cycle)
 
 
 class EncapsulationViolation(DodlError):

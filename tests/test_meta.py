@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 
 import pytest
@@ -276,6 +278,16 @@ class TestCycleFinder:
                 assert str(raised.value) == \
                     "concept inheritance cycle: " + " -> ".join(cycle)
             assert registry.names() == sorted(model)
+
+    def test_the_error_keeps_its_cycle_through_copy_and_pickle(self):
+        registry = ConceptRegistry()
+        registry.add(Concept("A", ("B",)))
+        with pytest.raises(CycleDetected) as raised:
+            registry.add(Concept("B", ("A",)))
+        for error in (raised.value, copy.copy(raised.value),
+                      pickle.loads(pickle.dumps(raised.value))):
+            assert str(error) == "concept inheritance cycle: B -> A -> B"
+            assert error.cycle == ["B", "A", "B"]
 
     def test_a_deep_chain_needs_no_recursion(self):
         depth = 5000
