@@ -1,13 +1,17 @@
 """The diagram-path compiler and the two-path commutativity check.
 
 Each path step compiles once into a closure; the checker evaluates both
-paths over a finite input set and reports every comparison.  The records
-are in :mod:`dodl.diagrams`; only ``check`` commands and statements load
-this module.
+paths over a finite input set and reports every comparison.  The report
+keeps its outcomes as columns, one tuple per field of a row in input
+order, and builds a :class:`CommutativityRow` only when one is read:
+``rows`` for every entry, ``differing()`` for those whose paths disagree.
+The expression records are in :mod:`dodl.diagrams`; only ``check``
+commands and statements load this module.
 """
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from math import prod
 from typing import Callable
 
@@ -166,17 +170,18 @@ def compile_expr(expr: DiagramExpr, scope: tuple[str, ...] = ()) -> Callable:
     return run
 
 
-# The most entries one check may compare.  A check holds a row for each
-# entry, and a pair of domains has as many entries as the product of their
-# sizes, so a short text could otherwise ask for a number of rows that grows
-# with the square of its length.  The largest check of the tests, the
-# generated workspaces and the benchmark workloads has 1,000 entries.
+# The most entries one check may compare.  A check holds the outcomes of
+# each entry, and a pair of domains has as many entries as the product of
+# their sizes, so a short text could otherwise ask for a number of outcomes
+# that grows with the square of its length.  The largest check of the
+# tests, the generated workspaces and the benchmark workloads has 1,000
+# entries.
 CHECK_ENTRY_LIMIT = 100_000
 
 
 def enumerate_entry(spec: DiagramSpec, workspace) -> list[Value]:
     """All entry values of a diagram, in lexicographic order (``false``
-    before ``true``): the order of a ``check``'s rows.
+    before ``true``): the order of a ``check``'s outcomes.
 
     Raises :class:`CheckTooLarge`, before building any entry, when there
     would be more than ``CHECK_ENTRY_LIMIT``.
@@ -220,19 +225,37 @@ class CommutativityRow:
 @record
 class CommutativityReport:
     diagram: str
-    rows: tuple[CommutativityRow, ...]
+    inputs: tuple[Value, ...]
+    values_a: tuple[Value | None, ...]
+    values_b: tuple[Value | None, ...]
+    errors_a: tuple[str | None, ...]
+    errors_b: tuple[str | None, ...]
+    agrees: tuple[bool, ...]
+
+    @property
+    def rows(self) -> tuple[CommutativityRow, ...]:
+        return self._rows(repeat(True))
+
+    def differing(self) -> tuple[CommutativityRow, ...]:
+        """The rows whose paths do not agree, in input order."""
+        return self._rows([not agrees for agrees in self.agrees])
+
+    def _rows(self, keep) -> tuple[CommutativityRow, ...]:
+        # Every field after ``diagram`` is a column, in the row's order.
+        columns = (getattr(self, f.name) for f in self.fields[1:])
+        return tuple(map(CommutativityRow, *(compress(c, keep) for c in columns)))
 
     @property
     def total(self) -> int:
-        return len(self.rows)
+        return len(self.inputs)
 
     @property
     def agreeing(self) -> int:
-        return sum(1 for row in self.rows if row.agrees)
+        return self.agrees.count(True)
 
     @property
     def commutes(self) -> bool:
-        return all(row.agrees for row in self.rows)
+        return False not in self.agrees
 
     def summary(self) -> str:
         return f"{self.agreeing}/{self.total} inputs commute"
@@ -242,24 +265,25 @@ def check_commutes(spec: DiagramSpec, inputs, workspace) -> CommutativityReport:
     """Evaluate both paths on every input and compare the results.
 
     Per-input evaluation errors are recorded in the report instead of being
-    raised, so the report is total over its input set.  Rows follow the
-    order of ``inputs``: from :func:`enumerate_entry`, lexicographic.
+    raised, so the report is total over its input set.  Its columns follow
+    the order of ``inputs``: from :func:`enumerate_entry`, lexicographic.
     """
     path_a = tuple(compile_expr(step) for step in spec.path_a)
     path_b = tuple(compile_expr(step) for step in spec.path_b)
-    rows = []
-    for entry in inputs:
-        value_a = value_b = None
-        error_a = error_b = None
+    entries = tuple(inputs)
+    values_a, values_b, errors_a, errors_b, agrees = columns = [], [], [], [], []
+    for entry in entries:
         try:
-            value_a = eval_path(path_a, entry, workspace)
+            value_a, error_a = eval_path(path_a, entry, workspace), None
         except DodlError as exc:
-            error_a = f"{type(exc).__name__}: {exc}"
+            value_a, error_a = None, f"{type(exc).__name__}: {exc}"
         try:
-            value_b = eval_path(path_b, entry, workspace)
+            value_b, error_b = eval_path(path_b, entry, workspace), None
         except DodlError as exc:
-            error_b = f"{type(exc).__name__}: {exc}"
-        agrees = error_a is None and error_b is None and value_a == value_b
-        rows.append(CommutativityRow(entry, value_a, value_b, error_a, error_b,
-                                     agrees))
-    return CommutativityReport(spec.name, tuple(rows))
+            value_b, error_b = None, f"{type(exc).__name__}: {exc}"
+        values_a.append(value_a)
+        values_b.append(value_b)
+        errors_a.append(error_a)
+        errors_b.append(error_b)
+        agrees.append(error_a is None and error_b is None and value_a == value_b)
+    return CommutativityReport(spec.name, entries, *map(tuple, columns))

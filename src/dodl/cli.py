@@ -241,10 +241,9 @@ def _cmd_check(args, result) -> int:
                              "EQUAL" if row.agrees else "DIFFER")))
     else:
         print(report.summary())
-        for row in report.rows:
-            if not row.agrees:
-                a, b = _outcomes(row)
-                print(f"  {format_value(row.input)}: path_a={a} path_b={b}")
+        for row in report.differing():
+            a, b = _outcomes(row)
+            print(f"  {format_value(row.input)}: path_a={a} path_b={b}")
     return 0 if report.commutes else 1
 
 

@@ -121,10 +121,14 @@ class ScriptError(DodlError):
     """
 
     def __init__(self, script: str, step: int, cause: DodlError):
-        super().__init__(f"script {script!r} failed at step {step}: {cause}")
+        # Stored as the arguments, so that copy and pickle rebuild it.
+        super().__init__(script, step, cause)
         self.script = script
         self.step = step
         self.cause = cause
+
+    def __str__(self):
+        return f"script {self.script!r} failed at step {self.step}: {self.cause}"
 
 
 # The error each kind of declared name raises when a reference to it finds

@@ -115,6 +115,39 @@ class TestCheck:
         assert code == 1
         assert out.startswith("0/8 inputs commute\n")
 
+    def test_text_lists_only_the_differing_rows(self, capsys, teaching_dir):
+        # path_b is true only for Logic, so the Logic rows agree exactly
+        # where TchFilter holds: the rest differ, in entry order.
+        (teaching_dir / "half.dodl").write_text(
+            "filter OnlyLogic (idx, x) = idx = Logic;\n"
+            "diagram Fig4Half entry pair(Course, Teach)"
+            " path_a [ apply(filter TchFilter, input) ]"
+            " path_b [ apply(filter OnlyLogic, input) ]"
+            " exit bool;\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(capsys, "--workspace", str(teaching_dir),
+                               "check", "Fig4Half")
+        assert code == 1
+        assert out == ("4/8 inputs commute\n"
+                       "  (Informatics, Doe): path_a=true path_b=false\n"
+                       "  (Informatics, Jackson): path_a=true path_b=false\n"
+                       "  (Logic, Doe): path_a=false path_b=true\n"
+                       "  (Logic, Jackson): path_a=false path_b=true\n")
+        code, out, _ = run_cli(capsys, "--workspace", str(teaching_dir),
+                               "--format", "tsv", "check", "Fig4Half")
+        assert code == 1
+        assert out.split("\n")[:-1] == [
+            "(Informatics, Doe)\ttrue\tfalse\tDIFFER",
+            "(Informatics, Jackson)\ttrue\tfalse\tDIFFER",
+            "(Informatics, Johnes)\tfalse\tfalse\tEQUAL",
+            "(Informatics, Smith)\tfalse\tfalse\tEQUAL",
+            "(Logic, Doe)\tfalse\ttrue\tDIFFER",
+            "(Logic, Jackson)\tfalse\ttrue\tDIFFER",
+            "(Logic, Johnes)\ttrue\ttrue\tEQUAL",
+            "(Logic, Smith)\ttrue\ttrue\tEQUAL",
+        ]
+
     def test_tsv_rows(self, capsys, teaching_dir):
         code, out, _ = run_cli(capsys, "--workspace", str(teaching_dir),
                                "--format", "tsv", "check", "Fig4")

@@ -16,6 +16,7 @@ from dodl.core import (
     number,
     symbol,
 )
+from dodl import errors
 from dodl.diagrams import Filter, TruePred
 from dodl.errors import (
     DefinitionError,
@@ -154,3 +155,39 @@ class TestObjects:
         PotentialObject("Tch", teach, course, f)
         with pytest.raises(DefinitionError):
             PotentialObject("Bad", teach, teach, f)
+
+
+def error_classes(cls=errors.DodlError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
+
+
+# Sample arguments of each error class with an __init__ of its own; every
+# other class takes one message.
+ERROR_ARGUMENTS = {
+    errors.CycleDetected: ("concept inheritance", ["A", "B", "A"]),
+    errors.ScriptError: ("S", 2, errors.UnknownScript("script 'x' is not defined")),
+}
+
+
+@pytest.mark.parametrize("cls", sorted(error_classes(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_error_survives_copy_and_pickle(cls):
+    assert (cls.__init__ is Exception.__init__) != (cls in ERROR_ARGUMENTS)
+    error = cls(*ERROR_ARGUMENTS.get(cls, ("a message",)))
+    for twin in (copy.copy(error), pickle.loads(pickle.dumps(error))):
+        assert type(twin) is cls
+        assert str(twin) == str(error)
+        # An error among the arguments compares by identity, so the
+        # arguments are compared by their repr.
+        assert repr(twin.args) == repr(error.args)
+
+
+def test_a_script_error_keeps_its_parts_and_message():
+    cause = errors.UnknownScript("script 'x' is not defined")
+    error = errors.ScriptError("S", 2, cause)
+    for twin in (error, copy.copy(error), pickle.loads(pickle.dumps(error))):
+        assert str(twin) == "script 'S' failed at step 2: script 'x' is not defined"
+        assert (twin.script, twin.step, str(twin.cause)) == ("S", 2, str(cause))
+        assert type(twin.cause) is errors.UnknownScript

@@ -653,6 +653,13 @@ class TestCompiledExpr:
                     assert (row.value_b, row.error_b) == (value_b, error_b)
                     assert row.agrees == (error_a is None and error_b is None
                                           and value_a == value_b)
+                # What the columns give without rows, against the rows.
+                agreeing = sum(row.agrees for row in report.rows)
+                assert (report.total, report.agreeing, report.commutes) == (
+                    len(inputs), agreeing, agreeing == len(inputs))
+                assert report.summary() == f"{agreeing}/{len(inputs)} inputs commute"
+                assert report.differing() == tuple(
+                    row for row in report.rows if not row.agrees)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -245,6 +245,22 @@ def test_a_check_past_the_entry_limit_ends_within_the_bound(size):
                 1, f"error: {refusal}\n")
 
 
+# 316 ** 2 = 99,856 is the largest square under the limit: the check runs
+# every entry, keeps its outcomes and prints one summary line.
+def test_a_check_just_under_the_entry_limit_ends_within_the_bound():
+    size = 316
+    assert size ** 2 <= CHECK_ENTRY_LIMIT < (size + 1) ** 2
+    text = entry_square(size)
+    with deadline(COST_BOUND):
+        result = load_texts([("check.dodl", text + "check D;\n")])
+    assert result.ok, [d.render() for d in result.diagnostics]
+    assert result.outputs == [f"D: {size ** 2}/{size ** 2} inputs commute"]
+    with tempfile.TemporaryDirectory() as directory:
+        (Path(directory) / "check.dodl").write_text(text, encoding="utf-8")
+        with deadline(COST_BOUND):
+            assert run_cli("--workspace", directory, "check", "D") == (0, "")
+
+
 # A long list is read in one slice, or item by item when an item misfits;
 # either way in time linear in its length.
 LONG = 20_000

@@ -91,6 +91,7 @@ def samples():
                 Query(parse_query("Relationship1"))]
     responses = [result.exchange.dispatch(request) for request in requests]
     spec = ws.diagrams["Fig4"]
+    report = check_commutes(spec, enumerate_entry(spec, ws), ws)
     found = {}
     walk([
         requests,
@@ -98,7 +99,9 @@ def samples():
         parse(text, "demo.dodl"),
         result,
         load_texts([("bad.dodl", "domain D : Ghost = { a };")]),
-        check_commutes(spec, enumerate_entry(spec, ws), ws),
+        # The report keeps columns; its rows are built when read.
+        report,
+        report.rows,
         eval_expr(FilterRef("TchFilter"), ws),
         eval_expr(IndexShift("Tch", Const(symbol("Logic"))), ws),
     ], found)
