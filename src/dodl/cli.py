@@ -3,7 +3,8 @@
 Every invocation loads fresh from the ``*.dodl`` files of the workspace
 directory (lexicographic file order); nothing persists between runs except
 the source files themselves.  Exit codes: 0 success, 1 diagnostics, a
-failed check or an internal fault, 2 usage error.
+failed check, an ``oracle-diff`` row that differs or an internal fault,
+2 usage error.
 
 Each call builds the top-level argument parser and only the parser of the
 subcommand it runs (see :class:`_DeferredParser`); argparse set-up was
@@ -78,27 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="style for tabular outputs")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_DeferredParser)
-
-    p = sub.add_parser("load", help="parse, validate and build source files")
-    p.add_argument("files", nargs="+")
-    p = sub.add_parser("index", help="trigger one event and print the result")
-    p.add_argument("po")
-    p.add_argument("atom")
-    p = sub.add_parser("functor", help="print the whole index-to-object map")
-    p.add_argument("po")
-    p = sub.add_parser("script", help="run an event script")
-    p.add_argument("name")
-    p = sub.add_parser("evolve", help="apply an evolvent")
-    p.add_argument("name")
-    p = sub.add_parser("check", help="run a diagram commutativity report")
-    p.add_argument("diagram")
-    p = sub.add_parser("oracle-diff", help="compare indexing with the "
-                                           "relational oracle")
-    p.add_argument("po")
-    p = sub.add_parser("query", help="evaluate a relational expression")
-    p.add_argument("expr")
-    sub.add_parser("dump", help="print the canonical workspace text")
-    sub.add_parser("audit", help="print the exchange audit log")
+    for word, (help_text, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(word, help=help_text)
+        for name, options in arguments.items():
+            p.add_argument(name, **options)
     return parser
 
 
@@ -134,18 +118,7 @@ def _dispatch(args) -> int:
     result = _load_workspace(args)
     if result is None:
         return 1
-    handler = {
-        "index": _cmd_index,
-        "functor": _cmd_functor,
-        "script": _cmd_script,
-        "evolve": _cmd_evolve,
-        "check": _cmd_check,
-        "oracle-diff": _cmd_oracle_diff,
-        "query": _cmd_query,
-        "dump": _cmd_dump,
-        "audit": _cmd_audit,
-    }[args.command]
-    return handler(args, result)
+    return COMMANDS[args.command][2](args, result)
 
 
 def _load(files):
@@ -300,6 +273,25 @@ def _cmd_dump(args, result) -> int:
 def _cmd_audit(args, result) -> int:
     sys.stdout.write(result.exchange.audit_text())
     return 0
+
+
+# Each command word -> its help line, its positional arguments with their
+# argparse options, and its handler, in the order that help lists them.
+COMMANDS = {
+    "load": ("parse, validate and build source files",
+             {"files": {"nargs": "+"}}, _cmd_load),
+    "index": ("trigger one event and print the result",
+              {"po": {}, "atom": {}}, _cmd_index),
+    "functor": ("print the whole index-to-object map", {"po": {}}, _cmd_functor),
+    "script": ("run an event script", {"name": {}}, _cmd_script),
+    "evolve": ("apply an evolvent", {"name": {}}, _cmd_evolve),
+    "check": ("run a diagram commutativity report", {"diagram": {}}, _cmd_check),
+    "oracle-diff": ("compare indexing with the relational oracle",
+                    {"po": {}}, _cmd_oracle_diff),
+    "query": ("evaluate a relational expression", {"expr": {}}, _cmd_query),
+    "dump": ("print the canonical workspace text", {}, _cmd_dump),
+    "audit": ("print the exchange audit log", {}, _cmd_audit),
+}
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import importlib
 import sys
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (
@@ -174,12 +174,9 @@ def _add_methods(cls, fields):
                             f"argument {next(iter(kwargs))!r}")
         return bound
 
-    # The loop over the setters costs more than the stores themselves, so
-    # records of up to six fields and nothing else to do get it unrolled:
-    # the parser builds a ``Ref`` for every name it reads and a record for
-    # each statement.  Two fields are stored as they are; a
-    # record of one or of three to five fields pads the stores with
-    # ``operator.is_``, which stores nothing.
+    # The loop over the setters costs more than the two stores of a
+    # two-field record, so that case is unrolled: the parser builds a
+    # ``Ref``, of two fields, for every name it reads.
     if post_init is None and count == 2:
         set_first, set_second = setters
 
@@ -189,20 +186,6 @@ def _add_methods(cls, fields):
             first, second = args
             set_first(self, first)
             set_second(self, second)
-    elif post_init is None and 0 < count <= 6:
-        set_1, set_2, set_3, set_4, set_5, set_6 = setters + (is_,) * (6 - count)
-        padding = (None,) * (6 - count)
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != count:
-                args = tuple(bind(args, kwargs))
-            a1, a2, a3, a4, a5, a6 = args + padding
-            set_1(self, a1)
-            set_2(self, a2)
-            set_3(self, a3)
-            set_4(self, a4)
-            set_5(self, a5)
-            set_6(self, a6)
     else:
         def __init__(self, *args, **kwargs):
             if kwargs or len(args) != count:

@@ -683,8 +683,8 @@ class Parser:
             return RelName(ref.name)
         raise self.error(
             f"found {describe(self.current)}",
-            expected=("'select'", "'project'", "'join'", "'union'",
-                      "'difference'", "'oracle'", "relation name"),
+            expected=("'select'", "'project'", *(f"'{word}'" for word in OPERATORS),
+                      "'oracle'", "relation name"),
         )
 
 

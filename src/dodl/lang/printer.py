@@ -42,7 +42,7 @@ from ..diagrams import (
 from ..evolver import EventScript, Evolvent, Workspace
 from ..meta import Concept, ConceptRegistry
 from ..relation import (
-    OPERATORS,
+    OPERATOR_WORDS,
     OracleExpr,
     Project,
     RelExpr,
@@ -52,8 +52,6 @@ from ..relation import (
     TermIdent,
     format_row,
 )
-
-_OPERATOR_WORDS = {node: word for word, node in OPERATORS.items()}
 
 
 def _values(node) -> list:
@@ -119,7 +117,7 @@ def format_relexpr(expr: RelExpr) -> str:
     if isinstance(expr, OracleExpr):
         return (f"oracle({format_relexpr(expr.source)}, {expr.index_attr} = "
                 f"{expr.index_value.text}, {expr.target_attr})")
-    word = _OPERATOR_WORDS.get(expr.__class__)
+    word = OPERATOR_WORDS.get(expr.__class__)
     if word is None:
         raise ValueError(f"unknown query node {expr!r}")
     return f"{word}({', '.join(format_relexpr(side) for side in _values(expr))})"

@@ -140,5 +140,9 @@ RelExpr = Union[
 ]
 
 # The binary operators: ``word(left, right)`` is each one's text form, which
-# the parser reads and the printer writes from this table.
+# the parser reads and the printer writes from this table.  Each word is
+# also the name of the operator's function in :mod:`dodl.relational`.
 OPERATORS = {"join": JoinExpr, "union": UnionExpr, "difference": DifferenceExpr}
+
+# Each binary operator's record -> its word.
+OPERATOR_WORDS = {node: word for word, node in OPERATORS.items()}

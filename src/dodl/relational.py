@@ -37,6 +37,7 @@ from .errors import (
     not_defined,
 )
 from .relation import (
+    OPERATOR_WORDS,
     DifferenceExpr,
     JoinExpr,
     OracleExpr,
@@ -208,6 +209,8 @@ def oracle_route(
         raise not_defined("relation", body.relation)
     if len(body.pattern) != relation.arity:
         raise arity_mismatch(body.relation, len(body.pattern), relation.arity)
+    constrains_more = (f"filter {po.filter.name!r} constrains more than the "
+                       f"index and candidate; there is no relational twin")
     index_pos = candidate_pos = None
     for position, term in enumerate(body.pattern):
         if isinstance(term, Var) and term.name == po.filter.index_var:
@@ -215,15 +218,16 @@ def oracle_route(
         elif isinstance(term, Var) and term.name == po.filter.candidate_var:
             candidate_pos = position
         elif not isinstance(term, Wildcard):
-            raise DodlError(
-                f"filter {po.filter.name!r} constrains more than the index "
-                f"and candidate; there is no relational twin"
-            )
+            raise DodlError(constrains_more)
     if index_pos is None or candidate_pos is None:
         raise DodlError(
             f"filter {po.filter.name!r} does not test both the index and "
             f"the candidate against {body.relation!r}"
         )
+    # A variable named twice asks its positions to be equal, which the
+    # two columns read here cannot say.
+    if sum(isinstance(term, Var) for term in body.pattern) > 2:
+        raise DodlError(constrains_more)
     names = relation.attribute_names
     return relation, names[index_pos], names[candidate_pos]
 
@@ -271,15 +275,12 @@ def eval_query(expr: RelExpr, relations: Mapping[str, Relation]) -> QueryResult:
     if isinstance(expr, Project):
         relation = _as_relation(eval_query(expr.source, relations))
         return project(relation, list(expr.attrs))
-    if isinstance(expr, JoinExpr):
-        return join(_as_relation(eval_query(expr.left, relations)),
-                    _as_relation(eval_query(expr.right, relations)))
-    if isinstance(expr, UnionExpr):
-        return union(_as_relation(eval_query(expr.left, relations)),
-                     _as_relation(eval_query(expr.right, relations)))
-    if isinstance(expr, DifferenceExpr):
-        return difference(_as_relation(eval_query(expr.left, relations)),
-                          _as_relation(eval_query(expr.right, relations)))
+    word = OPERATOR_WORDS.get(expr.__class__)
+    if word is not None:
+        # The operator is looked up by its word on each run, so a wrapper
+        # set on this module's function is what runs.
+        return globals()[word](_as_relation(eval_query(expr.left, relations)),
+                               _as_relation(eval_query(expr.right, relations)))
     if isinstance(expr, OracleExpr):
         relation = _as_relation(eval_query(expr.source, relations))
         extensions = oracle_index(relation, expr.index_attr, expr.target_attr)

@@ -309,7 +309,8 @@ class Sample:
         object.__setattr__(self, "d", ("d", self.a))
 
 
-# One and two fields take their own unrolled __init__.
+# Two fields take an unrolled __init__; one field takes the loop that
+# three or more fields take.
 @core.record
 class Single:
     a: object = Field(default_factory=list)

@@ -301,7 +301,7 @@ class TestOracleOnGeneratedWorkspaces:
                         reference_oracle_index(relation, index_attr, index,
                                                target_attr), (seed, index)
                 potentials += 1
-        assert potentials == 16
+        assert potentials == 14
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +352,12 @@ class TestOracleRoute:
         (Member("Relationship1", (Var("i"), Wildcard(), Wildcard())),
          "filter 'F' does not test both the index and the candidate "
          "against 'Relationship1'"),
+        (Member("Relationship1", (Var("i"), Var("i"), Var("x"))),
+         "filter 'F' constrains more than the index and candidate; "
+         "there is no relational twin"),
+        (Member("Relationship1", (Var("i"), Var("x"), Var("x"))),
+         "filter 'F' constrains more than the index and candidate; "
+         "there is no relational twin"),
     ])
     def test_filters_without_a_twin_are_refused(self, teaching_ws, body, message):
         po = teaching_ws.potentials["Tch"].replace(
