@@ -458,9 +458,8 @@ class Parser:
         if spec is None:
             raise self.error(
                 f"found {describe(word)}", at,
-                expected=("'input'", "'var'", "'const'", "'fst'", "'snd'",
-                          "'pair'", "'subst'", "'apply'", "'filter'", "'shift'",
-                          "'id'"),
+                expected=("'input'", "'var'", "'const'", "'filter'",
+                          *(f"'{word}'" for word in COMBINATORS)),
             )
         node, kinds = spec
         self.expect("(")

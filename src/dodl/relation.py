@@ -3,7 +3,9 @@
 A :class:`Relation` is a named, typed set of tuples, and the query nodes are
 what the parser builds from a relational expression.  The algebra that
 evaluates them, and the indexing oracle, are in :mod:`dodl.relational`,
-which a call imports only when it runs a query or the oracle.
+which a call imports only when it runs a query or the oracle.  A load checks
+every row; an operator's rows come from checked relations, so its result
+skips the re-check, which would rehash every cell.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Union
 
-from .core import Atom, Sort, record
+from .core import NUMERIC, Atom, Sort, record
 from .diagrams import Predicate
 from .errors import DefinitionError, SortMismatch, UnknownAttribute
 
@@ -60,6 +62,16 @@ class Relation:
                         )
         object.__setattr__(self, "tuples", frozenset(rows))
 
+    # The algebra's operators, and only they, build a result with this:
+    # from a tuple schema and a frozenset of tuple rows that already pass
+    # the checks above.  Copy and pickle still rebuild it through __init__.
+    @classmethod
+    def from_checked_parts(cls, name, attributes, tuples) -> Relation:
+        relation = object.__new__(cls)
+        for field, part in zip(cls.fields, (name, attributes, tuples)):
+            object.__setattr__(relation, field.name, part)
+        return relation
+
     @property
     def arity(self) -> int:
         return len(self.attributes)
@@ -76,8 +88,17 @@ class Relation:
             f"relation {self.name!r} has no attribute {attr!r}"
         )
 
+    # In Atom.order_key order.  A checked column holds atoms of one kind, so
+    # a symbolic column is keyed by text and a numeric one by length, then
+    # text.  Distinct rows have distinct keys, so no row is ever compared.
+    # ``rows`` is zipped in last: a zero-arity relation keeps its one row.
     def sorted_tuples(self) -> list[Row]:
-        return sorted(self.tuples, key=lambda row: tuple(a.order_key() for a in row))
+        rows = list(self.tuples)
+        keys = []
+        for column, (_, sort) in zip(zip(*rows), self.attributes):
+            texts = list(map(attrgetter("text"), column))
+            keys += [list(map(len, texts)), texts] if sort.kind == NUMERIC else [texts]
+        return [keyed[-1] for keyed in sorted(zip(*keys, rows))]
 
 
 # ---------------------------------------------------------------------------

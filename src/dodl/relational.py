@@ -5,6 +5,7 @@ answers the same question as event indexing by select-then-project over a
 named relation, for every index in one scan, so the two routes can be
 compared against each other.  The relation record and the query nodes are
 in :mod:`dodl.relation`, which loading needs; they are re-exported here.
+Operator results skip the row checks: their rows come from checked ones.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _row_term(term: Term, relation: Relation, row: Row) -> Atom:
 def select(r: Relation, pred: Predicate) -> Relation:
     """Tuples of ``r`` satisfying ``pred``; schema unchanged."""
     kept = frozenset(row for row in r.tuples if eval_row_predicate(pred, r, row))
-    return Relation(f"sel_{r.name}", r.attributes, kept)
+    return Relation.from_checked_parts(f"sel_{r.name}", r.attributes, kept)
 
 
 def project(r: Relation, attrs: list[str]) -> Relation:
@@ -110,7 +111,7 @@ def project(r: Relation, attrs: list[str]) -> Relation:
     positions = [r.index_of(a) for a in attrs]
     schema = tuple(r.attributes[i] for i in positions)
     rows = frozenset(tuple(row[i] for i in positions) for row in r.tuples)
-    return Relation(f"proj_{r.name}", schema, rows)
+    return Relation.from_checked_parts(f"proj_{r.name}", schema, rows)
 
 
 def join(r: Relation, s: Relation) -> Relation:
@@ -153,24 +154,24 @@ def join(r: Relation, s: Relation) -> Relation:
             f"{JOIN_ROW_LIMIT} rows"
         )
     rows = frozenset(left + rest for left, bucket in matches for rest in bucket)
-    return Relation(f"join_{r.name}_{s.name}", schema, rows)
+    return Relation.from_checked_parts(f"join_{r.name}_{s.name}", schema, rows)
 
 
-def _require_same_schema(r: Relation, s: Relation):
+def _set_operation(word: str, r: Relation, s: Relation, combine) -> Relation:
     if r.attributes != s.attributes:
         raise SchemaMismatch(
             f"relations {r.name!r} and {s.name!r} have different schemas"
         )
+    return Relation.from_checked_parts(f"{word}_{r.name}_{s.name}", r.attributes,
+                                       combine(r.tuples, s.tuples))
 
 
 def union(r: Relation, s: Relation) -> Relation:
-    _require_same_schema(r, s)
-    return Relation(f"union_{r.name}_{s.name}", r.attributes, r.tuples | s.tuples)
+    return _set_operation("union", r, s, frozenset.union)
 
 
 def difference(r: Relation, s: Relation) -> Relation:
-    _require_same_schema(r, s)
-    return Relation(f"diff_{r.name}_{s.name}", r.attributes, r.tuples - s.tuples)
+    return _set_operation("diff", r, s, frozenset.difference)
 
 
 def oracle_index(

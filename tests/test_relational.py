@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 import random
 import tracemalloc
 from pathlib import Path
@@ -663,3 +665,180 @@ def test_compound_selects_equal_a_brute_force_scan(rows, tree):
     assert texts(eval_query(expr, {"R": relation})) == \
         {row for row in rows if predicate_holds(tree, row)}
     assert parse_query(format_relexpr(expr)) == expr
+
+
+# ---------------------------------------------------------------------------
+# Operator results are built from checked parts, without a second check
+
+
+def checked_parts_calls(path: Path) -> set[str]:
+    """The functions of ``path`` that name ``from_checked_parts``; a name
+    outside any function is listed as ``<module>``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "from_checked_parts"
+                or isinstance(node, ast.Name) and node.id == "from_checked_parts"):
+            callers.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_only_the_operators_skip_the_row_checks():
+    # A relation of rows from outside (a load, a test, a generated
+    # workspace) goes through Relation(...) and its checks; only the
+    # algebra's operators, whose rows come from checked relations, may
+    # build one from checked parts.
+    package = Path(relational.__file__).parent
+    callers = {path: checked_parts_calls(path) for path in
+               [*package.rglob("*.py"), *Path(__file__).parent.rglob("*.py")]}
+    assert {path.name: names for path, names in callers.items() if names} == {
+        "relational.py": {"select", "project", "join", "_set_operation"}}
+    loader_calls = {node.func.id for node in ast.walk(ast.parse(
+        (package / "lang" / "loader.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "Relation" in loader_calls
+
+
+# Numerals of one to four digits, so that a numeric column mixes lengths
+# (9 < 10 < 100 by value, not by text); a few words in both cases.
+CELLS = {SYMBOLIC: st.sampled_from(["Ash", "Elm", "Oak", "ash", "Z"]).map(symbol),
+         NUMERIC: st.sampled_from([0, 1, 9, 10, 11, 99, 100, 1000]).map(number)}
+
+
+@st.composite
+def schemas(draw):
+    names = draw(st.lists(st.sampled_from("KLAB"), unique=True, max_size=3))
+    return tuple((name, draw(st.sampled_from([NAME, HOURS]))) for name in names)
+
+
+@st.composite
+def relations(draw, name="R", schema=None):
+    if schema is None:
+        schema = draw(schemas())
+    rows = draw(st.frozensets(
+        st.tuples(*(CELLS[sort.kind] for _, sort in schema)), max_size=10))
+    return Relation(name, schema, rows)
+
+
+@st.composite
+def relation_pairs(draw):
+    """(r, s), where s has r's schema about half the time."""
+    r = draw(relations("R"))
+    same = draw(st.booleans())
+    return r, draw(relations("S", r.attributes if same else None))
+
+
+def record_repr(relation: Relation) -> str:
+    # A frozenset's repr lists its rows in table order, which depends on how
+    # the set was built; the rest of the repr is the record's own.
+    return repr(relation).replace(repr(relation.tuples), "<rows>")
+
+
+def assert_built_as_checked(result: Relation, name, schema, rows):
+    """``result`` is what ``Relation(...)`` makes of the parts that a plain
+    reading of the operator gives, and of its own parts; copy and pickle
+    give it back."""
+    assert type(result.attributes) is tuple and type(result.tuples) is frozenset
+    assert all(type(row) is tuple for row in result.tuples)
+    for checked in (Relation(name, schema, rows),
+                    Relation(result.name, result.attributes, result.tuples)):
+        assert result == checked and checked == result
+        assert hash(result) == hash(checked)
+        assert record_repr(result) == record_repr(checked)
+    for again in (copy.copy(result), copy.deepcopy(result),
+                  pickle.loads(pickle.dumps(result))):
+        assert type(again) is Relation and again == result
+        assert hash(again) == hash(result)
+        assert record_repr(again) == record_repr(result)
+
+
+def assert_operators_build_as_checked(r: Relation, s: Relation, data):
+    """Each operator over ``r`` and ``s``, against a plain reading of it, or
+    the error it raises."""
+    if r.attributes:
+        attr, sort = data.draw(st.sampled_from(r.attributes))
+        value = data.draw(CELLS[sort.kind])
+        i = r.index_of(attr)
+        assert_built_as_checked(
+            select(r, Eq(Var(attr), Const(value))), f"sel_{r.name}", r.attributes,
+            frozenset(row for row in r.tuples if row[i] == value))
+    names = data.draw(st.lists(st.sampled_from(r.attribute_names), unique=True)
+                      if r.attributes else st.just([]))
+    positions = [r.index_of(a) for a in names]
+    assert_built_as_checked(
+        project(r, names), f"proj_{r.name}", tuple(r.attributes[i] for i in positions),
+        frozenset(tuple(row[i] for i in positions) for row in r.tuples))
+    for word, operator, combine in (("union", union, frozenset.union),
+                                    ("diff", difference, frozenset.difference)):
+        if r.attributes == s.attributes:
+            assert_built_as_checked(operator(r, s), f"{word}_{r.name}_{s.name}",
+                                    r.attributes, combine(r.tuples, s.tuples))
+        else:
+            with pytest.raises(SchemaMismatch) as raised:
+                operator(r, s)
+            assert str(raised.value) == \
+                f"relations {r.name!r} and {s.name!r} have different schemas"
+    shared = [a for a in r.attribute_names if a in s.attribute_names]
+    r_sorts, s_sorts = dict(r.attributes), dict(s.attributes)
+    clash = next((a for a in shared if r_sorts[a] != s_sorts[a]), None)
+    if not shared:
+        with pytest.raises(NoSharedAttributes):
+            join(r, s)
+    elif clash is not None:
+        with pytest.raises(SortMismatch) as raised:
+            join(r, s)
+        assert repr(clash) in str(raised.value)
+    else:
+        rest = [(a, sort) for a, sort in s.attributes if a not in shared]
+        rows = frozenset(
+            left + tuple(right[s.index_of(a)] for a, _ in rest)
+            for left in r.tuples for right in s.tuples
+            if all(left[r.index_of(a)] == right[s.index_of(a)] for a in shared))
+        assert_built_as_checked(join(r, s), f"join_{r.name}_{s.name}",
+                                r.attributes + tuple(rest), rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_pairs(), st.data())
+def test_operators_build_what_the_checked_constructor_builds(pair, data):
+    assert_operators_build_as_checked(*pair, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 299), st.data())
+def test_operators_on_generated_workspaces_build_as_checked(seed, data):
+    generated = list(gen_workspace(random.Random(seed)).relations.values())
+    r = data.draw(st.sampled_from(generated))
+    s = data.draw(st.sampled_from(generated))
+    assert_operators_build_as_checked(r, s, data)
+    assert_operators_build_as_checked(r, r, data)
+
+
+def order_key_sorted(relation: Relation) -> list:
+    return sorted(relation.tuples, key=lambda row: tuple(a.order_key() for a in row))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_sorted_tuples_follow_the_atom_order(r):
+    assert r.sorted_tuples() == order_key_sorted(r)
+    for derived in (project(r, []), project(r, list(r.attribute_names[::-1]))):
+        assert derived.sorted_tuples() == order_key_sorted(derived)
+
+
+def test_sorted_tuples_order_numerals_by_value_and_keep_a_zero_arity_row():
+    r = Relation("R", (("N", HOURS), ("A", NAME)), frozenset(
+        (number(n), symbol(a)) for n, a in [(10, "x"), (9, "y"), (100, "a"),
+                                            (9, "b"), (11, "x")]))
+    assert [tuple(a.text for a in row) for row in r.sorted_tuples()] == \
+        [("9", "b"), ("9", "y"), ("10", "x"), ("11", "x"), ("100", "a")]
+    assert project(r, []).sorted_tuples() == [()]
+    empty = Relation("E", r.attributes, frozenset())
+    assert empty.sorted_tuples() == project(empty, []).sorted_tuples() == []
