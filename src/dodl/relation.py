@@ -35,11 +35,7 @@ class Relation:
     def __post_init__(self):
         attributes = tuple(self.attributes)
         object.__setattr__(self, "attributes", attributes)
-        names = [a for a, _ in attributes]
-        if len(set(names)) != len(names):
-            raise DefinitionError(
-                f"relation {self.name!r} repeats an attribute name"
-            )
+        self._require_distinct_names()
         rows = list(map(tuple, self.tuples))
         # Checked a column at a time; only a faulty relation is scanned in
         # the order given, so that the fault reported first does not depend
@@ -62,14 +58,21 @@ class Relation:
                         )
         object.__setattr__(self, "tuples", frozenset(rows))
 
+    def _require_distinct_names(self):
+        names = [a for a, _ in self.attributes]
+        if len(set(names)) != len(names):
+            raise DefinitionError(f"relation {self.name!r} repeats an attribute name")
+
     # The algebra's operators, and only they, build a result with this:
     # from a tuple schema and a frozenset of tuple rows that already pass
-    # the checks above.  Copy and pickle still rebuild it through __init__.
+    # the row checks above.  The names are checked again, as a projection
+    # may list one twice.  Copy and pickle still rebuild it through __init__.
     @classmethod
     def from_checked_parts(cls, name, attributes, tuples) -> Relation:
         relation = object.__new__(cls)
         for field, part in zip(cls.fields, (name, attributes, tuples)):
             object.__setattr__(relation, field.name, part)
+        relation._require_distinct_names()
         return relation
 
     @property
@@ -93,8 +96,7 @@ class Relation:
     # text.  Distinct rows have distinct keys, so no row is ever compared.
     # ``rows`` is zipped in last: a zero-arity relation keeps its one row.
     def sorted_tuples(self) -> list[Row]:
-        rows = list(self.tuples)
-        keys = []
+        rows, keys = list(self.tuples), []
         for column, (_, sort) in zip(zip(*rows), self.attributes):
             texts = list(map(attrgetter("text"), column))
             keys += [list(map(len, texts)), texts] if sort.kind == NUMERIC else [texts]

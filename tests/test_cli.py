@@ -281,6 +281,13 @@ class TestQuery:
         assert (code, out) == (1, "")
         assert err == f"error: relation {source!r} has no attribute 'Nope'\n"
 
+    def test_a_projection_that_repeats_an_attribute_is_refused(self, capsys,
+                                                               teaching_dir):
+        code, out, err = run_cli(capsys, "--workspace", str(teaching_dir),
+                                 "query", "project Relationship1 [Name, Name]")
+        assert (code, out) == (1, "")
+        assert err == "error: relation 'proj_Relationship1' repeats an attribute name\n"
+
     def test_select_project(self, capsys, teaching_dir):
         code, out, _ = run_cli(
             capsys, "--workspace", str(teaching_dir), "query",

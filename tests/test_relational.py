@@ -27,6 +27,7 @@ from dodl.diagrams import (
     run_filter,
 )
 from dodl.errors import (
+    DefinitionError,
     DodlError,
     EvalTypeError,
     JoinTooLarge,
@@ -165,6 +166,13 @@ class TestProject:
     def test_unknown_attribute(self):
         with pytest.raises(UnknownAttribute):
             project(assignments(), ["Nope"])
+
+    def test_a_repeated_attribute_is_refused(self):
+        with pytest.raises(DefinitionError) as raised:
+            eval_query(parse_query("project R [Name, Course, Name]"),
+                       {"R": assignments()})
+        assert str(raised.value) == \
+            "relation 'proj_Relationship1' repeats an attribute name"
 
 
 class TestJoin:
@@ -769,12 +777,20 @@ def assert_operators_build_as_checked(r: Relation, s: Relation, data):
         assert_built_as_checked(
             select(r, Eq(Var(attr), Const(value))), f"sel_{r.name}", r.attributes,
             frozenset(row for row in r.tuples if row[i] == value))
-    names = data.draw(st.lists(st.sampled_from(r.attribute_names), unique=True)
+    # A name listed twice is refused, with the error Relation(...) raises.
+    names = data.draw(st.lists(st.sampled_from(r.attribute_names), max_size=4)
                       if r.attributes else st.just([]))
     positions = [r.index_of(a) for a in names]
-    assert_built_as_checked(
-        project(r, names), f"proj_{r.name}", tuple(r.attributes[i] for i in positions),
-        frozenset(tuple(row[i] for i in positions) for row in r.tuples))
+    parts = (f"proj_{r.name}", tuple(r.attributes[i] for i in positions),
+             frozenset(tuple(row[i] for i in positions) for row in r.tuples))
+    if len(set(names)) == len(names):
+        assert_built_as_checked(project(r, names), *parts)
+    else:
+        with pytest.raises(DefinitionError) as refused:
+            Relation(*parts)
+        with pytest.raises(DefinitionError) as raised:
+            project(r, names)
+        assert str(raised.value) == str(refused.value)
     for word, operator, combine in (("union", union, frozenset.union),
                                     ("diff", difference, frozenset.difference)):
         if r.attributes == s.attributes:
