@@ -6,18 +6,19 @@ the source files themselves.  Exit codes: 0 success, 1 diagnostics, a
 failed check, an ``oracle-diff`` row that differs or an internal fault,
 2 usage error.
 
-Each call builds the top-level argument parser and only the parser of the
-subcommand it runs (see :class:`_DeferredParser`); argparse set-up was
-otherwise a large share of a call on a small workspace.  In the same way,
-the checker, the printer and the relational algebra are imported only by
-the commands that run them: every call pays to compile what it imports.
+A well-formed command line is read straight into a namespace by
+:func:`_read_argv`.  Anything else, help and usage errors included, goes to
+argparse, which builds the top-level parser and only the chosen command's
+(see :class:`_DeferredParser`); ``TestReadArgv`` in ``test_cli.py`` holds
+the two to one namespace.  Engines load the same way, only in the commands
+that run them: every call pays to compile what it imports.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .core import Atom, deferred
 from .diagrams import format_actual, format_atom_set, format_value
@@ -47,11 +48,13 @@ _this = sys.modules[__name__]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return _dispatch(args)
     except DodlError as exc:
@@ -65,18 +68,41 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _read_argv(argv):
+    """argparse's namespace for ``argv`` if it is OPTIONS words with their values,
+    then a command word and its positionals, none starting with ``-``; else None."""
+    args = {word[2:]: spec.get("default", False) for word, spec in OPTIONS.items()}
+    words = iter(argv)
+    word = next(words, None)
+    while word in OPTIONS:
+        spec = OPTIONS[word]
+        # A flag reads True; a missing value reads "-", refused below.
+        value = "action" in spec or next(words, "-")
+        if str(value).startswith("-") or value not in spec.get("choices", (value,)):
+            return None
+        args[word[2:]] = value
+        word = next(words, None)
+    rest = list(words)
+    if word not in COMMANDS or any(value.startswith("-") for value in rest):
+        return None
+    arguments = COMMANDS[word][1]
+    if rest and [spec.get("nargs") for spec in arguments.values()] == ["+"]:
+        rest = [rest]
+    if len(rest) == len(arguments):
+        return SimpleNamespace(**args, command=word, **dict(zip(arguments, rest)))
+    return None
+
+
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dodl",
         description="Derive actual objects from potential objects by "
                     "indexing events, with a relational cross-check.",
     )
-    parser.add_argument("--workspace", default=".", metavar="<dir>",
-                        help="directory of .dodl files (default: .)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress informational output")
-    parser.add_argument("--format", choices=("text", "tsv"), default="text",
-                        help="style for tabular outputs")
+    for word, options in OPTIONS.items():
+        parser.add_argument(word, **options)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_DeferredParser)
     for word, (help_text, arguments, _) in COMMANDS.items():
@@ -92,8 +118,8 @@ class _DeferredParser:
     ``add_argument`` calls are recorded, and the first other attribute
     read (``parse_known_args``, when the command is the one chosen) builds
     the real ``ArgumentParser`` and forwards to it from then on.  So a call
-    builds the top-level parser and at most one subcommand parser, and
-    help, usage errors and unknown commands build none.
+    that argparse reads builds the top-level parser and at most one
+    subcommand parser, and help, usage errors and unknown commands none.
     """
 
     def __init__(self, **kwargs):
@@ -106,6 +132,8 @@ class _DeferredParser:
 
     def __getattr__(self, name):
         if self._parser is None:
+            import argparse
+
             self._parser = argparse.ArgumentParser(**self._kwargs)
             for args, kwargs in self._arguments:
                 self._parser.add_argument(*args, **kwargs)
@@ -274,6 +302,16 @@ def _cmd_audit(args, result) -> int:
     sys.stdout.write(result.exchange.audit_text())
     return 0
 
+
+# Each top-level option -> its argparse options, in the order that help
+# lists them.  The direct reader takes its defaults and choices from here.
+OPTIONS = {
+    "--workspace": dict(default=".", metavar="<dir>",
+                        help="directory of .dodl files (default: .)"),
+    "--quiet": dict(action="store_true", help="suppress informational output"),
+    "--format": dict(choices=("text", "tsv"), default="text",
+                     help="style for tabular outputs"),
+}
 
 # Each command word -> its help line, its positional arguments with their
 # argparse options, and its handler, in the order that help lists them.

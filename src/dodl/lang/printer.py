@@ -15,6 +15,7 @@ Only ``dump``, query output and audit targets load this module;
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 
 from ..core import Atom, Domain, PotentialObject, Sort
 from ..diagrams import (
@@ -126,8 +127,9 @@ def format_relexpr(expr: RelExpr) -> str:
 def format_relation(relation: Relation, style: str = "text") -> str:
     """A relation as a header line plus one line per tuple."""
     if style == "tsv":
+        text = attrgetter("text")
         lines = ["\t".join(relation.attribute_names)]
-        lines += ["\t".join(a.text for a in row) for row in relation.sorted_tuples()]
+        lines += ["\t".join(map(text, row)) for row in relation.sorted_tuples()]
     else:
         lines = [", ".join(relation.attribute_names)]
         lines += [format_row(row) for row in relation.sorted_tuples()]

@@ -18,10 +18,11 @@ from .diagrams import Predicate
 from .errors import DefinitionError, SortMismatch, UnknownAttribute
 
 Row = tuple[Atom, ...]
+_text = attrgetter("text")
 
 
 def format_row(row: Row) -> str:
-    return "(" + ", ".join(a.text for a in row) + ")"
+    return "(" + ", ".join(map(_text, row)) + ")"
 
 
 @record
@@ -98,7 +99,7 @@ class Relation:
     def sorted_tuples(self) -> list[Row]:
         rows, keys = list(self.tuples), []
         for column, (_, sort) in zip(zip(*rows), self.attributes):
-            texts = list(map(attrgetter("text"), column))
+            texts = list(map(_text, column))
             keys += [list(map(len, texts)), texts] if sort.kind == NUMERIC else [texts]
         return [keyed[-1] for keyed in sorted(zip(*keys, rows))]
 

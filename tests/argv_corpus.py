@@ -1,10 +1,13 @@
-"""A corpus of ``dodl`` command lines, and a check that the CLI's
-on-demand subcommand parsers behave byte for byte like eager argparse.
+"""A corpus of ``dodl`` command lines, and a check that the CLI's direct
+reader and on-demand subcommand parsers behave byte for byte like eager
+argparse.
 
 Each case runs ``dodl.cli.main`` in-process twice: once as it is, and once
-with ``cli._build_parser`` replaced by ``reference.reference_parser``,
-which builds every subcommand parser up front.  Both runs must give the
-same exit code, stdout and stderr.  Help text is laid out for 80 columns.
+with ``cli._read_argv`` refusing every command line and
+``cli._build_parser`` replaced by ``reference.reference_parser``, which
+builds every subcommand parser up front, so every case goes through eager
+argparse.  Both runs must give the same exit code, stdout and stderr.  Help
+text is laid out for 80 columns.
 
 The standard library is all it needs, so it also runs under interpreters
 that have no pytest::
@@ -64,17 +67,18 @@ def expand(argv: list[str], workspace: Path) -> list[str]:
 
 
 def run_main(argv: list[str], build=None) -> tuple[int, str, str]:
-    """``cli.main(argv)`` with its parser built by ``build`` (the CLI's own
-    when None), and its exit code, stdout and stderr."""
+    """``cli.main(argv)`` as it is, or when ``build`` is given, with every
+    command line read by the parser ``build`` returns; and its exit code,
+    stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
-    own = cli._build_parser
+    own = cli._build_parser, cli._read_argv
     if build is not None:
-        cli._build_parser = build
+        cli._build_parser, cli._read_argv = build, lambda argv: None
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     finally:
-        cli._build_parser = own
+        cli._build_parser, cli._read_argv = own
     return code, out.getvalue(), err.getvalue()
 
 

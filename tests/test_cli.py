@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -6,11 +8,13 @@ import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from argv_corpus import ARGV_CASES, expand, run_main
+from argv_corpus import ARGV_CASES, DEMO, expand, run_main
 from cli_pins import PINS, calls, digest, pin, source_directory, sources
 from conftest import TEACHING, deadline, run_python
-from dodl.cli import COMMANDS, main
+from dodl.cli import COMMANDS, OPTIONS, _read_argv, main
 from dodl.lang import dump
 from dodl.lang.printer import format_predicate
 from reference import reference_parser
@@ -727,8 +731,8 @@ class TestDeferredParsers:
         assert run_main(argv) == run_main(argv, reference_parser)
 
     @pytest.mark.parametrize("argv, built", [
-        (["index", "Tch", "Logic"], 2),
-        (["dump"], 2),
+        (["index", "Tch", "Logic"], 0),
+        (["dump"], 0),
         (["index", "-h"], 2),
         (["-h"], 1),
         (["frobnicate"], 1),
@@ -746,6 +750,97 @@ class TestDeferredParsers:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         run_cli(capsys, "--workspace", str(teaching_dir), *argv)
         assert len(constructed) == built, constructed
+
+
+# Words the argv of TestReadArgv are drawn from: the option words,
+# abbreviated and ``=`` forms, dashes, the empty word, a word with a space,
+# the --format values and one outside its choices, every command word, a
+# command's prefix and plain names.
+TOKENS = [*OPTIONS, "--work", "--workspace=x", "--format=tsv", "--", "-h", "-",
+          "-x", "-5", "", "a b", "text", "tsv", "xml", *COMMANDS, "che",
+          "ws", "Tch", "Logic"]
+PLAIN = [token for token in TOKENS if not token.startswith("-")]
+
+
+def command_lines():
+    """Random words, or option words with values, then a word and about as
+    many words as it takes; mostly plain words there, so that well-formed
+    command lines and near misses are common."""
+    def mostly(words):
+        return st.sampled_from(TOKENS) | st.sampled_from(words) | st.sampled_from(words)
+
+    def command(word):
+        arity = len(COMMANDS[word][1]) if word in COMMANDS else 1
+        return st.sampled_from([arity, arity, max(arity - 1, 0), arity + 1]).flatmap(
+            lambda n: st.lists(mostly(PLAIN), min_size=n, max_size=n)).map(
+            lambda rest: [word, *rest])
+
+    option = st.one_of(
+        st.just(["--quiet"]), st.sampled_from(TOKENS).map(lambda word: [word]),
+        st.tuples(st.sampled_from(["--workspace", "--workspace", "--work"]),
+                  mostly(PLAIN)).map(list),
+        st.tuples(st.just("--format"), mostly(["text", "tsv"])).map(list))
+    shaped = st.builds(lambda options, rest: [*sum(options, []), *rest],
+                       st.lists(option, max_size=4),
+                       mostly(list(COMMANDS)).flatmap(command))
+    return st.lists(st.sampled_from(TOKENS), max_size=8) | shaped | shaped
+
+
+def argparse_namespace(argv):
+    """``vars()`` of the eager parser's namespace for ``argv``, or None where
+    it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(reference_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def with_examples(test):
+    """``test`` with every ARGV_CASES entry, options given twice and a value
+    that starts with ``-`` as explicit examples."""
+    repeated = ["--workspace", "a", "--quiet", "--format", "tsv",
+                "--workspace", "b", "--format", "text", "--quiet", "dump"]
+    for case in [*ARGV_CASES, repeated, ["--workspace", "-x", "dump"]]:
+        test = example(argv=expand(case, DEMO))(test)
+    return test
+
+
+def assert_reads_as_argparse(argv):
+    read = _read_argv(argv)
+    if read is not None:
+        assert vars(read) == argparse_namespace(argv), argv
+
+
+class TestReadArgv:
+    """The direct reader gives exactly argparse's namespace, or None; where
+    argparse prints help or a usage error, always None."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(argv=command_lines())
+    @with_examples
+    def test_random_command_lines_read_as_argparse_does(self, argv):
+        assert_reads_as_argparse(argv)
+
+    def test_every_pinned_demo_call_is_read_directly(self):
+        # The demo's pinned calls run every command, each well-formed, so
+        # the reader takes every one of them.
+        record = json.loads(PINS.read_text(encoding="utf-8"))[0]
+        assert record["source"] == "demo"
+        for argv, _ in record["calls"]:
+            assert vars(_read_argv(argv)) == argparse_namespace(argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["--work", "ws", "dump"],
+        ["--workspace=ws", "dump"],
+        ["--workspace", "-5", "dump"],
+        ["index", "--", "Tch", "Logic"],
+        ["load", "--", "-h"],
+    ])
+    def test_other_forms_argparse_accepts_are_left_to_it(self, argv):
+        assert argparse_namespace(argv) is not None
+        assert _read_argv(argv) is None
 
 
 class TestDeterminism:
@@ -781,17 +876,18 @@ LOADS = {
     "oracle-diff": ("dodl.relational",),
     "query": ("dodl.lang.printer", "dodl.relational", "heapq"),
 }
-COMMANDS = ("load", "index", "functor", "script", "evolve", "check",
-            "oracle-diff", "query", "dump", "audit")
-# Runs dodl as ``python -m dodl`` does, then appends the ENGINES it loaded
-# to stderr after LOADED_MARK.
 LOADED_MARK = "\nloaded engines: "
-LOADED_PROBE = f"""\
+
+
+def loaded_probe(modules) -> str:
+    """Runs dodl as ``python -m dodl`` does, then appends which of
+    ``modules`` it loaded to stderr after LOADED_MARK."""
+    return f"""\
 import runpy, sys
 try:
     runpy.run_module("dodl", run_name="__main__", alter_sys=True)
 finally:
-    loaded = sorted(set({ENGINES!r}) & set(sys.modules))
+    loaded = sorted(set({modules!r}) & set(sys.modules))
     sys.stderr.write({LOADED_MARK!r} + repr(loaded))
 """
 
@@ -805,10 +901,19 @@ class TestEntryPoint:
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         # Every dodl call is a fresh process, so each module the import
-        # pulls in is paid for on every call.
-        proc = run_python("-c", "import sys, dodl.cli; "
-                          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        # pulls in is paid for on every call.  argparse (with gettext) is
+        # imported only when a command line needs it.
+        proc = run_python("-c", "import sys, dodl.cli; print(sorted({'dataclasses', "
+                          "'inspect', 'argparse', 'gettext'} & set(sys.modules)))")
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_a_well_formed_call_loads_no_argparse(self, teaching_dir):
+        probe = loaded_probe(("argparse", "gettext", "locale"))
+        proc = run_python("-c", probe, "--workspace", str(teaching_dir),
+                          "index", "Tch", "Logic")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "Tch_Logic = { Johnes, Smith }\n"
+        assert proc.stderr == LOADED_MARK + "[]"
 
     def test_each_command_loads_only_the_engines_it_runs(self):
         # Each demo call of the pinned record, as ``python -m dodl`` in a
@@ -818,7 +923,7 @@ class TestEntryPoint:
         assert record["source"] == "demo"
         with source_directory(record["file"], TEACHING.read_text(encoding="utf-8")):
             for argv, pinned in record["calls"]:
-                proc = run_python("-c", LOADED_PROBE, *argv)
+                proc = run_python("-c", loaded_probe(ENGINES), *argv)
                 stderr, _, loaded = proc.stderr.rpartition(LOADED_MARK)
                 assert digest(argv, proc.returncode, proc.stdout, stderr) == pinned, argv
                 command = next(word for word in argv if word in COMMANDS)
