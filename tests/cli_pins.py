@@ -10,7 +10,11 @@ working directory, and every command runs on it with every name it takes:
 - ``functor`` and ``oracle-diff`` of each potential object and ``check``
   of each diagram, each in text and in tsv;
 - ``script`` of each script and ``evolve`` of each evolvent;
-- ``query`` of each relation's name, in text and in tsv.
+- ``query`` of each relation's name, in text and in tsv;
+- ``query`` of each relation through the operators: a ``select`` whose
+  predicate uses ``and``, ``or`` and ``not``, a two-attribute
+  ``project``, a ``difference`` and, with each other relation that shares
+  an attribute with it, a ``project`` of their ``join``.
 
 Each call runs ``dodl.cli.main`` in-process, with paths relative to the
 working directory.  Its pin is the first 16 hex digits of the SHA-256
@@ -36,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 from dodl import cli
+from dodl.core import symbol
 from dodl.lang import dump, load_texts
 from wsgen import gen_workspace
 
@@ -71,6 +76,32 @@ def calls(name: str, text: str) -> list[list[str]]:
     out += [ws + ["evolve", evolvent] for evolvent in sorted(workspace.evolvents)]
     out += [style + ["query", relation] for relation in sorted(workspace.relations)
             for style in (ws, tsv)]
+    out += [ws + ["query", expr] for relation in sorted(workspace.relations)
+            for expr in operator_queries(relation, workspace.relations)]
+    return out
+
+
+def operator_queries(name: str, relations) -> list[str]:
+    """The operator queries over the relation ``name``.  Its constants
+    are the cells of its first and last rows in sorted order, or a name
+    no cell holds when it has no rows."""
+    relation = relations[name]
+    attrs = relation.attribute_names
+    rows = relation.sorted_tuples() or [[symbol("Nobody")] * len(attrs)]
+    first, last = [[cell.text for cell in row] for row in (rows[0], rows[-1])]
+    out = [f"select {name} where {attrs[0]} = {first[0]} and "
+           f"not {attrs[-1]} = {last[-1]} or {attrs[0]} = {last[0]}"]
+    if len(attrs) > 1:
+        out.append(f"project {name} [{attrs[-1]}, {attrs[0]}]")
+    out.append(f"difference({name}, select {name} where {attrs[0]} = {first[0]})")
+    for partner in sorted(relations):
+        shared = [a for a in attrs if a in relations[partner].attribute_names]
+        if partner == name or not shared:
+            continue
+        schema = attrs + tuple(a for a in relations[partner].attribute_names
+                               if a not in shared)
+        kept = ", ".join(dict.fromkeys([schema[-1], shared[0]]))
+        out.append(f"project (join({name}, {partner})) [{kept}]")
     return out
 
 
