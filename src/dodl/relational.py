@@ -6,11 +6,18 @@ named relation, for every index in one scan, so the two routes can be
 compared against each other.  The relation record and the query nodes are
 in :mod:`dodl.relation`, which loading needs; they are re-exported here.
 Operator results skip the row checks: their rows come from checked ones.
+
+Each operator sets up its row work once per call: ``select`` compiles its
+predicate into a test of one row, sharing no code with the filter compiler
+the oracle checks, and ``project`` and ``join`` cut rows in C with
+``operator.itemgetter``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Callable, Mapping, Union
 
 from .core import Atom, PotentialObject, symbol
 from .diagrams import (
@@ -35,6 +42,7 @@ from .errors import (
     NoSharedAttributes,
     SchemaMismatch,
     SortMismatch,
+    UnknownAttribute,
     not_defined,
 )
 from .relation import (
@@ -60,40 +68,66 @@ JOIN_ROW_LIMIT = 100_000
 
 
 # ---------------------------------------------------------------------------
-# Row predicates
+# Row tests and row cutters, each built once per operator call
 
 
-def eval_row_predicate(pred: Predicate, relation: Relation, row: Row) -> bool:
-    """Evaluate a predicate over one tuple; variables name attributes."""
-    if isinstance(pred, TruePred):
-        return True
-    if isinstance(pred, FalsePred):
-        return False
+def _row_test(pred: Predicate, relation: Relation) -> Callable[[Row], bool]:
+    """``pred`` as a test of one row of ``relation``, each attribute resolved
+    to its position here.  A fault is raised only when a row is tested, so an
+    empty relation raises none; ``and`` and ``or`` test both operands, left
+    first, so which fault is raised does not depend on the row."""
+    if isinstance(pred, (TruePred, FalsePred)):
+        value = isinstance(pred, TruePred)
+        return lambda row: value
     if isinstance(pred, Not):
-        return not eval_row_predicate(pred.operand, relation, row)
-    if isinstance(pred, And):
-        left = eval_row_predicate(pred.left, relation, row)
-        right = eval_row_predicate(pred.right, relation, row)
-        return left and right
-    if isinstance(pred, Or):
-        left = eval_row_predicate(pred.left, relation, row)
-        right = eval_row_predicate(pred.right, relation, row)
-        return left or right
+        operand = _row_test(pred.operand, relation)
+        return lambda row: not operand(row)
+    if isinstance(pred, (And, Or)):
+        left = _row_test(pred.left, relation)
+        right = _row_test(pred.right, relation)
+        if isinstance(pred, And):
+            return lambda row: left(row) & right(row)
+        return lambda row: left(row) | right(row)
     if isinstance(pred, Eq):
-        return _row_term(pred.left, relation, row) == _row_term(
-            pred.right, relation, row
-        )
+        left_term = _row_term(pred.left, relation)
+        right_term = _row_term(pred.right, relation)
+        return lambda row: left_term(row) == right_term(row)
     if isinstance(pred, Member):
-        raise EvalTypeError("membership predicates cannot select rows")
-    raise EvalTypeError(f"unknown predicate node {pred!r}")
+        return _fault(EvalTypeError("membership predicates cannot select rows"))
+    return _fault(EvalTypeError(f"unknown predicate node {pred!r}"))
 
 
-def _row_term(term: Term, relation: Relation, row: Row) -> Atom:
+def _row_term(term: Term, relation: Relation) -> Callable[[Row], Atom]:
+    """A term's value in a row.  A query's identifier names the attribute of
+    ``relation`` that it matches, if one does, and is a symbolic constant
+    otherwise."""
+    if isinstance(term, TermIdent):
+        term = (Var(term.name) if term.name in relation.attribute_names
+                else Const(symbol(term.name)))
     if isinstance(term, Const):
-        return term.atom
+        atom = term.atom
+        return lambda row: atom
     if isinstance(term, Var):
-        return row[relation.index_of(term.name)]
-    raise EvalTypeError("a wildcard has no value in a row predicate")
+        try:
+            return itemgetter(relation.index_of(term.name))
+        except UnknownAttribute as fault:
+            return _fault(fault)
+    return _fault(EvalTypeError("a wildcard has no value in a row predicate"))
+
+
+def _fault(error: DodlError):
+    def raise_fault(row):
+        raise error
+    return raise_fault
+
+
+def _cutter(positions: list[int]) -> Callable[[Row], Row]:
+    """The cells of a row at ``positions``, as a tuple, cut in C.  An
+    ``itemgetter`` of one position gives a bare cell, and one of none cannot
+    be made, so those two cut a slice."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +135,17 @@ def _row_term(term: Term, relation: Relation, row: Row) -> Atom:
 
 
 def select(r: Relation, pred: Predicate) -> Relation:
-    """Tuples of ``r`` satisfying ``pred``; schema unchanged."""
-    kept = frozenset(row for row in r.tuples if eval_row_predicate(pred, r, row))
+    """Tuples of ``r`` satisfying ``pred``; schema unchanged.  A query's
+    identifier in ``pred`` is the attribute of ``r`` it names, if any."""
+    kept = frozenset(filter(_row_test(pred, r), r.tuples))
     return Relation.from_checked_parts(f"sel_{r.name}", r.attributes, kept)
 
 
 def project(r: Relation, attrs: list[str]) -> Relation:
     """Column restriction with set-semantics deduplication."""
-    positions = [r.index_of(a) for a in attrs]
-    schema = tuple(r.attributes[i] for i in positions)
-    rows = frozenset(tuple(row[i] for i in positions) for row in r.tuples)
-    return Relation.from_checked_parts(f"proj_{r.name}", schema, rows)
+    cut = _cutter([r.index_of(a) for a in attrs])
+    rows = frozenset(map(cut, r.tuples))
+    return Relation.from_checked_parts(f"proj_{r.name}", cut(r.attributes), rows)
 
 
 def join(r: Relation, s: Relation) -> Relation:
@@ -134,26 +168,26 @@ def join(r: Relation, s: Relation) -> Relation:
                 f"shared attribute {a!r} has sort {r_sorts[a].name!r} in "
                 f"{r.name!r} but {s_sorts[a].name!r} in {s.name!r}"
             )
-    r_pos = [r.index_of(a) for a in shared]
-    s_pos = [s.index_of(a) for a in shared]
-    s_rest = [i for i, (a, _) in enumerate(s.attributes) if a not in shared]
-    schema = r.attributes + tuple(s.attributes[i] for i in s_rest)
+    r_key = _cutter([r.index_of(a) for a in shared])
+    s_key = _cutter([s.index_of(a) for a in shared])
+    s_rest = _cutter([i for i, (a, _) in enumerate(s.attributes) if a not in shared])
+    schema = r.attributes + s_rest(s.attributes)
     # Build: bucket s's non-shared remainders by their shared-attribute key.
     buckets: dict[Row, list[Row]] = {}
-    for right in s.tuples:
-        key = tuple(right[i] for i in s_pos)
-        buckets.setdefault(key, []).append(tuple(right[i] for i in s_rest))
+    for key, rest in zip(map(s_key, s.tuples), map(s_rest, s.tuples)):
+        buckets.setdefault(key, []).append(rest)
     # Probe: each tuple of r meets only the bucket of its own key.  Distinct
     # left tuples and distinct remainders give distinct rows, so the output
-    # is counted exactly before any row is built.
-    matches = [(left, buckets.get(tuple(left[i] for i in r_pos), ()))
-               for left in r.tuples]
-    if sum(len(bucket) for _, bucket in matches) > JOIN_ROW_LIMIT:
+    # is counted exactly before any row is built.  A frozenset is read in
+    # the same order each time, so ``found`` lines up with r's tuples.
+    found = list(map(buckets.get, map(r_key, r.tuples), repeat(())))
+    if sum(map(len, found)) > JOIN_ROW_LIMIT:
         raise JoinTooLarge(
             f"join of {r.name!r} and {s.name!r} has more than "
             f"{JOIN_ROW_LIMIT} rows"
         )
-    rows = frozenset(left + rest for left, bucket in matches for rest in bucket)
+    rows = frozenset(chain.from_iterable(
+        map(left.__add__, bucket) for left, bucket in zip(r.tuples, found)))
     return Relation.from_checked_parts(f"join_{r.name}_{s.name}", schema, rows)
 
 
@@ -239,29 +273,6 @@ def oracle_route(
 QueryResult = Union[Relation, frozenset]
 
 
-def resolve_row_terms(pred: Predicate, attribute_names: tuple[str, ...]) -> Predicate:
-    """Replace TermIdent markers by attribute variables or symbolic constants."""
-
-    def term(t):
-        if isinstance(t, TermIdent):
-            if t.name in attribute_names:
-                return Var(t.name)
-            return Const(symbol(t.name))
-        return t
-
-    if isinstance(pred, Eq):
-        return Eq(term(pred.left), term(pred.right))
-    if isinstance(pred, And):
-        return And(resolve_row_terms(pred.left, attribute_names),
-                   resolve_row_terms(pred.right, attribute_names))
-    if isinstance(pred, Or):
-        return Or(resolve_row_terms(pred.left, attribute_names),
-                  resolve_row_terms(pred.right, attribute_names))
-    if isinstance(pred, Not):
-        return Not(resolve_row_terms(pred.operand, attribute_names))
-    return pred
-
-
 def eval_query(expr: RelExpr, relations: Mapping[str, Relation]) -> QueryResult:
     """Evaluate a query expression against a registry of named relations."""
     if isinstance(expr, RelName):
@@ -270,9 +281,7 @@ def eval_query(expr: RelExpr, relations: Mapping[str, Relation]) -> QueryResult:
             raise not_defined("relation", expr.name)
         return relation
     if isinstance(expr, Select):
-        relation = _as_relation(eval_query(expr.source, relations))
-        pred = resolve_row_terms(expr.pred, relation.attribute_names)
-        return select(relation, pred)
+        return select(_as_relation(eval_query(expr.source, relations)), expr.pred)
     if isinstance(expr, Project):
         relation = _as_relation(eval_query(expr.source, relations))
         return project(relation, list(expr.attrs))

@@ -27,12 +27,17 @@ COURSES = ["Informatics", "Logic"]
 TEACHERS = ["Doe", "Jackson", "Johnes", "Smith"]
 
 
+class DeadlinePassed(BaseException):
+    """A block ran past its :func:`deadline`.  It is no ``Exception``, so
+    neither a handler of file errors nor ``cli.main``'s report of an
+    internal error takes it: the test fails as a timeout."""
+
+
 @contextlib.contextmanager
 def deadline(seconds: float):
-    """Fail the block once ``seconds`` pass, even in a blocked system call.
-    The failure is no OSError, so no handler of file errors takes it."""
+    """Fail the block once ``seconds`` pass, even in a blocked system call."""
     def expire(signum, frame):
-        raise AssertionError(f"still running after {seconds} s")
+        raise DeadlinePassed(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)

@@ -19,13 +19,16 @@ subcommand parser up front, as plain argparse does.
 :func:`reference_expanded_steps` counts an evolvent's steps by expanding it.
 :func:`reference_oracle_index` answers the relational oracle for one index
 by select then project, one scan of the relation per index.
+:func:`reference_row_predicate` walks a ``select`` predicate over one row,
+resolving every name afresh for each row, and shares no code with
+``relational.select``, which compiles the predicate once per call.
 """
 
 import argparse
 import dataclasses
 
 from dodl.checker import compile_expr
-from dodl.core import MISSING, Atom
+from dodl.core import MISSING, SYMBOLIC, Atom
 from dodl.diagrams import (
     And,
     Apply,
@@ -38,6 +41,7 @@ from dodl.diagrams import (
     IdArrow,
     IndexShift,
     Input,
+    Member,
     Not,
     Or,
     Pair,
@@ -55,12 +59,14 @@ from dodl.errors import (
     EvalTypeError,
     IndexNotInDomain,
     UnboundVariable,
+    UnknownAttribute,
     UnknownFilter,
     UnknownPotentialObject,
     UnknownRelation,
 )
 from dodl.lang.lexer import EOF, IDENT, INT, PUNCT
 from dodl.lang.syntax import Diagnostic
+from dodl.relation import TermIdent
 from dodl.relational import project, select
 
 
@@ -387,6 +393,49 @@ def reference_oracle_index(relation, index_attr, index_value, target_attr):
     narrowed = select(relation, Eq(Var(index_attr), Const(index_value)))
     column = project(narrowed, [target_attr])
     return frozenset(row[0] for row in column.tuples)
+
+
+def reference_row_predicate(pred, relation, row) -> bool:
+    """Whether ``row`` of ``relation`` passes the ``select`` predicate
+    ``pred``, as a plain walk: strict in both operands of ``and`` and
+    ``or``, left first, and each equation reads its left term first.
+
+    A query's identifier is the attribute of that name if ``relation`` has
+    one and a symbolic constant otherwise; a variable must name an
+    attribute.  A fault is raised only here, when a row is tested.
+    """
+    if isinstance(pred, TruePred):
+        return True
+    if isinstance(pred, FalsePred):
+        return False
+    if isinstance(pred, Not):
+        return not reference_row_predicate(pred.operand, relation, row)
+    if isinstance(pred, (And, Or)):
+        left = reference_row_predicate(pred.left, relation, row)
+        right = reference_row_predicate(pred.right, relation, row)
+        return (left and right) if isinstance(pred, And) else (left or right)
+    if isinstance(pred, Eq):
+        return reference_row_term(pred.left, relation, row) == \
+            reference_row_term(pred.right, relation, row)
+    if isinstance(pred, Member):
+        raise EvalTypeError("membership predicates cannot select rows")
+    raise EvalTypeError(f"unknown predicate node {pred!r}")
+
+
+def reference_row_term(term, relation, row):
+    names = [name for name, _ in relation.attributes]
+    if isinstance(term, TermIdent):
+        if term.name not in names:
+            return Atom(term.name, SYMBOLIC)
+        term = Var(term.name)
+    if isinstance(term, Const):
+        return term.atom
+    if isinstance(term, Var):
+        if term.name not in names:
+            raise UnknownAttribute(
+                f"relation {relation.name!r} has no attribute {term.name!r}")
+        return row[names.index(term.name)]
+    raise EvalTypeError("a wildcard has no value in a row predicate")
 
 
 def same_contents(r, s) -> bool:

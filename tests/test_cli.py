@@ -5,6 +5,7 @@ import json
 import os
 import random
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from argv_corpus import ARGV_CASES, DEMO, expand, run_main
 from cli_pins import PINS, calls, digest, pin, source_directory, sources
-from conftest import TEACHING, deadline, run_python
+from conftest import TEACHING, DeadlinePassed, deadline, run_python
+from dodl import cli
 from dodl.cli import COMMANDS, OPTIONS, _read_argv, main
 from dodl.lang import dump
 from dodl.lang.printer import format_predicate
@@ -679,6 +681,17 @@ class TestUnreadableFiles:
         with deadline(10):
             assert run_cli(capsys, "--workspace", str(tmp_path / "ws"), "dump") \
                 == (1, "", f"{link}:1:1: cannot read file: is not a regular file\n")
+
+    def test_a_passed_deadline_is_a_timeout_not_an_internal_error(self, capsys,
+                                                                  monkeypatch):
+        # The deadline that bounds a slow read must pass through main's
+        # report of internal errors, so that an overrun fails its test as a
+        # timeout naming its bound rather than reading as a dodl fault.
+        monkeypatch.setattr(cli, "_dispatch", lambda args: time.sleep(5))
+        with pytest.raises(DeadlinePassed, match=r"^still running after 0\.05 s$"):
+            with deadline(0.05):
+                main(["dump"])
+        assert capsys.readouterr() == ("", "")
 
     def test_path_with_a_nul_character(self, capsys):
         assert run_cli(capsys, "load", "a\x00b") == \

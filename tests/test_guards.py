@@ -23,7 +23,7 @@ from dodl.errors import DefinitionError, EvalTypeError
 from dodl.evolver import Evolvent
 from dodl.lang.printer import format_diagram_expr, format_predicate, format_relexpr
 from dodl.relation import Relation
-from dodl.relational import eval_query, eval_row_predicate
+from dodl.relational import eval_query, select
 
 NAME = Sort("Name", "symbolic")
 R = Relation("R", [("a", NAME)], [(symbol("x"),)])
@@ -51,11 +51,11 @@ def run_compiled(pred):
      "unknown term node Input()"),
     (lambda: run_compiled(Eq(Input(), Const(symbol("x")))), EvalTypeError,
      "unknown term node Input()"),
-    (lambda: eval_row_predicate(Wildcard(), R, ROW), EvalTypeError,
+    (lambda: select(R, Wildcard()), EvalTypeError,
      "unknown predicate node Wildcard()"),
-    (lambda: eval_row_predicate(Member("R", (Var("a"),)), R, ROW),
+    (lambda: select(R, Member("R", (Var("a"),))),
      EvalTypeError, "membership predicates cannot select rows"),
-    (lambda: eval_row_predicate(Eq(Wildcard(), Const(symbol("x"))), R, ROW),
+    (lambda: select(R, Eq(Wildcard(), Const(symbol("x")))),
      EvalTypeError, "a wildcard has no value in a row predicate"),
     (lambda: eval_query(NODE, {"R": R}), EvalTypeError,
      "unknown query node Var(name='v')"),

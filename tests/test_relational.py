@@ -1,16 +1,22 @@
 import ast
 import copy
+import itertools
 import pickle
 import random
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TEACHING_ROWS
-from reference import reference_oracle_index, same_contents
+from reference import (
+    outcome,
+    reference_oracle_index,
+    reference_row_predicate,
+    same_contents,
+)
 from wsgen import gen_workspace
 from dodl import diagrams
 from dodl.core import NUMERIC, SYMBOLIC, Record, Sort, number, symbol
@@ -21,6 +27,8 @@ from dodl.diagrams import (
     FalsePred,
     Filter,
     Member,
+    Not,
+    Or,
     TruePred,
     Var,
     Wildcard,
@@ -32,6 +40,7 @@ from dodl.errors import (
     EvalTypeError,
     JoinTooLarge,
     NoSharedAttributes,
+    ReservedCharacter,
     SchemaMismatch,
     SortMismatch,
     UnknownAttribute,
@@ -146,6 +155,32 @@ class TestSelect:
         with pytest.raises(EvalTypeError):
             select(assignments(), Member("R", (Wildcard(),)))
 
+    def test_an_identifier_naming_an_attribute_reads_it(self):
+        # select resolves a query's identifiers itself, so a direct call
+        # reads the attribute named, as a query always did; another name is
+        # a symbolic constant.
+        r = Relation("R", (("a", NAME),), frozenset([(symbol("x"),), (symbol("y"),)]))
+        assert texts(select(r, Eq(TermIdent("a"), Const(symbol("x"))))) == {("x",)}
+        assert texts(select(r, Eq(TermIdent("y"), TermIdent("a")))) == {("y",)}
+
+    @pytest.mark.parametrize("pred", [
+        Member("R", (Wildcard(),)), Wildcard(), Eq(Var("Nope"), Wildcard()),
+        Eq(Wildcard(), Var("a")), And(FalsePred(), Member("R", (Var("a"),))),
+    ])
+    def test_an_empty_relation_raises_no_fault(self, pred):
+        # A fault is raised only when a row is tested.
+        empty = Relation("R", (("a", NAME),), frozenset())
+        assert select(empty, pred).tuples == frozenset()
+
+    def test_a_name_no_atom_can_hold_is_refused_before_any_row(self):
+        # An identifier's constant is made with the test, before any row is
+        # read, as when queries resolved their identifiers first.
+        empty = Relation("R", (("a", NAME),), frozenset())
+        expr = Select(RelName("R"), Or(Member("R", ()), Eq(TermIdent("9x"), TermIdent("a"))))
+        with pytest.raises(ReservedCharacter) as raised:
+            eval_query(expr, {"R": empty})
+        assert str(raised.value) == "symbolic atom '9x' may not begin with a digit"
+
 
 class TestProject:
     def test_single_column(self):
@@ -173,6 +208,54 @@ class TestProject:
                        {"R": assignments()})
         assert str(raised.value) == \
             "relation 'proj_Relationship1' repeats an attribute name"
+
+
+# A cutter of each width: none, one and more than one position.
+@pytest.mark.parametrize("attrs", [[], ["Hours"], ["Hours", "Course"],
+                                   ["Name", "Hours", "Course"]])
+def test_project_cuts_rows_of_each_width(attrs):
+    r = assignments()
+    result = project(r, attrs)
+    columns = [r.attribute_names.index(a) for a in attrs]
+    assert texts(result) == {tuple(row[i] for i in columns) for row in TEACHING_ROWS}
+    assert all(type(row) is tuple for row in result.tuples)
+    assert result.attribute_names == tuple(attrs)
+    empty = Relation("E", r.attributes, frozenset())
+    assert project(empty, attrs).tuples == frozenset()
+
+
+# s's schema: its key (the attributes it shares with assignments()) has
+# one position or two, and its remainder none, one or two.
+ROOM = Sort("Room", SYMBOLIC)
+JOIN_PARTNERS = {
+    "key1-rest0": (("Course", COURSE),),
+    "key2-rest0": (("Hours", HOURS), ("Course", COURSE)),
+    "key1-rest1": (("Room", ROOM), ("Course", COURSE)),
+    "key2-rest2": (("Course", COURSE), ("Room", ROOM), ("Hours", HOURS),
+                   ("Floor", HOURS)),
+}
+PARTNER_CELLS = {"Course": ["Logic", "Informatics", "Algebra"], "Hours": ["20", "30"],
+                 "Room": ["Aula", "Lab"], "Floor": ["1", "2"]}
+
+
+@pytest.mark.parametrize("schema", list(JOIN_PARTNERS.values()), ids=list(JOIN_PARTNERS))
+def test_join_cuts_keys_and_remainders_of_each_width(schema):
+    names = [a for a, _ in schema]
+    raw = list(itertools.product(*(PARTNER_CELLS[a] for a in names)))
+    s = Relation("S", schema, frozenset(
+        tuple(number(int(c)) if sort.kind == NUMERIC else symbol(c)
+              for c, (_, sort) in zip(row, schema)) for row in raw))
+    r = assignments()
+    result = join(r, s)
+    left_names = r.attribute_names
+    rest = [a for a in names if a not in left_names]
+    assert result.attribute_names == left_names + tuple(rest)
+    assert texts(result) == {
+        left + tuple(right[names.index(a)] for a in rest)
+        for left in TEACHING_ROWS for right in raw
+        if all(left[left_names.index(a)] == right[names.index(a)]
+               for a in names if a in left_names)}
+    assert all(type(row) is tuple for row in result.tuples)
 
 
 class TestJoin:
@@ -858,3 +941,41 @@ def test_sorted_tuples_order_numerals_by_value_and_keep_a_zero_arity_row():
     assert project(r, []).sorted_tuples() == [()]
     empty = Relation("E", r.attributes, frozenset())
     assert empty.sorted_tuples() == project(empty, []).sorted_tuples() == []
+
+
+# Random select predicates over random relations, the empty one included,
+# against the reference walk: the same rows, or the same error.  A term is
+# an attribute or another name, as a query's identifier or as a variable,
+# a constant or a wildcard; a leaf is also true, false or a member test.
+# The faulty terms and leaves are drawn less often than the others, so
+# that many tests of rows end in rows rather than in a fault.
+ROW_NAMES = st.sampled_from(["K", "L", "A", "B", "Ash", "Z"])
+ROW_CONSTANTS = st.one_of(*CELLS.values()).map(Const)
+ROW_TERMS = st.one_of(
+    ROW_NAMES.map(TermIdent), ROW_NAMES.map(TermIdent), ROW_NAMES.map(Var),
+    ROW_CONSTANTS, ROW_CONSTANTS, st.just(Wildcard()))
+ROW_EQUATIONS = st.builds(Eq, ROW_TERMS, ROW_TERMS)
+ROW_PREDICATES = st.recursive(
+    st.one_of(ROW_EQUATIONS, ROW_EQUATIONS, ROW_EQUATIONS,
+              st.sampled_from([TruePred(), FalsePred()]),
+              st.builds(lambda term: Member("R", (term,)), ROW_TERMS)),
+    lambda inner: st.one_of(st.builds(Not, inner), st.builds(And, inner, inner),
+                            st.builds(Or, inner, inner)),
+    max_leaves=8)
+ONE_ROW = Relation("R", (("K", NAME), ("A", HOURS)), frozenset([(symbol("Ash"), number(1))]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(relations(), ROW_PREDICATES)
+@example(ONE_ROW, And(FalsePred(), Member("R", ())))
+@example(ONE_ROW, Or(TruePred(), Eq(Var("Q"), Const(symbol("Ash")))))
+@example(ONE_ROW, Eq(Wildcard(), Var("Q")))
+@example(ONE_ROW, And(Eq(TermIdent("K"), TermIdent("Ash")), Eq(Var("A"), Const(number(1)))))
+@example(ONE_ROW, Not(Eq(TermIdent("A"), Const(symbol("A")))))
+@example(Relation("R", ONE_ROW.attributes, frozenset()), Eq(Var("Q"), Wildcard()))
+def test_select_tests_rows_as_the_reference_walk_does(r, pred):
+    expected = outcome(lambda: frozenset(
+        row for row in r.tuples if reference_row_predicate(pred, r, row)))
+    assert outcome(lambda: select(r, pred).tuples) == expected
+    assert outcome(lambda: eval_query(Select(RelName("R"), pred), {"R": r}).tuples) \
+        == expected
