@@ -684,9 +684,9 @@ class TestUnreadableFiles:
 
     def test_a_passed_deadline_is_a_timeout_not_an_internal_error(self, capsys,
                                                                   monkeypatch):
-        # The deadline that bounds a slow read must pass through main's
-        # report of internal errors, so that an overrun fails its test as a
-        # timeout naming its bound rather than reading as a dodl fault.
+        # A deadline must pass through main's report of internal errors, so
+        # that an overrun fails its test as a timeout naming its bound
+        # rather than reading as a dodl fault.
         monkeypatch.setattr(cli, "_dispatch", lambda args: time.sleep(5))
         with pytest.raises(DeadlinePassed, match=r"^still running after 0\.05 s$"):
             with deadline(0.05):
