@@ -5,10 +5,11 @@ and punctuation, so declaration names are free to reuse most words.  Names
 and integers are ASCII; any other letter or digit is an unexpected
 character, reported at its own line and column.
 
-A text lexes into two flat lists, with no Python step per token: the
-text of each token, ending in the text ``""`` for the end of input, and
-the pieces the text was cut into, separator, lexeme, ..., separator.  A
-token's kind follows from its first character (:func:`token_kind`).  Its
+A text lexes into the text of each token, ending in ``""`` for the end of
+input, by string methods alone: the ten one-character marks are spaced out,
+the text is split on whitespace, and each distinct chunk is matched once,
+so that one gluing tokens together, such as ``a->b``, is cut into them.
+A token's kind follows from its first character (:func:`token_kind`).  Its
 offset, line and column are worked out by :class:`Lines` only when a span
 or diagnostic is read, which a clean load never does.
 """
@@ -33,10 +34,12 @@ _COMMENT = re.compile(r"#[^\n]*")
 # among them, and each character no token may hold; so a separator is
 # whitespace only (``\s`` is exactly ``str.isspace``).
 _LEXEME = re.compile(r"([A-Za-z][A-Za-z0-9_]*|[0-9]+|_[A-Za-z0-9_]+|->|\S)")
+# The punctuation no other lexeme can hold, so each is a token of its own.
+_MARKS = "{}()[],;:="
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _DIGITS = frozenset("0123456789")
 _ALNUM = _LETTERS | _DIGITS
-_PUNCTS = frozenset(("->", *"{}()[],;:=_"))
+_PUNCTS = frozenset(("->", "_", *_MARKS))
 
 
 def token_kind(text: str) -> str:
@@ -57,20 +60,27 @@ def describe(text: str) -> str:
 
 class Lines:
     """Offsets, lines and columns of the tokens of one text, from the
-    pieces :func:`tokenize` cut it into; only ``\\n`` starts a line.
+    pieces it is cut into; only ``\\n`` starts a line.
 
-    Each table is filled on its first request, once per text: a clean load
-    asks for neither.
+    Each table, the pieces too unless given, is filled on its first
+    request, once per text: a clean load asks for none.
     """
 
-    __slots__ = ("text", "pieces", "path", "offsets", "line_starts")
+    __slots__ = ("text", "_pieces", "path", "offsets", "line_starts")
 
-    def __init__(self, text: str, pieces: list[str], path: str | None = None):
+    def __init__(self, text: str, pieces: list[str] | None, path: str | None = None):
         self.text = text
-        self.pieces = pieces
+        self._pieces = pieces
         self.path = path
         self.offsets: list[int] | None = None
         self.line_starts: list[int] | None = None
+
+    @property
+    def pieces(self) -> list[str]:
+        """Separator, lexeme, ..., separator, each lexeme a token."""
+        if self._pieces is None:
+            self._pieces = _LEXEME.split(_COMMENT.sub(_blank, self.text))
+        return self._pieces
 
     def _offsets(self) -> list[int]:
         offsets = self.offsets
@@ -111,19 +121,27 @@ def _blank(match: re.Match) -> str:
 
 
 def tokenize(text: str, path: str | None = None
-             ) -> tuple[list[str], list[str], list[Diagnostic]]:
+             ) -> tuple[list[str], Lines, list[Diagnostic]]:
     """The text of each token of ``text``, ending in the end of input; the
-    pieces of ``text``, separator, lexeme, ..., separator, each lexeme a
-    token; and a diagnostic, naming ``path``, for each lexeme no token may
-    be: a name beginning with ``_`` or any other character."""
+    :class:`Lines` of ``text``, naming ``path``; and a diagnostic for each
+    lexeme no token may be: a name beginning with ``_`` or any other
+    character."""
     # Blanking each comment to spaces keeps every offset.
-    pieces = _LEXEME.split(_COMMENT.sub(_blank, text) if "#" in text else text)
-    texts = pieces[1::2]
-    bad = {lexeme for lexeme in set(texts)
+    spaced = _COMMENT.sub(_blank, text) if "#" in text else text
+    for mark in _MARKS:
+        spaced = spaced.replace(mark, f" {mark} ")
+    texts = spaced.split()
+    # No lexeme but a mark's own holds a mark or whitespace, so a chunk is
+    # one or more whole lexemes: almost always one, its own text.
+    found = {chunk: _LEXEME.findall(chunk) for chunk in set(texts)}
+    glued = {chunk: " ".join(cut) for chunk, cut in found.items() if len(cut) > 1}
+    bad = {lexeme for cut in found.values() for lexeme in cut
            if lexeme[0] not in _ALNUM and lexeme not in _PUNCTS}
     errors = []
+    lines = Lines(text, None, path)
     if bad:
-        lines = Lines(text, pieces, path)
+        pieces = lines.pieces
+        texts = pieces[1::2]
         # Each refused lexeme is folded into the separator around it.
         kept, run = [], [pieces[0]]
         for at, lexeme in enumerate(texts):
@@ -138,7 +156,10 @@ def tokenize(text: str, path: str | None = None
                 kept += ("".join(run), lexeme)
                 run = [pieces[2 * at + 2]]
         kept.append("".join(run))
-        pieces = kept
-        texts = pieces[1::2]
+        lines = Lines(text, kept, path)
+        texts = kept[1::2]
+    elif glued:
+        # Each glued chunk gives way to its lexemes, spaced apart.
+        texts = " ".join(map(glued.get, texts, texts)).split()
     texts.append("")
-    return texts, pieces, errors
+    return texts, lines, errors

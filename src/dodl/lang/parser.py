@@ -57,7 +57,7 @@ from ..relation import (
     Select,
     TermIdent,
 )
-from .lexer import IDENT, INT, Lines, describe, token_kind, tokenize
+from .lexer import IDENT, INT, describe, token_kind, tokenize
 from .syntax import (
     CheckCmd,
     ConceptDecl,
@@ -117,19 +117,16 @@ class Parser:
     punctuation is a word, so a token's text alone tells what it is."""
 
     def __init__(self, text: str, path: str | None = None):
-        self.texts, pieces, lex_errors = tokenize(text, path)
+        # The lines of the text, from the lexer: their pieces, offsets and
+        # line starts are worked out only when a span or an error is first
+        # read, which a clean load never does.
+        self.texts, self.lines, lex_errors = tokenize(text, path)
         self.pos = 0
         self.current: str = self.texts[0]
         self.depth = 0
         self.errors: list[Diagnostic] = list(lex_errors)
         # Lexeme text -> the atom it spells, built once per parse.
         self.atoms: dict[str, Atom] = {}
-        # Built here, not on first use: an attribute filled in later through
-        # the instance's __dict__, as functools.cached_property does, makes
-        # every attribute read of the parser slower (CPython 3.11).  Its
-        # offset and line tables are filled only when a span or an error
-        # is first read, which a clean load never does.
-        self.lines = Lines(text, pieces, path)
 
     # -- token plumbing ----------------------------------------------------
 

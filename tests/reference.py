@@ -16,6 +16,9 @@ library dataclass, the meaning ``core.Record`` promises to keep.
 :func:`reference_parser` builds the CLI's argument parser eagerly, every
 subcommand parser up front, as plain argparse does.
 :func:`reference_tokenize` lexes one character at a time into field tuples.
+:func:`reference_split_tokenize` is the pattern lexer as it was when it
+split the whole text on its pattern, one match per token, with tables of
+its own.
 :func:`reference_expanded_steps` counts an evolvent's steps by expanding it.
 :func:`reference_oracle_index` answers the relational oracle for one index
 by select then project, one scan of the relation per index.
@@ -26,6 +29,7 @@ resolving every name afresh for each row, and shares no code with
 
 import argparse
 import dataclasses
+import re
 
 from dodl.checker import compile_expr
 from dodl.core import MISSING, SYMBOLIC, Atom
@@ -64,8 +68,8 @@ from dodl.errors import (
     UnknownPotentialObject,
     UnknownRelation,
 )
-from dodl.lang.lexer import EOF, IDENT, INT, PUNCT
-from dodl.lang.syntax import Diagnostic
+from dodl.lang.lexer import EOF, IDENT, INT, PUNCT, Lines
+from dodl.lang.syntax import Diagnostic, Span
 from dodl.relation import TermIdent
 from dodl.relational import project, select
 
@@ -385,6 +389,54 @@ def reference_tokenize(text: str):
 
     tokens.append((EOF, "", line, col, n, n))
     return tokens, errors
+
+
+# The pattern lexer's tables, copied so that a change to the lexer's own is
+# seen by the tests rather than shared with the reference.
+_COMMENT = re.compile(r"#[^\n]*")
+_LEXEME = re.compile(r"([A-Za-z][A-Za-z0-9_]*|[0-9]+|_[A-Za-z0-9_]+|->|\S)")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset("0123456789")
+_ALNUM = _LETTERS | _DIGITS
+_PUNCTS = frozenset(("->", *"{}()[],;:=_"))
+
+
+def _blank(match: re.Match) -> str:
+    return " " * (match.end() - match.start())
+
+
+def reference_split_tokenize(text: str, path: str | None = None
+                             ) -> tuple[list[str], list[str], list[Diagnostic]]:
+    """The text of each token of ``text``, ending in the end of input; the
+    pieces of ``text``, separator, lexeme, ..., separator, each lexeme a
+    token; and a diagnostic, naming ``path``, for each lexeme no token may
+    be: a name beginning with ``_`` or any other character."""
+    # Blanking each comment to spaces keeps every offset.
+    pieces = _LEXEME.split(_COMMENT.sub(_blank, text) if "#" in text else text)
+    texts = pieces[1::2]
+    bad = {lexeme for lexeme in set(texts)
+           if lexeme[0] not in _ALNUM and lexeme not in _PUNCTS}
+    errors = []
+    if bad:
+        lines = Lines(text, pieces, path)
+        # Each refused lexeme is folded into the separator around it.
+        kept, run = [], [pieces[0]]
+        for at, lexeme in enumerate(texts):
+            if lexeme in bad:
+                if lexeme[0] == "_":
+                    message = "names may not begin with '_'"
+                else:
+                    message = f"unexpected character {lexeme!r}"
+                errors.append(Span(lines, at, at).diagnostic(message))
+                run += (lexeme, pieces[2 * at + 2])
+            else:
+                kept += ("".join(run), lexeme)
+                run = [pieces[2 * at + 2]]
+        kept.append("".join(run))
+        pieces = kept
+        texts = pieces[1::2]
+    texts.append("")
+    return texts, pieces, errors
 
 
 def reference_oracle_index(relation, index_attr, index_value, target_attr):

@@ -1,11 +1,12 @@
 import json
 import random
+import sys
 import time
 from itertools import accumulate
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dodl.core import Record, number
@@ -13,13 +14,18 @@ from dodl.diagrams import And, Not, Or
 from dodl.errors import CycleDetected, DodlError
 from dodl.evolver import EVOLVENT_STEP_LIMIT, EventScript, Evolvent, expanded_steps
 from dodl.lang import dump, load_texts, loader, parse, parse_query, validate
-from dodl.lang.lexer import EOF, Lines, token_kind, tokenize
+from dodl.lang import lexer
+from dodl.lang.lexer import EOF, token_kind, tokenize
 from dodl.lang.parser import MAX_DEPTH
 from dodl.lang.syntax import Diagnostic, DomainDecl, QueryCmd, Ref, TriggerCmd
 from dodl.meta import find_cycle
 from dodl.relational import OracleExpr, Project, Select
 from front_end_pins import PINS, damaged, observe
-from reference import reference_expanded_steps, reference_tokenize
+from reference import (
+    reference_expanded_steps,
+    reference_split_tokenize,
+    reference_tokenize,
+)
 from wsgen import gen_workspace
 
 
@@ -371,10 +377,10 @@ def starts_of(pieces: list[str]) -> list[int]:
 def lexed(text: str):
     """The lexer's flat lists as the reference's field tuples, each
     position found by the lexer's own position function."""
-    texts, pieces, errors = tokenize(text)
-    starts = starts_of(pieces)
+    texts, lines, errors = tokenize(text)
+    starts = starts_of(lines.pieces)
     assert len(texts) == len(starts)
-    position = Lines(text, pieces).position
+    position = lines.position
     return [(token_kind(t), t, *position(start), start, start + len(t))
             for t, start in zip(texts, starts)], errors
 
@@ -391,6 +397,56 @@ ascii_source = st.lists(
 ).map("".join)
 
 
+def dump_text(seed: int) -> str:
+    return dump(gen_workspace(random.Random(seed)))
+
+
+def split_lexed(text: str):
+    """The lexer's token texts, pieces and rendered errors with offsets."""
+    texts, lines, errors = tokenize(text, "p.dodl")
+    return texts, lines.pieces, [(d.render(), d.start, d.end) for d in errors]
+
+
+def reference_split_lexed(text: str):
+    texts, pieces, errors = reference_split_tokenize(text, "p.dodl")
+    return texts, pieces, [(d.render(), d.start, d.end) for d in errors]
+
+
+# Every character str.isspace accepts: what str.split() and the pattern's
+# \s both split on.
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+# Lexemes glued to each other, refused ones among them, and comments.
+GLUED = ["a->b", "->>", "12ab", "9\u00e9", "x_y", "_x", "a-b", "x_y-", "->",
+         "-", "_", "__", "\u00e9", "# c", "#", "sort", "7"]
+glued_source = st.lists(
+    st.one_of(st.sampled_from(WHITESPACE), st.sampled_from(GLUED),
+              st.sampled_from(list("{}()[],;:=")), st.characters()),
+    max_size=60,
+).map("".join)
+
+
+@st.composite
+def spliced_dump(draw):
+    """A wsgen dump with a few whitespace characters and glued forms put
+    into it anywhere."""
+    text = dump_text(draw(st.integers(0, 299)))
+    for piece in draw(st.lists(st.sampled_from(WHITESPACE + GLUED), max_size=6)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + piece + text[at:]
+    return text
+
+
+def glued_menus(n: int) -> str:
+    """A concept of ``n`` menu items, each a distinct chunk ``a<i>->b<i>``."""
+    return "concept C {\n" + "".join(
+        f"event b{i}; menu a{i}->b{i};\n" for i in range(n)) + "};\n"
+
+
+def refused_names(n: int) -> str:
+    """``n`` distinct names that begin with ``_``, each refused."""
+    return " ".join(f"_x{i}" for i in range(n)) + "\n"
+
+
 def concept_chain(depth: int) -> str:
     return "concept C0 { attr a = X; };\n" + "".join(
         f"concept C{i} : C{i - 1} {{ encapsulated a; }};\n"
@@ -405,22 +461,23 @@ def ladder_of_concepts(rungs: int) -> str:
         for i in range(2, rungs))
 
 
-def load_seconds(source: str) -> float:
+def load_seconds(source: str, ok: bool = True) -> float:
     started = time.perf_counter()
     result = load_texts([(None, source)])
     elapsed = time.perf_counter() - started
-    assert result.ok, [d.render() for d in result.diagnostics[:3]]
+    assert result.ok is ok, [d.render() for d in result.diagnostics[:3]]
     return elapsed
 
 
-def assert_loads_in_linear_time(source, small: int, large: int):
+def assert_loads_in_linear_time(source, small: int, large: int, ok: bool = True):
     """``source(large)`` loads within five times ``large / small`` times the
-    fastest of three loads of ``source(small)``, timed in this process.  A
-    bound relative to the machine's own speed holds under a slower tracer
-    too.  A linear load reads about 10-20 times the small one for a tenfold
-    size, a quadratic walk over 100 times."""
-    base = min(load_seconds(source(small)) for _ in range(3))
-    assert load_seconds(source(large)) < 5 * large / small * base
+    fastest of three loads of ``source(small)``, timed in this process; each
+    load is clean unless ``ok`` is false.  A bound relative to the machine's
+    own speed holds under a slower tracer too.  A linear load reads about
+    10-20 times the small one for a tenfold size, a quadratic walk over 100
+    times."""
+    base = min(load_seconds(source(small), ok) for _ in range(3))
+    assert load_seconds(source(large), ok) < 5 * large / small * base
 
 
 def compose_chain(depth: int) -> str:
@@ -595,14 +652,33 @@ class TestLexer:
     def test_matches_the_reference_on_the_teaching_corpus(self, teaching_text):
         assert lexed(teaching_text) == reference_tokenize(teaching_text)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(glued_source, spliced_dump()))
+    @example("a->b ->> 12ab 9\u00e9 x_y _x a-b x_y- # c\n-")
+    @example("\x1c".join(WHITESPACE) + "a\u3000b\x85c")
+    @example("sort  A :\tsymbolic;")
+    def test_matches_the_split_lexer(self, text):
+        assert split_lexed(text) == reference_split_lexed(text)
+
+    def test_matches_the_split_lexer_on_every_wsgen_dump(self):
+        for seed in range(300):
+            text = dump_text(seed)
+            assert split_lexed(text) == reference_split_lexed(text), seed
+
+    def test_distinct_glued_chunks_load_in_linear_time(self):
+        assert_loads_in_linear_time(glued_menus, 2000, 20000)
+
+    def test_distinct_refused_lexemes_load_in_linear_time(self):
+        assert_loads_in_linear_time(refused_names, 2000, 20000, ok=False)
+
     @settings(max_examples=300, deadline=200)
     @given(st.text(alphabet=st.one_of(
         st.characters(max_codepoint=127),
         st.sampled_from("\u00e9\u00b2\u00a0\u2003\u2028\u0085#->_x"),
     ), max_size=60))
     def test_tokens_and_errors_slice_the_text(self, text):
-        texts, pieces, errors = tokenize(text)
-        starts = starts_of(pieces)
+        texts, lines, errors = tokenize(text)
+        starts = starts_of(lines.pieces)
         assert (texts[-1], starts[-1]) == ("", len(text))
         assert starts == sorted(set(starts))
         for t, start in zip(texts, starts):
@@ -657,10 +733,6 @@ class TestLexer:
         assert (kind, eof_line, eof_col) == (EOF, line, col)
 
 
-def dump_text(seed: int) -> str:
-    return dump(gen_workspace(random.Random(seed)))
-
-
 def refs_in(value):
     """Every ``Ref`` in ``value``, a statement or a tuple of them."""
     if isinstance(value, Ref):
@@ -678,15 +750,19 @@ class TestPositions:
     diagnostic is read, and then once per text."""
 
     def test_a_clean_load_works_out_no_position(self, teaching_text):
-        with patch("dodl.lang.loader.build", wraps=loader.build) as build:
+        with patch("dodl.lang.loader.build", wraps=loader.build) as build, \
+                patch("dodl.lang.lexer._LEXEME", wraps=lexer._LEXEME) as lexeme:
             result = load_texts([("demo.dodl", teaching_text),
                                  ("ws.dodl", dump_text(5))])
         assert result.ok
+        # No text was split on the pattern: its pieces were never built.
+        assert lexeme.split.call_count == 0
         (units,), _ = build.call_args
         for unit in units:
             lines = unit.statements[0].span.lines
             assert all(s.span.lines is lines for s in unit.statements)
-            assert (lines.offsets, lines.line_starts) == (None, None)
+            assert (lines._pieces, lines.offsets, lines.line_starts) == (
+                None, None, None)
 
     @pytest.mark.parametrize("source", [
         "sort A :;\nsort B numeric;\ndomain D : = { 1 };\n",
@@ -694,10 +770,27 @@ class TestPositions:
         "domain E : Ghost = { b };\npotential P carrier D index E filter F;\n",
     ], ids=["parse", "load"])
     def test_the_first_diagnostic_builds_each_table_once(self, source):
-        with patch("dodl.lang.lexer.accumulate", wraps=accumulate) as tables:
+        with patch("dodl.lang.lexer.accumulate", wraps=accumulate) as tables, \
+                patch("dodl.lang.lexer._LEXEME", wraps=lexer._LEXEME) as lexeme:
             diagnostics = load_texts([("x.dodl", source)]).diagnostics
         assert len(diagnostics) >= 3
         assert tables.call_count == 2
+        assert lexeme.split.call_count == 1
+
+    def test_each_text_with_diagnostics_is_split_once(self):
+        # Refused lexemes and a parse error in one text stop the load before
+        # the other's unknown sort is found, so only the first is split;
+        # then the other alone.
+        sources = [("x.dodl", "sort A : symbolic; $ _x\nsort B numeric;\n"),
+                   ("y.dodl", "domain D : Ghost = { a };\n")]
+        with patch("dodl.lang.lexer._LEXEME", wraps=lexer._LEXEME) as lexeme:
+            diagnostics = load_texts(sources).diagnostics
+        assert [d.path for d in diagnostics] == ["x.dodl"] * 3
+        assert lexeme.split.call_count == 1
+        with patch("dodl.lang.lexer._LEXEME", wraps=lexer._LEXEME) as lexeme:
+            diagnostics = load_texts(sources[1:]).diagnostics
+        assert [d.path for d in diagnostics] == ["y.dodl"]
+        assert lexeme.split.call_count == 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(ascii_source, st.integers(0, 299).map(dump_text)))

@@ -910,6 +910,16 @@ def test_operators_build_what_the_checked_constructor_builds(pair, data):
     assert_operators_build_as_checked(*pair, data)
 
 
+@st.composite
+def part_of(draw, whole: Relation):
+    """The projection of ``whole`` onto drawn attributes, read plainly."""
+    positions = draw(st.lists(st.integers(0, len(whole.attributes) - 1),
+                              min_size=1, unique=True))
+    return Relation(f"{whole.name}_part",
+                    tuple(whole.attributes[i] for i in positions),
+                    frozenset(tuple(row[i] for i in positions) for row in whole.tuples))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 299), st.data())
 def test_operators_on_generated_workspaces_build_as_checked(seed, data):
@@ -918,6 +928,14 @@ def test_operators_on_generated_workspaces_build_as_checked(seed, data):
     s = data.draw(st.sampled_from(generated))
     assert_operators_build_as_checked(r, s, data)
     assert_operators_build_as_checked(r, r, data)
+    # wsgen gives relations of one workspace the same attribute names with
+    # sorts drawn apart, so most of their joins end in SortMismatch; a part
+    # of a relation shares its sorts, so joins with it read wsgen rows.
+    for whole in (r, s):
+        if whole.attributes:
+            part = data.draw(part_of(whole))
+            assert_operators_build_as_checked(whole, part, data)
+            assert_operators_build_as_checked(part, whole, data)
 
 
 def order_key_sorted(relation: Relation) -> list:
