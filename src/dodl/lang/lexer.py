@@ -7,8 +7,9 @@ character, reported at its own line and column.
 
 A text lexes into the text of each token, ending in ``""`` for the end of
 input, by string methods alone: the ten one-character marks are spaced out,
-the text is split on whitespace, and each distinct chunk is matched once,
-so that one gluing tokens together, such as ``a->b``, is cut into them.
+the text is split on whitespace, and each distinct chunk is matched once.
+A text with a chunk that glues tokens together, such as ``a->b``, or with
+a refused lexeme is cut by the lexeme pattern instead.
 A token's kind follows from its first character (:func:`token_kind`).  Its
 offset, line and column are worked out by :class:`Lines` only when a span
 or diagnostic is read, which a clean load never does.
@@ -133,33 +134,32 @@ def tokenize(text: str, path: str | None = None
     texts = spaced.split()
     # No lexeme but a mark's own holds a mark or whitespace, so a chunk is
     # one or more whole lexemes: almost always one, its own text.
-    found = {chunk: _LEXEME.findall(chunk) for chunk in set(texts)}
-    glued = {chunk: " ".join(cut) for chunk, cut in found.items() if len(cut) > 1}
-    bad = {lexeme for cut in found.values() for lexeme in cut
+    found = [_LEXEME.findall(chunk) for chunk in set(texts)]
+    bad = {lexeme for cut in found for lexeme in cut
            if lexeme[0] not in _ALNUM and lexeme not in _PUNCTS}
     errors = []
     lines = Lines(text, None, path)
-    if bad:
+    if bad or sum(map(len, found)) != len(found):
+        # A chunk glues lexemes together, or one is refused: the text is
+        # cut by the pattern instead.
         pieces = lines.pieces
         texts = pieces[1::2]
-        # Each refused lexeme is folded into the separator around it.
-        kept, run = [], [pieces[0]]
-        for at, lexeme in enumerate(texts):
-            if lexeme in bad:
-                if lexeme[0] == "_":
-                    message = "names may not begin with '_'"
+        if bad:
+            # Each refused lexeme is folded into the separator around it.
+            kept, run = [], [pieces[0]]
+            for at, lexeme in enumerate(texts):
+                if lexeme in bad:
+                    if lexeme[0] == "_":
+                        message = "names may not begin with '_'"
+                    else:
+                        message = f"unexpected character {lexeme!r}"
+                    errors.append(Span(lines, at, at).diagnostic(message))
+                    run += (lexeme, pieces[2 * at + 2])
                 else:
-                    message = f"unexpected character {lexeme!r}"
-                errors.append(Span(lines, at, at).diagnostic(message))
-                run += (lexeme, pieces[2 * at + 2])
-            else:
-                kept += ("".join(run), lexeme)
-                run = [pieces[2 * at + 2]]
-        kept.append("".join(run))
-        lines = Lines(text, kept, path)
-        texts = kept[1::2]
-    elif glued:
-        # Each glued chunk gives way to its lexemes, spaced apart.
-        texts = " ".join(map(glued.get, texts, texts)).split()
+                    kept += ("".join(run), lexeme)
+                    run = [pieces[2 * at + 2]]
+            kept.append("".join(run))
+            lines = Lines(text, kept, path)
+            texts = kept[1::2]
     texts.append("")
     return texts, lines, errors
